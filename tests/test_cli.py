@@ -176,3 +176,10 @@ def test_cache_returns_stored_bytes(tmp_path, monkeypatch, capsys):
     # Byte-identical timings prove the record came from the cache.
     assert second == first
     assert list(tmp_path.glob("*.json")) == files
+
+
+def test_verify_suites_match_golden(capsys):
+    params = ["--m", "9", "--n", "3", "--r", "4", "--s", "3"]
+    assert main(["verify", *params, "--suite", "identities"]) == 0
+    assert main(["verify", *params, "--suite", "bounds"]) == 0
+    assert capsys.readouterr().out == (DATA / "verify_9343.txt").read_text()

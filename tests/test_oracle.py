@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,8 @@ from tensq.oracle import (
     verify_identities,
 )
 from tensq.presentations import exterior_and_schur
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -153,3 +157,39 @@ def test_bounds_suite_passes(model_3220, model_9343):
         names = [c.name for c in report.checks]
         assert "derived diagonal has order 1" in names
         assert any("odd o'(h)" in n for n in names)
+
+
+# Sublattice models: the lattice keeps only the pivot rows of the first
+# half of its pivot columns, so every check family except the tautology
+# fails somewhere.  (15,2,4,10) takes the "2 || s" branch of the n-s
+# relation.  The golden pins each check's (name, instances, failed,
+# examples) from both suites.
+FAILURE_PANEL = [(9, 3, 4, 3), (7, 3, 2, 0), (15, 2, 4, 10)]
+
+
+def _sublattice_model(tup):
+    model = build_tensor_oracle(metagrp.validate(*tup))
+    lat = model.handle.lattice
+    sub = abgrp.RowLattice(lat.ncols)
+    keep = sorted(lat.pivots)[: len(lat.pivots) // 2]
+    sub.pivots = {j: dict(lat.pivots[j]) for j in keep}
+    model.handle.lattice = sub
+    return model
+
+
+def _failure_reports():
+    out = {}
+    for tup in FAILURE_PANEL:
+        model = _sublattice_model(tup)
+        out[",".join(map(str, tup))] = {
+            suite.__name__: [
+                [c.name, c.instances, c.failed, c.examples] for c in suite(model).checks
+            ]
+            for suite in (verify_identities, verify_bounds)
+        }
+    return out
+
+
+def test_suite_failure_reports_match_golden():
+    golden = json.loads((DATA / "verify_sublattice.json").read_text())
+    assert _failure_reports() == golden
