@@ -16,8 +16,8 @@ eliminating every unit pivot.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from math import gcd, lcm, prod
+from dataclasses import dataclass
+from math import prod
 
 from .errors import TensqError
 
@@ -191,17 +191,14 @@ class AbelianStructure:
 class QuotientHandle:
     """A quotient Z^ngens / L kept ready for order and membership queries.
 
-    Stores the echelon basis of L plus the Smith normal form of the
-    small core (diagonal and both unimodular transforms).
+    Stores the echelon basis of L and the columns left in its core after
+    unit-pivot elimination.
     """
 
     ngens: int
     lattice: RowLattice
     structure: AbelianStructure
     core_columns: list[int]
-    snf_diag: list[int]
-    snf_left: list[list[int]]
-    snf_right: list[list[int]]
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -301,32 +298,6 @@ def smith_normal_form(matrix) -> tuple[list[int], list[list[int]], list[list[int
     return diag, U, V
 
 
-def determinant(matrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise TensqError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    M = [list(map(int, row)) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
 def _as_sparse_rows(relations, ngens: int) -> list[dict]:
     rows = []
     for rel in relations:
@@ -369,10 +340,7 @@ def quotient_from_lattice(lattice: RowLattice) -> QuotientHandle:
         for c, v in row.items():
             dense[col_index[c]] = v
         core_rows.append(dense)
-    if core_rows:
-        diag, left, right = smith_normal_form(core_rows)
-    else:
-        diag, left, right = [], [], _identity(len(core_columns))
+    diag = smith_normal_form(core_rows)[0] if core_rows else []
     rank = sum(1 for d in diag if d)
     factors = tuple(d for d in diag if d > 1) + (0,) * (len(core_columns) - rank)
     return QuotientHandle(
@@ -380,9 +348,6 @@ def quotient_from_lattice(lattice: RowLattice) -> QuotientHandle:
         lattice=lattice,
         structure=AbelianStructure(factors),
         core_columns=core_columns,
-        snf_diag=diag,
-        snf_left=left,
-        snf_right=right,
     )
 
 

@@ -104,33 +104,48 @@ def build_run_record(params: GroupParams, with_oracle: bool) -> dict:
     }
 
 
-def _record_text(params: GroupParams, with_oracle: bool) -> str:
-    """Record JSON, going through the cache when TENSQ_CACHE_DIR is set."""
+def _record_json(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+
+def _load_record(params: GroupParams, with_oracle: bool) -> tuple[dict, str | None]:
+    """The record for one tuple and its cached text (None when uncached).
+
+    With TENSQ_CACHE_DIR set, a stored file that parses is returned as
+    is.  A missing or unparsable file is a miss: the record is built and
+    the file rewritten atomically, through a temporary file and
+    os.replace, so a reader never sees a partial record.
+    """
     cache_dir = os.environ.get("TENSQ_CACHE_DIR")
-    path = None
-    if cache_dir:
-        payload = json.dumps(
-            {
-                "m": params.m,
-                "n": params.n,
-                "r": params.r,
-                "s": params.s,
-                "oracle": bool(with_oracle),
-                "version": __version__,
-            },
-            sort_keys=True,
-        )
-        key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        path = os.path.join(cache_dir, key + ".json")
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                return fh.read()
-    text = json.dumps(build_run_record(params, with_oracle), sort_keys=True, indent=2) + "\n"
-    if path:
-        os.makedirs(cache_dir, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    if not cache_dir:
+        return build_run_record(params, with_oracle), None
+    payload = json.dumps(
+        {
+            "m": params.m,
+            "n": params.n,
+            "r": params.r,
+            "s": params.s,
+            "oracle": bool(with_oracle),
+            "version": __version__,
+        },
+        sort_keys=True,
+    )
+    key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    path = os.path.join(cache_dir, key + ".json")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        return json.loads(text), text
+    except (FileNotFoundError, ValueError):
+        pass
+    record = build_run_record(params, with_oracle)
+    text = _record_json(record)
+    os.makedirs(cache_dir, exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+    return record, text
 
 
 def _params(args) -> GroupParams:
@@ -139,7 +154,9 @@ def _params(args) -> GroupParams:
 
 def cmd_compute(args) -> int:
     params = _params(args)
-    text = _record_text(params, args.oracle)
+    record, text = _load_record(params, args.oracle)
+    if text is None:
+        text = _record_json(record)
     sys.stdout.write(text)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -231,12 +248,21 @@ def cmd_batch(args) -> int:
     if tuples is None:
         if max_order is None:
             raise ValidationError(["batch needs --max-order, or a manifest with bounds or tuples"])
+        if type(max_order) is not int:
+            raise ValidationError([f"manifest max_order must be an integer, got {max_order!r}"])
         jobs = [
             (p.m, p.n, p.r, p.s)
             for p in metagrp.enumerate_valid_tuples(max_order, include_s_zero=include_s_zero)
         ]
     else:
-        jobs = [tuple(int(x) for x in row) for row in tuples]
+        if not isinstance(tuples, list):
+            raise ValidationError([f"manifest tuples must be a list of rows, got {tuples!r}"])
+        for row in tuples:
+            if not (isinstance(row, list) and len(row) == 4 and all(type(x) is int for x in row)):
+                raise ValidationError(
+                    [f"manifest row {row!r} is not a list of four integers [m, n, r, s]"]
+                )
+        jobs = tuples
 
     rows = []
     counts = {"ok": 0, "mismatch": 0, "error": 0}
@@ -244,7 +270,7 @@ def cmd_batch(args) -> int:
         params_block = {"m": m, "n": n, "r": r, "s": s}
         try:
             params = metagrp.validate(m, n, r, s)
-            record = json.loads(_record_text(params, with_oracle))
+            record, _ = _load_record(params, with_oracle)
             status = "ok"
             if record["oracle"] is not None and not record["oracle"]["match"]:
                 status = "mismatch"

@@ -142,16 +142,6 @@ def power(g: Element, sigma: int, p: GroupParams) -> Element:
     return Element(beta, (p.s * q + g.alpha * e) % p.m)
 
 
-def elt_order(g: Element, p: GroupParams) -> int:
-    """Order of g, found by repeated multiplication."""
-    cur = g
-    order = 1
-    while cur != IDENTITY:
-        cur = mul(cur, g, p)
-        order += 1
-    return order
-
-
 @dataclass(frozen=True)
 class DerivedInvariants:
     """Closed-form invariants of the group."""

@@ -22,14 +22,6 @@ def gcd_all(values) -> int:
     return gcd(*vals)
 
 
-def lcm_all(values) -> int:
-    """Least common multiple of a non-empty sequence, with lcm(x, 0) = 0."""
-    vals = list(values)
-    if not vals:
-        raise ValueError("lcm_all needs at least one value")
-    return lcm(*vals)
-
-
 def mult_order(r: int, m: int) -> int:
     """Least l >= 1 with r**l == 1 (mod m).
 

@@ -36,7 +36,7 @@ from .abgrp import (
     element_order,
     quotient_from_lattice,
 )
-from .errors import FormulaInconsistencyError, ResourceLimitError, TensqError
+from .errors import FormulaInconsistencyError, ResourceLimitError
 from .metagrp import Element, GroupParams
 from .presentations import upsilon_order_bounds
 
@@ -160,33 +160,6 @@ def oracle_schur_order(model: OracleModel) -> int:
     return ext // t
 
 
-def conjugation_permutation(model: OracleModel, c: Element) -> list[int]:
-    """Column permutation induced by (g, h) -> (g^c, h^c)."""
-    ng = model.n_group
-    act = model.conj_by[model.index[c]]
-    perm = [0] * (ng * ng)
-    for g in range(ng):
-        base = g * ng
-        tg = act[g] * ng
-        for h in range(ng):
-            perm[base + h] = tg + act[h]
-    return perm
-
-
-def act(model: OracleModel, vec, c: Element) -> list[int]:
-    """Image of a coefficient vector under conjugation by c."""
-    vec = list(vec)
-    ncols = model.n_group**2
-    if len(vec) != ncols:
-        raise TensqError(f"vector of length {len(vec)}, expected {ncols}")
-    perm = conjugation_permutation(model, c)
-    out = [0] * ncols
-    for col, val in enumerate(vec):
-        if val:
-            out[perm[col]] = val
-    return out
-
-
 @dataclass
 class CheckResult:
     """One named family of instances, with the first few failures kept."""
@@ -215,44 +188,27 @@ class SuiteReport:
         return sum(c.failed for c in self.checks)
 
 
-class _Suite:
-    """Accumulates membership checks into named CheckResults."""
-
-    def __init__(self, model: OracleModel):
-        self.model = model
-        self.lattice = model.handle.lattice
-        self.exp = model.structure.torsion_exponent
-        self.checks: list[CheckResult] = []
-
-    def _reduced(self, coeffs: dict) -> dict:
-        out = {}
-        for c, v in coeffs.items():
-            v %= self.exp
-            if v:
-                out[c] = v
-        return out
-
-    def member(self, coeffs: dict) -> bool:
-        return self.lattice.contains(self._reduced(coeffs))
-
-    def ext_member(self, coeffs: dict) -> bool:
-        exterior_oracle(self.model)
-        return self.model.ext_handle.lattice.contains(self._reduced(coeffs))
-
-    def run(self, name: str, instances) -> CheckResult:
-        result = CheckResult(name=name, instances=0, failed=0)
-        for ok, describe in instances:
-            result.instances += 1
-            if not ok:
-                result.failed += 1
-                if len(result.examples) < 3:
-                    result.examples.append(describe())
-        self.checks.append(result)
-        return result
+def _check(name: str, instances) -> CheckResult:
+    """Count (ok, label) instances, keeping the first three failing labels."""
+    result = CheckResult(name=name, instances=0, failed=0)
+    for ok, label in instances:
+        result.instances += 1
+        if not ok:
+            result.failed += 1
+            if len(result.examples) < 3:
+                result.examples.append(label)
+    return result
 
 
-def _acc(coeffs: dict, col: int, val: int) -> None:
-    coeffs[col] = coeffs.get(col, 0) + val
+def _vec(*terms) -> dict:
+    """Coefficient vector summing (column, coefficient) terms."""
+    coeffs = {}
+    for col, val in terms:
+        coeffs[col] = coeffs.get(col, 0) + val
+    return coeffs
+
+
+NUMERALS = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x", "xi", "xii")
 
 
 def verify_identities(model: OracleModel | GroupParams) -> SuiteReport:
@@ -268,10 +224,20 @@ def verify_identities(model: OracleModel | GroupParams) -> SuiteReport:
     p = model.params
     m, n, r, s = p.m, p.n, p.r, p.s
     ng = model.n_group
-    inv = model.inv
-    suite = _Suite(model)
-    exp = suite.exp
+    lattice = model.handle.lattice
+    exp = model.structure.torsion_exponent
     exp2 = 2 * exp
+    checks = []
+
+    def reduced(coeffs: dict) -> dict:
+        return {c: v % exp for c, v in coeffs.items() if v % exp}
+
+    def member(coeffs: dict) -> bool:
+        return lattice.contains(reduced(coeffs))
+
+    def ext_member(coeffs: dict) -> bool:
+        exterior_oracle(model)
+        return model.ext_handle.lattice.contains(reduced(coeffs))
 
     index = model.index
     conj_by = model.conj_by
@@ -284,10 +250,9 @@ def verify_identities(model: OracleModel | GroupParams) -> SuiteReport:
     col_ab = col(a_i, b_i)
     col_ba = col(b_i, a_i)
     col_bb = col(b_i, b_i)
-    o_a, o_b = inv.o_a, inv.o_b
+    o_a, o_b = model.inv.o_a, model.inv.o_b
     pow_a = [index[Element(0, al)] for al in range(m)]
-    b_elt = Element(1, 0)
-    pow_b = [index[metagrp.power(b_elt, be, p)] for be in range(o_b)]
+    pow_b = [index[metagrp.power(Element(1, 0), be, p)] for be in range(o_b)]
 
     def binom2(x: int) -> int:
         x %= exp2
@@ -304,134 +269,60 @@ def verify_identities(model: OracleModel | GroupParams) -> SuiteReport:
         geom[be] = (geom[be - 1] + rb_e[be - 1]) % exp
         s1[be] = (s1[be - 1] + binom2(rb_e2[be - 1])) % exp if be > 1 else 0
 
-    def check(okvec, label):
-        return suite.member(okvec), lambda: label
-
-    def identity_i():
+    # Shapes of the power identities (i)-(vi).  Each instance is
+    # (label, x, y, k_ab, k_aa), stating (x, y) = k_ab (a,b) + k_aa (r-1) (a,a).
+    def shape_i():
         for al in range(o_a):
-            lhs = col(a_i, conj_by[pow_a[al]][b_i])
-            coeffs = {}
-            _acc(coeffs, lhs, 1)
-            _acc(coeffs, col_ab, -1)
-            _acc(coeffs, col_aa, -al * (r - 1))
-            yield check(coeffs, f"(i) alpha={al}")
+            yield f"alpha={al}", a_i, conj_by[pow_a[al]][b_i], 1, al
 
-    def identity_ii():
+    def shape_ii():
         for al in range(o_a):
-            coeffs = {}
-            _acc(coeffs, col(pow_a[al], b_i), 1)
-            _acc(coeffs, col_ab, -al)
-            _acc(coeffs, col_aa, -binom2(al) * (r - 1))
-            yield check(coeffs, f"(ii) alpha={al}")
+            yield f"alpha={al}", pow_a[al], b_i, al, binom2(al)
 
-    def identity_iii():
+    def shape_iii():
         for be in range(o_b):
-            coeffs = {}
-            _acc(coeffs, col(pow_a[rb_m[be]], b_i), 1)
-            _acc(coeffs, col_ab, -rb_e[be])
-            _acc(coeffs, col_aa, -binom2(rb_e2[be]) * (r - 1))
-            yield check(coeffs, f"(iii) beta={be}")
+            yield f"beta={be}", pow_a[rb_m[be]], b_i, rb_e[be], binom2(rb_e2[be])
 
-    def identity_iv():
+    def shape_iv():
         for be in range(o_b):
-            coeffs = {}
-            _acc(coeffs, col(a_i, pow_b[be]), 1)
-            _acc(coeffs, col_ab, -geom[be])
-            _acc(coeffs, col_aa, -(r - 1) * s1[be])
-            yield check(coeffs, f"(iv) beta={be}")
+            yield f"beta={be}", a_i, pow_b[be], geom[be], s1[be]
 
-    def identity_v():
+    def shape_v():
         for al in range(o_a):
             for be in range(o_b):
-                coeffs = {}
-                _acc(coeffs, col(pow_a[al * rb_m[be] % m], b_i), 1)
-                _acc(coeffs, col_ab, -al * rb_e[be])
-                _acc(coeffs, col_aa, -(r - 1) * binom2(al * rb_e2[be]))
-                yield check(coeffs, f"(v) alpha={al} beta={be}")
+                yield (
+                    f"alpha={al} beta={be}",
+                    pow_a[al * rb_m[be] % m],
+                    b_i,
+                    al * rb_e[be],
+                    binom2(al * rb_e2[be]),
+                )
 
-    def identity_vi():
+    def shape_vi():
         for al in range(o_a):
             running = 0
             rp = 1 % exp2
             for be in range(o_b):
-                coeffs = {}
-                _acc(coeffs, col(pow_a[al], pow_b[be]), 1)
-                _acc(coeffs, col_ab, -al * geom[be])
-                _acc(coeffs, col_aa, -(r - 1) * running)
-                yield check(coeffs, f"(vi) alpha={al} beta={be}")
+                yield f"alpha={al} beta={be}", pow_a[al], pow_b[be], al * geom[be], running
                 running = (running + binom2(al * rp)) % exp
                 rp = rp * r % exp2
 
-    def identity_vii():
-        for al in range(o_a):
-            lhs = col(conj_by[pow_a[al]][b_i], a_i)
-            coeffs = {}
-            _acc(coeffs, lhs, 1)
-            _acc(coeffs, col_ba, -1)
-            _acc(coeffs, col_aa, -al * (1 - r))
-            yield check(coeffs, f"(vii) alpha={al}")
-
-    def identity_viii():
-        for al in range(o_a):
-            coeffs = {}
-            _acc(coeffs, col(b_i, pow_a[al]), 1)
-            _acc(coeffs, col_ba, -al)
-            _acc(coeffs, col_aa, -binom2(al) * (1 - r))
-            yield check(coeffs, f"(viii) alpha={al}")
-
-    def identity_ix():
-        for be in range(o_b):
-            coeffs = {}
-            _acc(coeffs, col(b_i, pow_a[rb_m[be]]), 1)
-            _acc(coeffs, col_ba, -rb_e[be])
-            _acc(coeffs, col_aa, -binom2(rb_e2[be]) * (1 - r))
-            yield check(coeffs, f"(ix) beta={be}")
-
-    def identity_x():
-        for be in range(o_b):
-            coeffs = {}
-            _acc(coeffs, col(pow_b[be], a_i), 1)
-            _acc(coeffs, col_ba, -geom[be])
-            _acc(coeffs, col_aa, -(1 - r) * s1[be])
-            yield check(coeffs, f"(x) beta={be}")
-
-    def identity_xi():
-        for al in range(o_a):
-            for be in range(o_b):
-                coeffs = {}
-                _acc(coeffs, col(b_i, pow_a[al * rb_m[be] % m]), 1)
-                _acc(coeffs, col_ba, -al * rb_e[be])
-                _acc(coeffs, col_aa, -(1 - r) * binom2(al * rb_e2[be]))
-                yield check(coeffs, f"(xi) alpha={al} beta={be}")
-
-    def identity_xii():
-        for al in range(o_a):
-            running = 0
-            rp = 1 % exp2
-            for be in range(o_b):
-                coeffs = {}
-                _acc(coeffs, col(pow_b[be], pow_a[al]), 1)
-                _acc(coeffs, col_ba, -al * geom[be])
-                _acc(coeffs, col_aa, -(1 - r) * running)
-                yield check(coeffs, f"(xii) alpha={al} beta={be}")
-                running = (running + binom2(al * rp)) % exp
-                rp = rp * r % exp2
-
-    for name, gen in [
-        ("power identity (i)", identity_i()),
-        ("power identity (ii)", identity_ii()),
-        ("power identity (iii)", identity_iii()),
-        ("power identity (iv)", identity_iv()),
-        ("power identity (v)", identity_v()),
-        ("power identity (vi)", identity_vi()),
-        ("power identity (vii)", identity_vii()),
-        ("power identity (viii)", identity_viii()),
-        ("power identity (ix)", identity_ix()),
-        ("power identity (x)", identity_x()),
-        ("power identity (xi)", identity_xi()),
-        ("power identity (xii)", identity_xii()),
-    ]:
-        suite.run(name, gen)
+    # Identities (vii)-(xii) mirror (i)-(vi): every pair symbol (x, y)
+    # becomes (y, x), so (a,b) becomes (b,a) and r-1 becomes 1-r.
+    shapes = (shape_i, shape_ii, shape_iii, shape_iv, shape_v, shape_vi)
+    for numerals, symbol, col_mixed, twist in (
+        (NUMERALS[:6], col, col_ab, r - 1),
+        (NUMERALS[6:], lambda x, y: col(y, x), col_ba, 1 - r),
+    ):
+        for numeral, shape in zip(numerals, shapes):
+            instances = (
+                (
+                    member(_vec((symbol(x, y), 1), (col_mixed, -k_ab), (col_aa, -k_aa * twist))),
+                    f"({numeral}) {label}",
+                )
+                for label, x, y, k_ab, k_aa in shape()
+            )
+            checks.append(_check(f"power identity ({numeral})", instances))
 
     # The n-s relation, in whichever branch s falls in.
     if s % 2 == 1 or s % 4 == 0:
@@ -446,10 +337,7 @@ def verify_identities(model: OracleModel | GroupParams) -> SuiteReport:
             ({col_bb: n, col_ab: -s, col_aa: -(r - 1)}, "n(b,b) = s(a,b) + (r-1)(a,a)"),
             ({col_bb: n, col_ba: -s, col_aa: -(1 - r)}, "n(b,b) = s(b,a) + (1-r)(a,a)"),
         ]
-    suite.run(
-        f"n-s relation ({branch})",
-        ((suite.member(vec), (lambda lab=lab: lab)) for vec, lab in rows),
-    )
+    checks.append(_check(f"n-s relation ({branch})", [(member(vec), lab) for vec, lab in rows]))
 
     # Diagonal membership identities, valid for every s.
     e_n = numth.geom_sum_mod(r, n, exp)
@@ -465,10 +353,12 @@ def verify_identities(model: OracleModel | GroupParams) -> SuiteReport:
         ({col_bb: n}, "n(b,b) diagonal"),
         ({col_aa: s}, "s(a,a) diagonal"),
     ]
-    suite.run(
-        "diagonal membership",
-        [(suite.member(vec), (lambda lab=lab: lab)) for vec, lab in lattice_rows]
-        + [(suite.ext_member(vec), (lambda lab=lab: lab)) for vec, lab in diagonal_rows],
+    checks.append(
+        _check(
+            "diagonal membership",
+            [(member(vec), lab) for vec, lab in lattice_rows]
+            + [(ext_member(vec), lab) for vec, lab in diagonal_rows],
+        )
     )
 
     # Centrality: conjugation by a commutator value fixes every symbol.
@@ -480,69 +370,72 @@ def verify_identities(model: OracleModel | GroupParams) -> SuiteReport:
             yx = elems[mul[h][g]]
             comm_ids.add(index[Element(0, (xy.alpha - yx.alpha) % m)])
 
-    def centrality_comm():
-        for c in sorted(comm_ids):
-            act_c = conj_by[c]
-            for g in range(ng):
-                tg = act_c[g]
-                for h in range(ng):
-                    coeffs = {}
-                    _acc(coeffs, col(tg, act_c[h]), 1)
-                    _acc(coeffs, col(g, h), -1)
-                    yield check(coeffs, f"conj by commutator #{c} moves ({g},{h})")
-
-    suite.run("centrality: commutator conjugation fixes all symbols", centrality_comm())
-
-    def centrality_diag():
-        for c in range(ng):
-            act_c = conj_by[c]
-            for g in range(ng):
-                coeffs = {}
-                _acc(coeffs, col(act_c[g], act_c[g]), 1)
-                _acc(coeffs, col(g, g), -1)
-                yield check(coeffs, f"conj by #{c} moves diagonal ({g},{g})")
-
-    suite.run("centrality: diagonal symbols fixed by conjugation", centrality_diag())
-
-    derived_ids = sorted(index[e] for e in metagrp.derived_subgroup(p))
-
-    suite.run(
-        "derived diagonal trivial",
-        (
-            (suite.member({col(g, g): 1}), (lambda g=g: f"(g,g) nontrivial for derived #{g}"))
-            for g in derived_ids
-        ),
+    checks.append(
+        _check(
+            "centrality: commutator conjugation fixes all symbols",
+            (
+                (
+                    member(_vec((col(conj_by[c][g], conj_by[c][h]), 1), (col(g, h), -1))),
+                    f"conj by commutator #{c} moves ({g},{h})",
+                )
+                for c in sorted(comm_ids)
+                for g in range(ng)
+                for h in range(ng)
+            ),
+        )
+    )
+    checks.append(
+        _check(
+            "centrality: diagonal symbols fixed by conjugation",
+            (
+                (
+                    member(_vec((col(conj_by[c][g], conj_by[c][g]), 1), (col(g, g), -1))),
+                    f"conj by #{c} moves diagonal ({g},{g})",
+                )
+                for c in range(ng)
+                for g in range(ng)
+            ),
+        )
     )
 
-    # Symmetric-pair facts.
+    derived_set = metagrp.derived_subgroup(p)
+    derived_ids = sorted(index[e] for e in derived_set)
+    checks.append(
+        _check(
+            "derived diagonal trivial",
+            ((member({col(g, g): 1}), f"(g,g) nontrivial for derived #{g}") for g in derived_ids),
+        )
+    )
+
+    # Symmetric-pair facts.  The dict literals below give coefficient 1,
+    # not 2, to (g,g) when g = h.
     def sym_product_rule():
         for g in range(ng):
             for h in range(ng):
                 gh = mul[g][h]
-                coeffs = {}
-                _acc(coeffs, col(g, h), 1)
-                _acc(coeffs, col(h, g), 1)
-                _acc(coeffs, col(gh, gh), -1)
-                _acc(coeffs, col(h, h), 1)
-                _acc(coeffs, col(g, g), 1)
-                ok1 = suite.member(coeffs)
-                ok2 = suite.ext_member({col(g, h): 1, col(h, g): 1})
-                yield ok1 and ok2, lambda g=g, h=h: f"pair ({g},{h})"
+                ok1 = member(
+                    _vec((col(g, h), 1), (col(h, g), 1), (col(gh, gh), -1), (col(h, h), 1), (col(g, g), 1))
+                )
+                ok2 = ext_member({col(g, h): 1, col(h, g): 1})
+                yield ok1 and ok2, f"pair ({g},{h})"
 
-    suite.run("symmetric pair: product rule and diagonality", sym_product_rule())
-
-    suite.run(
-        "symmetric pair: commutation (tautology in abelian model)",
-        [(suite.member({}), lambda: "zero vector")],
+    checks.append(_check("symmetric pair: product rule and diagonality", sym_product_rule()))
+    checks.append(
+        _check(
+            "symmetric pair: commutation (tautology in abelian model)",
+            [(member({}), "zero vector")],
+        )
     )
-
-    def sym_derived():
-        for h in derived_ids:
-            for g in range(ng):
-                ok1 = suite.member({col(g, h): 1, col(h, g): 1})
-                yield ok1, lambda g=g, h=h: f"derived pair ({g},{h})"
-
-    suite.run("symmetric pair: trivial against derived elements", sym_derived())
+    checks.append(
+        _check(
+            "symmetric pair: trivial against derived elements",
+            (
+                (member({col(g, h): 1, col(h, g): 1}), f"derived pair ({g},{h})")
+                for h in derived_ids
+                for g in range(ng)
+            ),
+        )
+    )
 
     derived_alphas = {elems[i].alpha for i in derived_ids}
 
@@ -552,48 +445,36 @@ def verify_identities(model: OracleModel | GroupParams) -> SuiteReport:
             e = elems[g]
             key = (e.beta, min((e.alpha - d) % m for d in derived_alphas))
             rep = reps.setdefault(key, g)
-            coeffs = {}
-            _acc(coeffs, col(g, g), 1)
-            _acc(coeffs, col(rep, rep), -1)
-            yield check(coeffs, f"diagonal differs on coset of #{g}")
+            yield member(_vec((col(g, g), 1), (col(rep, rep), -1))), f"diagonal differs on coset of #{g}"
 
-    suite.run("diagonal constant on derived cosets", diag_on_cosets())
+    checks.append(_check("diagonal constant on derived cosets", diag_on_cosets()))
 
-    derived_set = metagrp.derived_subgroup(p)
     oprime = [metagrp.coset_order(e, p, derived_set) for e in elems]
 
     def sym_order_bound():
         for g in range(ng):
             for h in range(ng):
                 d = gcd(oprime[g], oprime[h])
-                coeffs = {}
-                _acc(coeffs, col(g, h), d)
-                _acc(coeffs, col(h, g), d)
-                yield check(coeffs, f"gcd(o'({g}),o'({h}))*pair not trivial")
+                yield member(_vec((col(g, h), d), (col(h, g), d))), f"gcd(o'({g}),o'({h}))*pair not trivial"
 
-    suite.run("symmetric pair: order divides gcd of coset orders", sym_order_bound())
-
-    suite.run(
-        "diagonal order divides gcd(o'(h)^2, 2 o'(h))",
-        (
+    checks.append(_check("symmetric pair: order divides gcd of coset orders", sym_order_bound()))
+    checks.append(
+        _check(
+            "diagonal order divides gcd(o'(h)^2, 2 o'(h))",
             (
-                suite.member({col(h, h): gcd(oprime[h] ** 2, 2 * oprime[h])}),
-                (lambda h=h: f"diagonal bound fails at #{h}"),
-            )
-            for h in range(ng)
-        ),
+                (member({col(h, h): gcd(oprime[h] ** 2, 2 * oprime[h])}), f"diagonal bound fails at #{h}")
+                for h in range(ng)
+            ),
+        )
+    )
+    checks.append(
+        _check(
+            "diagonal order divides odd o'(h)",
+            ((member({col(h, h): oprime[h]}), f"odd bound fails at #{h}") for h in range(ng) if oprime[h] % 2),
+        )
     )
 
-    suite.run(
-        "diagonal order divides odd o'(h)",
-        (
-            (suite.member({col(h, h): oprime[h]}), (lambda h=h: f"odd bound fails at #{h}"))
-            for h in range(ng)
-            if oprime[h] % 2
-        ),
-    )
-
-    return SuiteReport(params=p, checks=suite.checks)
+    return SuiteReport(params=p, checks=checks)
 
 
 def verify_bounds(model: OracleModel | GroupParams) -> SuiteReport:
@@ -609,50 +490,33 @@ def verify_bounds(model: OracleModel | GroupParams) -> SuiteReport:
     b_i = index[Element(1, 0)]
     checks = []
 
-    def divides(name, vec, bound):
+    for name, vec, key in [
+        ("order of (a,a) divides v-bound", {col(a_i, a_i): 1}, "v"),
+        ("order of (b,b) divides w-bound", {col(b_i, b_i): 1}, "w"),
+        ("order of (a,b) divides u-bound", {col(a_i, b_i): 1}, "u"),
+        ("order of (a,b)+(b,a) divides z-bound", {col(a_i, b_i): 1, col(b_i, a_i): 1}, "z"),
+    ]:
         order = element_order(handle, vec)
-        ok = order != 0 and bound % order == 0
+        bound = bounds[key]
         checks.append(
-            CheckResult(
-                name=name,
-                instances=1,
-                failed=0 if ok else 1,
-                examples=[] if ok else [f"measured order {order}, bound {bound}"],
-            )
+            _check(name, [(order != 0 and bound % order == 0, f"measured order {order}, bound {bound}")])
         )
 
-    divides("order of (a,a) divides v-bound", {col(a_i, a_i): 1}, bounds["v"])
-    divides("order of (b,b) divides w-bound", {col(b_i, b_i): 1}, bounds["w"])
-    divides("order of (a,b) divides u-bound", {col(a_i, b_i): 1}, bounds["u"])
-    divides(
-        "order of (a,b)+(b,a) divides z-bound",
-        {col(a_i, b_i): 1, col(b_i, a_i): 1},
-        bounds["z"],
-    )
-
     derived_set = metagrp.derived_subgroup(p)
-    sweep = CheckResult(name="diagonal order divides odd o'(h)", instances=0, failed=0)
-    for h, e in enumerate(model.elements):
-        op = metagrp.coset_order(e, p, derived_set)
-        if op % 2 == 0:
-            continue
-        sweep.instances += 1
-        order = element_order(handle, {col(h, h): 1})
-        if order == 0 or op % order:
-            sweep.failed += 1
-            if len(sweep.examples) < 3:
-                sweep.examples.append(f"element #{h}: order {order}, o' = {op}")
-    checks.append(sweep)
 
-    trivial = CheckResult(name="derived diagonal has order 1", instances=0, failed=0)
-    for e in sorted(derived_set, key=lambda e: (e.beta, e.alpha)):
-        h = index[e]
-        trivial.instances += 1
-        order = element_order(handle, {col(h, h): 1})
-        if order != 1:
-            trivial.failed += 1
-            if len(trivial.examples) < 3:
-                trivial.examples.append(f"element #{h}: order {order}")
-    checks.append(trivial)
+    def odd_diagonal():
+        for h, e in enumerate(model.elements):
+            op = metagrp.coset_order(e, p, derived_set)
+            if op % 2:
+                order = element_order(handle, {col(h, h): 1})
+                yield order != 0 and op % order == 0, f"element #{h}: order {order}, o' = {op}"
 
+    def derived_diagonal():
+        for e in sorted(derived_set, key=lambda e: (e.beta, e.alpha)):
+            h = index[e]
+            order = element_order(handle, {col(h, h): 1})
+            yield order == 1, f"element #{h}: order {order}"
+
+    checks.append(_check("diagonal order divides odd o'(h)", odd_diagonal()))
+    checks.append(_check("derived diagonal has order 1", derived_diagonal()))
     return SuiteReport(params=p, checks=checks)

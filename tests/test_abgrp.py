@@ -6,13 +6,38 @@ import pytest
 from tensq.abgrp import (
     AbelianStructure,
     RowLattice,
-    determinant,
     element_order,
     lattice_member,
     quotient_structure,
     smith_normal_form,
 )
 from tensq.errors import TensqError
+
+
+def determinant(matrix) -> int:
+    """Exact determinant via fraction-free (Bareiss) elimination."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise TensqError("determinant needs a square matrix")
+    if n == 0:
+        return 1
+    M = [list(map(int, row)) for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for i in range(k + 1, n):
+                if M[i][k]:
+                    M[k], M[i] = M[i], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
 
 
 def matmul(A, B):

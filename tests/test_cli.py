@@ -161,6 +161,17 @@ def test_batch_rejects_bad_manifest(tmp_path, capsys):
     assert main(["batch", "--manifest", str(tmp_path / "missing.json")]) == 2
     assert main(["batch"]) == 2
     capsys.readouterr()
+    for body, named in [
+        ({"tuples": [[3, 2, 2, 0], [3, 2, 2]]}, "[3, 2, 2]"),
+        ({"tuples": [[3, 2, "x", 0]]}, "'x'"),
+        ({"tuples": 5}, "5"),
+        ({"tuples": [[3, 2, 2, 0], 7]}, "7"),
+        ({"max_order": "45"}, "'45'"),
+    ]:
+        bad.write_text(json.dumps(body))
+        assert main(["batch", "--manifest", str(bad)]) == 2, body
+        err = capsys.readouterr().err
+        assert err.startswith("error: manifest ") and named in err, (body, err)
 
 
 def test_cache_returns_stored_bytes(tmp_path, monkeypatch, capsys):
@@ -176,6 +187,27 @@ def test_cache_returns_stored_bytes(tmp_path, monkeypatch, capsys):
     # Byte-identical timings prove the record came from the cache.
     assert second == first
     assert list(tmp_path.glob("*.json")) == files
+
+
+def test_truncated_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TENSQ_CACHE_DIR", str(tmp_path))
+    argv = ["compute", "--m", "3", "--n", "2", "--r", "2", "--s", "0"]
+    assert main(argv) == 0
+    (path,) = tmp_path.glob("*.json")
+    path.write_text(capsys.readouterr().out[:40])
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert json.loads(text)["params"] == {"m": 3, "n": 2, "r": 2, "s": 0}
+    assert path.read_text() == text
+
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(json.dumps({"tuples": [[3, 2, 2, 0]]}))
+    path.write_text(text[:-10])
+    assert main(["batch", "--manifest", str(manifest)]) == 0
+    (row,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert row["status"] == "ok"
+    assert path.read_text() == json.dumps(row["record"], sort_keys=True, indent=2) + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, manifest.name])
 
 
 def test_verify_suites_match_golden(capsys):

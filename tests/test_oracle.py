@@ -8,9 +8,7 @@ from tensq import abgrp, metagrp
 from tensq.errors import ResourceLimitError, TensqError
 from tensq.metagrp import Element
 from tensq.oracle import (
-    act,
     build_tensor_oracle,
-    conjugation_permutation,
     exterior_oracle,
     oracle_schur_order,
     verify_bounds,
@@ -19,6 +17,25 @@ from tensq.oracle import (
 from tensq.presentations import exterior_and_schur
 
 DATA = Path(__file__).parent / "data"
+
+
+def conjugation_permutation(model, c):
+    """Column permutation induced by (g, h) -> (g^c, h^c)."""
+    ng = model.n_group
+    act_c = model.conj_by[model.index[c]]
+    return [act_c[g] * ng + act_c[h] for g in range(ng) for h in range(ng)]
+
+
+def act(model, vec, c):
+    """Image of a dense coefficient vector under conjugation by c."""
+    vec = list(vec)
+    ncols = model.n_group**2
+    if len(vec) != ncols:
+        raise TensqError(f"vector of length {len(vec)}, expected {ncols}")
+    out = [0] * ncols
+    for col, target in enumerate(conjugation_permutation(model, c)):
+        out[target] = vec[col]
+    return out
 
 
 @pytest.fixture(scope="module")
