@@ -201,17 +201,12 @@ class QuotientHandle:
     core_columns: list[int]
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def smith_normal_form(matrix) -> list[int]:
+    """Diagonal d1 | d2 | ... of the Smith normal form of an integer matrix.
 
-
-def smith_normal_form(matrix) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Smith normal form with transforms: U * A * V = diag(d1..dk).
-
-    Returns (diag, U, V) where diag has min(rows, cols) entries with
-    d1 | d2 | ... and trailing zeros, and U, V are unimodular.  The
-    pivot rule is fixed: smallest nonzero magnitude, then lowest row,
-    then lowest column, so the run is deterministic.
+    Has min(rows, cols) entries, zeros last.  The pivot rule is fixed:
+    smallest nonzero magnitude, then lowest row, then lowest column, so
+    the run is deterministic.
     """
     A = [list(map(int, row)) for row in matrix]
     R = len(A)
@@ -219,8 +214,6 @@ def smith_normal_form(matrix) -> tuple[list[int], list[list[int]], list[list[int
     for row in A:
         if len(row) != C:
             raise TensqError("ragged matrix")
-    U = _identity(R)
-    V = _identity(C)
     t = 0
     while t < min(R, C):
         best = None
@@ -235,11 +228,8 @@ def smith_normal_form(matrix) -> tuple[list[int], list[list[int]], list[list[int
         _, pi, pj = best
         if pi != t:
             A[t], A[pi] = A[pi], A[t]
-            U[t], U[pi] = U[pi], U[t]
         if pj != t:
             for row in A:
-                row[t], row[pj] = row[pj], row[t]
-            for row in V:
                 row[t], row[pj] = row[pj], row[t]
         while True:
             p = A[t][t]
@@ -250,10 +240,8 @@ def smith_normal_form(matrix) -> tuple[list[int], list[list[int]], list[list[int
                     q = A[i][t] // p
                     if q:
                         A[i] = [a - q * b for a, b in zip(A[i], A[t])]
-                        U[i] = [a - q * b for a, b in zip(U[i], U[t])]
                     if A[i][t]:
                         A[t], A[i] = A[i], A[t]
-                        U[t], U[i] = U[i], U[t]
                         dirty = True
                         break
             if dirty:
@@ -265,12 +253,8 @@ def smith_normal_form(matrix) -> tuple[list[int], list[list[int]], list[list[int
                     if q:
                         for row in A:
                             row[j] -= q * row[t]
-                        for row in V:
-                            row[j] -= q * row[t]
                     if A[t][j]:
                         for row in A:
-                            row[t], row[j] = row[j], row[t]
-                        for row in V:
                             row[t], row[j] = row[j], row[t]
                         dirty = True
                         break
@@ -289,39 +273,10 @@ def smith_normal_form(matrix) -> tuple[list[int], list[list[int]], list[list[int
             if offender is None:
                 break
             A[t] = [a + b for a, b in zip(A[t], A[offender])]
-            U[t] = [a + b for a, b in zip(U[t], U[offender])]
         if A[t][t] < 0:
             A[t] = [-a for a in A[t]]
-            U[t] = [-a for a in U[t]]
         t += 1
-    diag = [A[i][i] for i in range(min(R, C))]
-    return diag, U, V
-
-
-def _as_sparse_rows(relations, ngens: int) -> list[dict]:
-    rows = []
-    for rel in relations:
-        if isinstance(rel, dict):
-            row = {int(c): int(v) for c, v in rel.items() if v}
-        else:
-            rel = list(rel)
-            if rel and isinstance(rel[0], tuple):
-                row = {}
-                for c, v in rel:
-                    row[c] = row.get(c, 0) + v
-                row = {c: v for c, v in row.items() if v}
-            else:
-                if len(rel) != ngens:
-                    raise TensqError(
-                        f"dense relation of length {len(rel)}, expected {ngens}"
-                    )
-                row = {c: int(v) for c, v in enumerate(rel) if v}
-        for c in row:
-            if not 0 <= c < ngens:
-                raise TensqError(f"column {c} outside [0, {ngens})")
-        if row:
-            rows.append(row)
-    return rows
+    return [A[i][i] for i in range(min(R, C))]
 
 
 def quotient_from_lattice(lattice: RowLattice) -> QuotientHandle:
@@ -340,7 +295,7 @@ def quotient_from_lattice(lattice: RowLattice) -> QuotientHandle:
         for c, v in row.items():
             dense[col_index[c]] = v
         core_rows.append(dense)
-    diag = smith_normal_form(core_rows)[0] if core_rows else []
+    diag = smith_normal_form(core_rows) if core_rows else []
     rank = sum(1 for d in diag if d)
     factors = tuple(d for d in diag if d > 1) + (0,) * (len(core_columns) - rank)
     return QuotientHandle(
@@ -354,13 +309,14 @@ def quotient_from_lattice(lattice: RowLattice) -> QuotientHandle:
 def quotient_structure(relations, ngens: int) -> tuple[AbelianStructure, QuotientHandle]:
     """Canonical structure of Z^ngens modulo the rows of ``relations``.
 
-    Rows may be dense length-``ngens`` sequences, {col: coeff} dicts or
-    (col, coeff) pair lists.  Insertion order is the given order, so
-    identical input yields an identical handle.
+    Rows are dense length-``ngens`` sequences.  Insertion order is the
+    given order, so identical input yields an identical handle.
     """
     lattice = RowLattice(ngens)
-    for row in _as_sparse_rows(relations, ngens):
-        lattice.insert(row)
+    for rel in relations:
+        if len(rel) != ngens:
+            raise TensqError(f"dense relation of length {len(rel)}, expected {ngens}")
+        lattice.insert({c: int(v) for c, v in enumerate(rel) if v})
     handle = quotient_from_lattice(lattice)
     return handle.structure, handle
 

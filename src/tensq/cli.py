@@ -3,8 +3,9 @@
 Every run that produces structures emits one JSON record with sorted
 keys and a schema_version field, so identical inputs give byte-identical
 output apart from the timing block.  With TENSQ_CACHE_DIR set, records
-are cached by a content hash of (params, flags, tool version) and a
-rerun returns the stored bytes verbatim, timings included.
+are cached by a content hash of (params, flags, schema version, tool
+version) and a rerun returns the stored bytes verbatim, timings
+included.
 
 Exit codes: 0 success, 1 failed verification or batch rows, 2 invalid
 parameters, 3 resource bound hit (including an enumeration that did not
@@ -35,6 +36,8 @@ EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
 EXIT_FORMULA = 4
 EXIT_USAGE = 64
+
+SCHEMA_VERSION = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,7 +83,7 @@ def build_run_record(params: GroupParams, with_oracle: bool) -> dict:
             "match": tensor_match and exterior_match and schur_match,
         }
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "tool": {"name": "tensq", "version": __version__},
         "params": {"m": params.m, "n": params.n, "r": params.r, "s": params.s},
         "derived": {
@@ -126,6 +129,7 @@ def _load_record(params: GroupParams, with_oracle: bool) -> tuple[dict, str | No
             "r": params.r,
             "s": params.s,
             "oracle": bool(with_oracle),
+            "schema_version": SCHEMA_VERSION,
             "version": __version__,
         },
         sort_keys=True,
@@ -239,11 +243,18 @@ def _load_manifest(path: str) -> dict:
     return manifest
 
 
+def _manifest_flag(manifest: dict, name: str) -> bool:
+    value = manifest.get(name, False)
+    if type(value) is not bool:
+        raise ValidationError([f"manifest {name} must be true or false, got {value!r}"])
+    return value
+
+
 def cmd_batch(args) -> int:
     manifest = _load_manifest(args.manifest) if args.manifest else {}
     max_order = args.max_order if args.max_order is not None else manifest.get("max_order")
-    include_s_zero = args.include_s_zero or bool(manifest.get("include_s_zero"))
-    with_oracle = args.oracle or bool(manifest.get("oracle"))
+    include_s_zero = _manifest_flag(manifest, "include_s_zero") or args.include_s_zero
+    with_oracle = _manifest_flag(manifest, "oracle") or args.oracle
     tuples = manifest.get("tuples")
     if tuples is None:
         if max_order is None:

@@ -14,14 +14,6 @@ from __future__ import annotations
 from math import gcd, lcm
 
 
-def gcd_all(values) -> int:
-    """Greatest common divisor of a non-empty sequence of integers."""
-    vals = list(values)
-    if not vals:
-        raise ValueError("gcd_all needs at least one value")
-    return gcd(*vals)
-
-
 def mult_order(r: int, m: int) -> int:
     """Least l >= 1 with r**l == 1 (mod m).
 
@@ -93,5 +85,5 @@ def capital_k(params) -> int:
     d = gcd(m, s)
     q = lcm(s, r - 1)
     o_b = n * (m // d)
-    partial = gcd_all([m // d, 2 * q // d, n * q * q // (d * d)])
+    partial = gcd(m // d, 2 * q // d, n * q * q // (d * d))
     return gcd(partial, geom_sum_mod(r, o_b, partial))

@@ -59,7 +59,6 @@ class OracleModel:
     raw_rows: int
     distinct_rows: int
     ext_handle: QuotientHandle | None = None
-    ext_structure: AbelianStructure | None = None
 
     def column(self, gi: int, hi: int) -> int:
         return gi * self.n_group + hi
@@ -138,15 +137,13 @@ def build_tensor_oracle(params: GroupParams, max_group_order: int = DEFAULT_GROU
 
 def exterior_oracle(model: OracleModel) -> AbelianStructure:
     """Quotient by the diagonal: adjoin a row x[(g,g)] = 0 for every g."""
-    if model.ext_structure is None:
+    if model.ext_handle is None:
         lat = model.handle.lattice.copy()
         ng = model.n_group
         for g in range(ng):
             lat.insert({g * ng + g: 1})
-        handle = quotient_from_lattice(lat)
-        model.ext_handle = handle
-        model.ext_structure = handle.structure
-    return model.ext_structure
+        model.ext_handle = quotient_from_lattice(lat)
+    return model.ext_handle.structure
 
 
 def oracle_schur_order(model: OracleModel) -> int:

@@ -9,8 +9,8 @@ is the Schur multiplier.
 
 For the metacyclic groups in scope (odd m) everything is explicit: the
 tensor square is abelian on the four generators u, v, w, z subject to
-the integer relation matrix of :func:`tensor_relation_rows`, nu(G) has
-the fixed 43-relator presentation of :func:`nu_presentation`, the
+the eight relations of :func:`tensor_relators`, nu(G) has the fixed
+43-relator presentation of :func:`nu_presentation`, the
 exterior square is cyclic of order gcd(m, E, s) with
 E = 1 + r + ... + r**(n-1), and the Schur multiplier is the cyclic
 quotient of that by t = m / gcd(m, r - 1).
@@ -25,6 +25,7 @@ what the group words carry, and it keeps every relator non-empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 
 from . import numth
@@ -45,6 +46,10 @@ class Presentation:
     name: str
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
+
+    def __post_init__(self):
+        if not all(self.relators):
+            raise TensqError(f"{self.name}: empty relator")
 
 
 @dataclass(frozen=True)
@@ -118,30 +123,37 @@ def tensor_descriptor(params: GroupParams, inv: DerivedInvariants | None = None)
     )
 
 
-def tensor_relation_rows(desc: TensorDescriptor) -> list[list[int]]:
-    """Integer relation matrix of G (x) G on the columns u, v, w, z.
+def tensor_relators(desc: TensorDescriptor, u: int, v: int, w: int, z: int) -> list[Word]:
+    """The eight relations of G (x) G as words on generator indices u, v, w, z.
 
-    Four order rows, then the cross relations u^s = w^n = (u^-1 z)^s
-    and u^E = v^s = (u^-1 z)^E written additively, two rows per chained
-    equality.
+    The orders of v, w, u and z, then the cross relations
+    u^s = w^n = (u^-1 z)^s and v^s = u^E = (u^-1 z)^E, two words per
+    chained equality.
     """
     s, n, big_e = desc.s, desc.n, desc.big_e
     return [
-        [desc.e_u, 0, 0, 0],
-        [0, desc.e_v, 0, 0],
-        [0, 0, desc.e_w, 0],
-        [0, 0, 0, desc.e_z],
-        [s, 0, -n, 0],
-        [s, 0, n, -s],
-        [big_e, -s, 0, 0],
-        [big_e, s, 0, -big_e],
+        _word((v, desc.e_v)),
+        _word((w, desc.e_w)),
+        _word((u, desc.e_u)),
+        _word((z, desc.e_z)),
+        _word((u, s), (w, -n)),
+        _word((w, n), (u, s), (z, -s)),
+        _word((v, s), (u, -big_e)),
+        _word((v, s), (u, big_e), (z, -big_e)),
     ]
 
 
 def tensor_structure(params: GroupParams, inv: DerivedInvariants | None = None) -> tuple[TensorDescriptor, AbelianStructure]:
     """Exponent table and canonical invariant factors of G (x) G."""
     desc = tensor_descriptor(params, inv)
-    structure, _ = quotient_structure(tensor_relation_rows(desc), len(TENSOR_GENERATORS))
+    ngens = len(TENSOR_GENERATORS)
+    rows = []
+    for word in tensor_relators(desc, *range(ngens)):
+        row = [0] * ngens
+        for g, e in word:
+            row[g] += e
+        rows.append(row)
+    structure, _ = quotient_structure(rows, ngens)
     return desc, structure
 
 
@@ -197,7 +209,6 @@ def nu_presentation(params: GroupParams, inv: DerivedInvariants | None = None) -
     """
     desc = tensor_descriptor(params, inv)
     m, n, r, s = params.m, params.n, params.r, params.s
-    big_e = desc.big_e
     x1, y1, x2, y2, u, v, w, z = range(8)
     relators = [
         _word((x1, m)),
@@ -210,14 +221,7 @@ def nu_presentation(params: GroupParams, inv: DerivedInvariants | None = None) -
         _word(*_comm(x1, x2), (v, -1)),
         _word(*_comm(y1, y2), (w, -1)),
         _word(*_comm(y1, x2), (z, -1), (u, 1)),
-        _word((v, desc.e_v)),
-        _word((w, desc.e_w)),
-        _word((u, desc.e_u)),
-        _word((z, desc.e_z)),
-        _word((u, s), (w, -n)),
-        _word((w, n), (u, s), (z, -s)),
-        _word((v, s), (u, -big_e)),
-        _word((v, s), (u, big_e), (z, -big_e)),
+        *tensor_relators(desc, u, v, w, z),
         _word(*_comm(u, x1)),
         _word(*_comm(u, x2)),
         _word((y1, -1), (u, 1), (y1, 1), (u, -r)),
@@ -227,9 +231,6 @@ def nu_presentation(params: GroupParams, inv: DerivedInvariants | None = None) -
         for g in range(8):
             if g != c:
                 relators.append(_word(*_comm(c, g)))
-    for rel in relators:
-        if not rel:
-            raise TensqError("relator collapsed to the empty word")
     return Presentation(
         name=f"nu(g({m},{n};{r},{s}))",
         generators=NU_GENERATORS,
@@ -239,28 +240,9 @@ def nu_presentation(params: GroupParams, inv: DerivedInvariants | None = None) -
 
 def tensor_presentation(params: GroupParams, inv: DerivedInvariants | None = None) -> Presentation:
     """Abelian presentation of G (x) G on the generators u, v, w, z."""
-    desc = tensor_descriptor(params, inv)
-    n, s, big_e = desc.n, desc.s, desc.big_e
-    u, v, w, z = range(4)
-    relators = [
-        _word((u, desc.e_u)),
-        _word((v, desc.e_v)),
-        _word((w, desc.e_w)),
-        _word((z, desc.e_z)),
-        _word((u, s), (w, -n)),
-        _word((w, n), (u, s), (z, -s)),
-        _word((u, big_e), (v, -s)),
-        _word((v, s), (u, big_e), (z, -big_e)),
-        _word(*_comm(u, v)),
-        _word(*_comm(u, w)),
-        _word(*_comm(u, z)),
-        _word(*_comm(v, w)),
-        _word(*_comm(v, z)),
-        _word(*_comm(w, z)),
-    ]
-    for rel in relators:
-        if not rel:
-            raise TensqError("relator collapsed to the empty word")
+    gens = range(len(TENSOR_GENERATORS))
+    relators = tensor_relators(tensor_descriptor(params, inv), *gens)
+    relators += [_comm(i, j) for i, j in combinations(gens, 2)]
     return Presentation(
         name=f"g({params.m},{params.n};{params.r},{params.s}) tensor square",
         generators=TENSOR_GENERATORS,
@@ -309,8 +291,6 @@ def presentation_to_text(pres: Presentation) -> str:
     """
     lines = ["tensq-pres v1", "gens: " + " ".join(pres.generators)]
     for rel in pres.relators:
-        if not rel:
-            raise TensqError("cannot serialize an empty relator")
         lines.append(" * ".join(f"{pres.generators[g]}^{e}" for g, e in rel))
     return "\n".join(lines) + "\n"
 
@@ -320,8 +300,6 @@ def presentation_to_gap(pres: Presentation) -> str:
     gens = ", ".join(f'"{g}"' for g in pres.generators)
     body = []
     for rel in pres.relators:
-        if not rel:
-            raise TensqError("cannot serialize an empty relator")
         body.append(
             "  "
             + "*".join(

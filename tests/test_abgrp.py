@@ -1,5 +1,6 @@
 import random
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 
@@ -40,22 +41,21 @@ def determinant(matrix) -> int:
     return sign * M[n - 1][n - 1]
 
 
-def matmul(A, B):
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
-
-
 def check_snf(matrix):
-    diag, U, V = smith_normal_form(matrix)
+    """The diagonal against the determinantal divisors of the matrix:
+    d1 * ... * dk is the gcd of all k x k minors."""
+    diag = smith_normal_form(matrix)
     R, C = len(matrix), len(matrix[0]) if matrix else 0
-    assert determinant(U) in (1, -1)
-    assert determinant(V) in (1, -1)
-    product = matmul(matmul(U, matrix), V)
-    for i in range(R):
-        for j in range(C):
-            expected = diag[i] if i == j and i < len(diag) else 0
-            assert product[i][j] == expected, (matrix, product, diag)
+    assert len(diag) == min(R, C)
+    for k in range(1, len(diag) + 1):
+        minors = [
+            determinant([[matrix[i][j] for j in cols] for i in rows])
+            for rows in combinations(range(R), k)
+            for cols in combinations(range(C), k)
+        ]
+        assert prod(diag[:k]) == gcd(*minors), (matrix, diag, k)
     for a, b in zip(diag, diag[1:]):
-        assert (a == 0 and b == 0) or (a != 0 and b % a == 0)
+        assert a >= 0 and ((a == 0 and b == 0) or (a != 0 and b % a == 0))
     return diag
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from tensq import metagrp
+from tensq import cli, metagrp
 from tensq.cli import main
 from tensq.fpgrp import parse_presentation
 from tensq.presentations import nu_presentation
@@ -77,6 +77,13 @@ def test_emit_native_matches_golden(capsys):
     assert text == (DATA / "nu_3220.txt").read_text()
     parsed = parse_presentation(text)
     assert parsed.relators == nu_presentation(metagrp.validate(3, 2, 2, 0)).relators
+
+
+def test_emit_tensor_matches_golden(capsys):
+    params = ["--m", "9", "--n", "3", "--r", "4", "--s", "3", "--what", "tensor"]
+    assert main(["emit", *params]) == 0
+    assert main(["emit", *params, "--format", "gap"]) == 0
+    assert capsys.readouterr().out == (DATA / "tensor_9343.txt").read_text()
 
 
 def test_emit_gap(capsys):
@@ -167,6 +174,8 @@ def test_batch_rejects_bad_manifest(tmp_path, capsys):
         ({"tuples": 5}, "5"),
         ({"tuples": [[3, 2, 2, 0], 7]}, "7"),
         ({"max_order": "45"}, "'45'"),
+        ({"tuples": [[3, 2, 2, 0]], "oracle": "false"}, "'false'"),
+        ({"max_order": 30, "include_s_zero": "no"}, "'no'"),
     ]:
         bad.write_text(json.dumps(body))
         assert main(["batch", "--manifest", str(bad)]) == 2, body
@@ -187,6 +196,20 @@ def test_cache_returns_stored_bytes(tmp_path, monkeypatch, capsys):
     # Byte-identical timings prove the record came from the cache.
     assert second == first
     assert list(tmp_path.glob("*.json")) == files
+
+
+def test_schema_version_is_in_the_cache_key(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TENSQ_CACHE_DIR", str(tmp_path))
+    argv = ["compute", "--m", "3", "--n", "2", "--r", "2", "--s", "0"]
+    assert main(argv) == 0
+    (old,) = tmp_path.glob("*.json")
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "SCHEMA_VERSION", 2)
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    (new,) = set(tmp_path.glob("*.json")) - {old}
+    assert json.loads(text)["schema_version"] == 2
+    assert new.read_text() == text
 
 
 def test_truncated_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):

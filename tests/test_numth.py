@@ -3,7 +3,7 @@ from math import lcm
 import pytest
 
 from tensq import metagrp
-from tensq.numth import capital_k, gcd_all, geom_sum, geom_sum_mod, mult_order
+from tensq.numth import capital_k, geom_sum, geom_sum_mod, mult_order
 
 
 def lcm_all(values) -> int:
@@ -12,17 +12,6 @@ def lcm_all(values) -> int:
     if not vals:
         raise ValueError("lcm_all needs at least one value")
     return lcm(*vals)
-
-
-def test_gcd_all_examples():
-    assert gcd_all([0, 0]) == 0
-    assert gcd_all([9, 3, 21]) == 3
-    assert gcd_all([1, 0, 0, 87381]) == 1
-
-
-def test_gcd_all_empty_rejected():
-    with pytest.raises(ValueError):
-        gcd_all([])
 
 
 def test_lcm_all_zero_convention():

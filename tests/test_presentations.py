@@ -5,6 +5,7 @@ import pytest
 
 from tensq import metagrp
 from tensq.errors import TensqError, ValidationError
+from tensq.fpgrp import todd_coxeter
 from tensq.presentations import (
     NU_GENERATORS,
     TENSOR_GENERATORS,
@@ -16,7 +17,6 @@ from tensq.presentations import (
     split_specialization,
     tensor_descriptor,
     tensor_presentation,
-    tensor_relation_rows,
     tensor_structure,
     upsilon_order_bounds,
 )
@@ -69,15 +69,6 @@ def test_tensor_descriptor_values():
     assert d.big_e == 3
 
 
-def test_tensor_relation_rows_shape():
-    d = tensor_descriptor(metagrp.validate(9, 3, 4, 3))
-    rows = tensor_relation_rows(d)
-    assert len(rows) == 8
-    assert all(len(row) == 4 for row in rows)
-    assert rows[0] == [3, 0, 0, 0]
-    assert rows[4] == [3, 0, -3, 0]
-
-
 def test_upsilon_order_bounds_examples():
     assert upsilon_order_bounds(metagrp.validate(9, 3, 4, 3)) == {
         "u": 3,
@@ -116,6 +107,23 @@ def test_tensor_presentation_shape():
     pres = tensor_presentation(metagrp.validate(9, 3, 4, 3))
     assert pres.generators == TENSOR_GENERATORS
     assert len(pres.relators) == 14
+
+
+def test_tensor_relators_are_the_nu_relators():
+    for tup in [(3, 2, 2, 0), (9, 3, 4, 3), (21, 2, 13, 7)]:
+        p = metagrp.validate(*tup)
+        nu_words = nu_presentation(p).relators[10:18]
+        shifted = tuple(tuple((g - 4, e) for g, e in word) for word in nu_words)
+        assert tensor_presentation(p).relators[:8] == shifted, tup
+
+
+def test_tensor_presentation_enumerates_to_closed_form_order():
+    # A fixed panel: the words spell u^E out letter by letter and E grows
+    # like r**n, so a sweep would not stay fast.
+    for tup in [(3, 2, 2, 0), (9, 3, 4, 3), (7, 3, 2, 0), (15, 2, 11, 3), (21, 2, 8, 3), (15, 2, 4, 10)]:
+        p = metagrp.validate(*tup)
+        _, structure = tensor_structure(p)
+        assert todd_coxeter(tensor_presentation(p)).order == structure.order, tup
 
 
 def test_split_specialization_matches_general_path():
@@ -160,11 +168,8 @@ def test_presentation_text_golden():
 
 
 def test_presentation_text_rejects_empty_relator():
-    pres = Presentation(name="bad", generators=("x",), relators=((),))
     with pytest.raises(TensqError):
-        presentation_to_text(pres)
-    with pytest.raises(TensqError):
-        presentation_to_gap(pres)
+        Presentation(name="bad", generators=("x",), relators=(((0, 2),), ()))
 
 
 def test_gap_export_shape():
