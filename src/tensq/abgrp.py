@@ -7,17 +7,21 @@ the large relation matrices produced by the tensor-square oracle.
 
 The central object is :class:`RowLattice`, an integer row lattice kept
 as an echelon basis (one basis row per pivot column, pivot = leftmost
-nonzero entry, kept positive).  Finitely generated abelian groups are
+nonzero entry, kept positive).  ``RowLattice.insert`` is the only
+elimination in the module.  Finitely generated abelian groups are
 presented as Z^n modulo such a lattice; their canonical invariant
 factors come from a Smith normal form of the small core left after
-eliminating every unit pivot.
+eliminating every unit pivot, reached by alternating echelon passes
+over the core's rows and columns.  Every query against the lattice,
+membership and element order alike, is one walk down the echelon basis:
+``RowLattice.order``.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 
 from .errors import TensqError
 
@@ -110,24 +114,40 @@ class RowLattice:
                     elif cur is not None:
                         del vec[col]
 
-    def reduce(self, vec: dict) -> dict:
-        """Residue of vec after subtracting lattice rows, entries at
-        pivot columns reduced into [0, pivot)."""
-        cur = dict(vec)
-        j = -1
-        while True:
-            nxt = min((k for k in cur if k > j), default=None)
-            if nxt is None:
-                return cur
-            j = nxt
+    def order(self, vec: dict) -> int:
+        """Least k >= 1 with k * vec in the lattice; 0 when there is none.
+
+        Walks vec's support in ascending column order.  A column with no
+        pivot can never be cleared, so no multiple of vec is in the
+        lattice.  At a pivot p with entry c the multiple must be
+        divisible by p / gcd(p, c): scale vec and k by that factor, then
+        subtract the pivot row to clear the column.
+        """
+        vec = dict(vec)
+        k = 1
+        heap = list(vec)
+        heapq.heapify(heap)
+        while heap:
+            j = heapq.heappop(heap)
+            c = vec.get(j)
+            if not c:
+                continue
             piv = self.pivots.get(j)
-            if piv is not None:
-                q = cur[j] // piv[j]
-                if q:
-                    _axpy(cur, -q, piv)
+            if piv is None:
+                return 0
+            scale = piv[j] // gcd(piv[j], c)
+            if scale > 1:
+                k *= scale
+                for col in vec:
+                    vec[col] *= scale
+            for col in piv:
+                if col not in vec:
+                    heapq.heappush(heap, col)
+            _axpy(vec, -(vec[j] // piv[j]), piv)
+        return k
 
     def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
+        return self.order(vec) == 1
 
     def clear_unit_columns(self) -> None:
         """Eliminate every column whose pivot is 1 from all other rows.
@@ -204,79 +224,42 @@ class QuotientHandle:
 def smith_normal_form(matrix) -> list[int]:
     """Diagonal d1 | d2 | ... of the Smith normal form of an integer matrix.
 
-    Has min(rows, cols) entries, zeros last.  The pivot rule is fixed:
-    smallest nonzero magnitude, then lowest row, then lowest column, so
-    the run is deterministic.
+    Has min(rows, cols) entries, zeros last.  Each pass inserts the
+    columns of the current basis into a fresh RowLattice, so echelon
+    passes alternate between the columns and the rows of the matrix
+    until every basis row has a single entry; that diagonal is then put
+    in divisibility order.
     """
-    A = [list(map(int, row)) for row in matrix]
-    R = len(A)
-    C = len(A[0]) if A else 0
-    for row in A:
-        if len(row) != C:
-            raise TensqError("ragged matrix")
-    t = 0
-    while t < min(R, C):
-        best = None
-        for i in range(t, R):
-            Ai = A[i]
-            for j in range(t, C):
-                v = Ai[j]
-                if v and (best is None or (abs(v), i, j) < best):
-                    best = (abs(v), i, j)
-        if best is None:
+    rows = [list(map(int, row)) for row in matrix]
+    ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise TensqError("ragged matrix")
+    size = min(len(rows), ncols)
+    # After the first pass the basis is in echelon form, so each later
+    # pass meets the first pivot p first, as the vector (p).  If p
+    # divides every entry of its row, that vector stays the first basis
+    # row and p's row and column are cleared for good; otherwise the gcd
+    # step makes p strictly smaller.  So the first pivot only shrinks
+    # until it divides its row and its column, and the rest of the
+    # matrix then settles the same way, one pivot at a time.
+    basis = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    while True:
+        columns: dict[int, dict] = {}
+        for i, row in enumerate(basis):
+            for j, v in row.items():
+                columns.setdefault(j, {})[i] = v
+        lattice = RowLattice(len(basis))
+        for j in sorted(columns):
+            lattice.insert(columns[j])
+        basis = [lattice.pivots[j] for j in sorted(lattice.pivots)]
+        if all(len(row) == 1 for row in basis):
             break
-        _, pi, pj = best
-        if pi != t:
-            A[t], A[pi] = A[pi], A[t]
-        if pj != t:
-            for row in A:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            p = A[t][t]
-            # Clear the pivot column.
-            dirty = False
-            for i in range(t + 1, R):
-                if A[i][t]:
-                    q = A[i][t] // p
-                    if q:
-                        A[i] = [a - q * b for a, b in zip(A[i], A[t])]
-                    if A[i][t]:
-                        A[t], A[i] = A[i], A[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # Clear the pivot row.
-            for j in range(t + 1, C):
-                if A[t][j]:
-                    q = A[t][j] // p
-                    if q:
-                        for row in A:
-                            row[j] -= q * row[t]
-                    if A[t][j]:
-                        for row in A:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # Make the pivot divide the remaining submatrix.
-            offender = None
-            for i in range(t + 1, R):
-                Ai = A[i]
-                for j in range(t + 1, C):
-                    if Ai[j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            A[t] = [a + b for a, b in zip(A[t], A[offender])]
-        if A[t][t] < 0:
-            A[t] = [-a for a in A[t]]
-        t += 1
-    return [A[i][i] for i in range(min(R, C))]
+    diag = [v for row in basis for v in row.values()]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return diag + [0] * (size - len(diag))
 
 
 def quotient_from_lattice(lattice: RowLattice) -> QuotientHandle:
@@ -335,33 +318,6 @@ def lattice_member(handle: QuotientHandle, vec) -> bool:
     return handle.lattice.contains(_sparse_vec(handle, vec))
 
 
-def _prime_factors(x: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            out.append(d)
-            while x % d == 0:
-                x //= d
-        d += 1 if d == 2 else 2
-    if x > 1:
-        out.append(x)
-    return out
-
-
 def element_order(handle: QuotientHandle, vec) -> int:
     """Order of the image of vec in the quotient; 0 when infinite."""
-    sp = _sparse_vec(handle, vec)
-    residue = handle.lattice.reduce(sp)
-    if not residue:
-        return 1
-    exponent = handle.structure.torsion_exponent
-    if not handle.lattice.contains({c: exponent * v for c, v in residue.items()}):
-        return 0
-    order = exponent
-    for p in _prime_factors(exponent):
-        while order % p == 0 and handle.lattice.contains(
-            {c: (order // p) * v for c, v in residue.items()}
-        ):
-            order //= p
-    return order
+    return handle.lattice.order(_sparse_vec(handle, vec))

@@ -115,7 +115,6 @@ class EnumerationResult:
     """Outcome of one enumeration; order is None when the table overflowed."""
 
     order: int | None
-    closed: bool
     cosets_used: int
 
 
@@ -232,7 +231,7 @@ def _letters(word: Word) -> list[int]:
 def todd_coxeter(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> EnumerationResult:
     """Enumerate cosets of the trivial subgroup; order of the group.
 
-    Returns order=None, closed=False when the table would exceed
+    Returns order=None when the table would exceed
     ``max_cosets`` rows; the caller decides whether to retry larger.
     """
     relator_letters = [_letters(w) for w in pres.relators]
@@ -252,8 +251,8 @@ def todd_coxeter(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> En
                             ct.define(alpha, x)
             alpha += 1
     except _TableOverflow:
-        return EnumerationResult(order=None, closed=False, cosets_used=len(ct.table))
-    return EnumerationResult(order=ct.live, closed=True, cosets_used=len(ct.table))
+        return EnumerationResult(order=None, cosets_used=len(ct.table))
+    return EnumerationResult(order=ct.live, cosets_used=len(ct.table))
 
 
 @dataclass(frozen=True)
@@ -270,7 +269,7 @@ def certify_nu_order(params: GroupParams, max_cosets: int = DEFAULT_MAX_COSETS) 
     """Enumerate nu(G) from its presentation and compare orders."""
     predicted = exterior_and_schur(params).nu_order_predicted
     result = todd_coxeter(nu_presentation(params), max_cosets=max_cosets)
-    if not result.closed:
+    if result.order is None:
         status = "INCONCLUSIVE"
     elif result.order == predicted:
         status = "PASS"

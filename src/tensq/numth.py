@@ -14,21 +14,39 @@ from __future__ import annotations
 from math import gcd, lcm
 
 
+def _prime_factors(x: int) -> list[int]:
+    """Distinct prime factors of x >= 1, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= x:
+        if x % d == 0:
+            out.append(d)
+            while x % d == 0:
+                x //= d
+        d += 1 if d == 2 else 2
+    if x > 1:
+        out.append(x)
+    return out
+
+
 def mult_order(r: int, m: int) -> int:
     """Least l >= 1 with r**l == 1 (mod m).
 
-    Requires m >= 2 and gcd(r, m) == 1.  Runs a plain multiplication
-    loop, so it is meant for desk-scale moduli.
+    Requires m >= 2 and gcd(r, m) == 1.  The order divides phi(m), so
+    each prime of phi(m) is stripped from phi(m) while r still reaches
+    1; trial division of m and phi(m) bounds the cost by sqrt(m).
     """
     if m < 2:
         raise ValueError(f"mult_order needs a modulus >= 2, got {m}")
     if gcd(r, m) != 1:
         raise ValueError(f"r = {r} is not a unit modulo {m}")
-    x = r % m
-    order = 1
-    while x != 1:
-        x = x * r % m
-        order += 1
+    phi = m
+    for p in _prime_factors(m):
+        phi -= phi // p
+    order = phi
+    for p in _prime_factors(phi):
+        while order % p == 0 and pow(r, order // p, m) == 1:
+            order //= p
     return order
 
 

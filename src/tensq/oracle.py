@@ -208,7 +208,7 @@ def _vec(*terms) -> dict:
 NUMERALS = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x", "xi", "xii")
 
 
-def verify_identities(model: OracleModel | GroupParams) -> SuiteReport:
+def verify_identities(model: OracleModel) -> SuiteReport:
     """Sweep every identity instance and report lattice-membership failures.
 
     Covers the twelve power identities over the full exponent ranges
@@ -216,8 +216,6 @@ def verify_identities(model: OracleModel | GroupParams) -> SuiteReport:
     branch s falls in, the diagonal membership identities, the
     expressible centrality facts, and the symmetric-pair facts.
     """
-    if isinstance(model, GroupParams):
-        model = build_tensor_oracle(model)
     p = model.params
     m, n, r, s = p.m, p.n, p.r, p.s
     ng = model.n_group
@@ -474,10 +472,8 @@ def verify_identities(model: OracleModel | GroupParams) -> SuiteReport:
     return SuiteReport(params=p, checks=checks)
 
 
-def verify_bounds(model: OracleModel | GroupParams) -> SuiteReport:
+def verify_bounds(model: OracleModel) -> SuiteReport:
     """Measure generator orders in the oracle against the proved bounds."""
-    if isinstance(model, GroupParams):
-        model = build_tensor_oracle(model)
     p = model.params
     bounds = upsilon_order_bounds(p, model.inv)
     handle = model.handle

@@ -72,6 +72,9 @@ def test_snf_rectangular_and_random():
         cols = rng.randint(1, 4)
         matrix = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
         check_snf(matrix)
+    for size, bound in [(5, 6)] * 20 + [(4, 40)] * 30 + [(5, 40)] * 20:
+        matrix = [[rng.randint(-bound, bound) for _ in range(size)] for _ in range(size)]
+        check_snf(matrix)
 
 
 def test_snf_is_deterministic():
@@ -122,6 +125,26 @@ def test_structure_validation():
     assert str(AbelianStructure((6, 0))) == "C6 x Z"
 
 
+def reduce(lattice, vec):
+    """Residue of vec after subtracting lattice rows, entries at pivot
+    columns reduced into [0, pivot): a reference independent of
+    RowLattice.order."""
+    cur = dict(vec)
+    j = -1
+    while True:
+        nxt = min((k for k in cur if k > j), default=None)
+        if nxt is None:
+            return cur
+        j = nxt
+        piv = lattice.pivots.get(j)
+        if piv is not None:
+            q = cur[j] // piv[j]
+            for col, v in piv.items():
+                cur[col] = cur.get(col, 0) - q * v
+                if not cur[col]:
+                    del cur[col]
+
+
 def enumerate_quotient(handle):
     """All canonical residues, by closing {0} under generator addition."""
     ngens = handle.ngens
@@ -134,7 +157,7 @@ def enumerate_quotient(handle):
         for i in range(ngens):
             nxt = dict(vec)
             nxt[i] = nxt.get(i, 0) + 1
-            residue = lattice.reduce(nxt)
+            residue = reduce(lattice, nxt)
             key = tuple(sorted(residue.items()))
             if key not in seen:
                 seen.add(key)
@@ -198,6 +221,31 @@ def test_element_order_examples():
     _, handle = quotient_structure([[2, 0]], 2)
     assert element_order(handle, [1, 0]) == 2
     assert element_order(handle, [0, 1]) == 0
+
+
+def test_element_order_against_brute_force():
+    # The least k up to the torsion exponent whose k * v reduces to
+    # nothing, or 0; rank-deficient lattices give elements of order 0.
+    rng = random.Random(4242)
+    done = 0
+    while done < 60:
+        ngens = rng.randint(1, 4)
+        nrows = rng.randint(0, ngens + 1)
+        rows = [[rng.randint(-6, 6) for _ in range(ngens)] for _ in range(nrows)]
+        structure, handle = quotient_structure(rows, ngens)
+        exponent = structure.torsion_exponent
+        if exponent > 300:
+            continue
+        done += 1
+        for _ in range(6):
+            vec = [rng.randint(-8, 8) for _ in range(ngens)]
+            sparse = {c: v for c, v in enumerate(vec) if v}
+            expected = next(
+                (k for k in range(1, exponent + 1) if not reduce(handle.lattice, {c: k * v for c, v in sparse.items()})),
+                0,
+            )
+            assert element_order(handle, vec) == expected, (rows, vec)
+            assert lattice_member(handle, vec) == (expected == 1), (rows, vec)
 
 
 def test_element_order_membership_properties():

@@ -38,14 +38,12 @@ def test_enumeration_classics():
     ]
     for presentation, order in cases:
         result = todd_coxeter(presentation)
-        assert result.closed
         assert result.order == order
 
 
 def test_enumeration_overflow_is_a_value():
     result = todd_coxeter(pres(("x",), (((0, 5),),)), max_cosets=2)
     assert result.order is None
-    assert not result.closed
     assert result.cosets_used == 2
 
 

@@ -26,6 +26,18 @@ def test_mult_order_examples():
     assert mult_order(1, 7) == 1
     assert mult_order(1, 100) == 1
     assert mult_order(2, 7) == 3
+    assert mult_order(5, 10**9 + 7) == 10**9 + 6
+
+
+def test_mult_order_matches_multiplication_loop():
+    def loop_order(r, m):
+        x, order = r % m, 1
+        while x != 1:
+            x, order = x * r % m, order + 1
+        return order
+
+    for p in metagrp.enumerate_valid_tuples(1000, include_s_zero=True):
+        assert mult_order(p.r, p.m) == loop_order(p.r, p.m), p
 
 
 def test_mult_order_rejects_non_units():

@@ -161,12 +161,6 @@ def test_identity_suite_passes(model_3220, model_9343):
         assert len(power) == 12
 
 
-def test_identity_suite_accepts_params():
-    report = verify_identities(metagrp.validate(3, 2, 2, 0))
-    assert report.passed
-    assert report.params == metagrp.validate(3, 2, 2, 0)
-
-
 def test_bounds_suite_passes(model_3220, model_9343):
     for model in (model_3220, model_9343):
         report = verify_bounds(model)

@@ -1,15 +1,22 @@
-"""Every function the benchmark tracer wraps by name must still exist.
+"""Every function the benchmark tracer wraps by name must still exist,
+and a traced run must still fill the counters its hooks read.
 
 perfbench/tracer.py wraps tensq functions from outside the package, so
 renaming or deleting one would otherwise only surface in a traced
-benchmark run.  The module is loaded by path; install() is not called.
+benchmark run.  The name check loads the module by path without calling
+install(); the smoke test runs the tracer in a child process.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -29,3 +36,16 @@ def test_wrapped_names_resolve_to_callables():
                 for part in attr.split("."):
                     obj = getattr(obj, part, None)
                 assert callable(obj), f"tensq.{layer}.{attr}"
+
+
+def test_traced_verify_run_fills_the_hook_counters(tmp_path):
+    # The hooks read attributes of oracle models, suite reports and
+    # enumeration results, which only a traced run reaches.
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    args = ["verify", "--m", "3", "--n", "2", "--r", "2", "--s", "0", "--suite", "all"]
+    proc = subprocess.run([sys.executable, str(TRACER), str(trace), *args], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    counters = json.loads(trace.read_text())["counters"]
+    for name in ("abgrp.pivots", "abgrp.core_dim", "oracle.raw_rows", "oracle.suite_instances", "fpgrp.cosets_used"):
+        assert name in counters, name
