@@ -58,8 +58,8 @@ def build_run_record(params: GroupParams, with_oracle: bool) -> dict:
     """Closed-form record for one tuple, plus the oracle block on request."""
     timings = {}
     start = time.perf_counter()
-    inv = metagrp.derived_invariants(params)
-    report = presentations.exterior_and_schur(params, inv)
+    inv = params.inv
+    report = presentations.exterior_and_schur(params)
     timings["closed_form_s"] = time.perf_counter() - start
     oracle_block = None
     if with_oracle:
@@ -87,8 +87,8 @@ def build_run_record(params: GroupParams, with_oracle: bool) -> dict:
         "tool": {"name": "tensq", "version": __version__},
         "params": {"m": params.m, "n": params.n, "r": params.r, "s": params.s},
         "derived": {
-            "group_order": inv.order_g,
-            "o_a": inv.o_a,
+            "group_order": params.order,
+            "o_a": params.m,
             "o_b": inv.o_b,
             "o_prime_a": inv.oprime_a,
             "o_prime_b": inv.oprime_b,
@@ -209,8 +209,8 @@ def cmd_verify(args) -> int:
         else:
             inconclusive = True
             print(
-                f"[INCONCLUSIVE] nu order: table overflowed at {cert.cosets_used} "
-                f"cosets (predicted {cert.predicted}); raise --max-cosets"
+                f"[INCONCLUSIVE] nu order: the coset table does not close within "
+                f"{args.max_cosets} cosets (predicted {cert.predicted}); raise --max-cosets"
             )
     if failures:
         return EXIT_CHECK_FAILED

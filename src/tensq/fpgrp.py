@@ -268,16 +268,13 @@ class CertificationResult:
 def certify_nu_order(params: GroupParams, max_cosets: int = DEFAULT_MAX_COSETS) -> CertificationResult:
     """Enumerate nu(G) from its presentation and compare orders."""
     predicted = exterior_and_schur(params).nu_order_predicted
+    if params.order > max_cosets:
+        # nu(G) maps onto G x G, so a closed table has at least |G|^2 rows:
+        # the run could only overflow, after spelling x1^m out letter by letter.
+        return CertificationResult("INCONCLUSIVE", predicted, None, 0)
     result = todd_coxeter(nu_presentation(params), max_cosets=max_cosets)
     if result.order is None:
         status = "INCONCLUSIVE"
-    elif result.order == predicted:
-        status = "PASS"
     else:
-        status = "FAIL"
-    return CertificationResult(
-        status=status,
-        predicted=predicted,
-        enumerated=result.order,
-        cosets_used=result.cosets_used,
-    )
+        status = "PASS" if result.order == predicted else "FAIL"
+    return CertificationResult(status, predicted, result.order, result.cosets_used)

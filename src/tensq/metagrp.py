@@ -24,6 +24,7 @@ where o'(g) is the order of the image of g in G/G'.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 
 from . import numth
@@ -44,6 +45,11 @@ class GroupParams:
     @property
     def order(self) -> int:
         return self.m * self.n
+
+    @cached_property
+    def inv(self) -> DerivedInvariants:
+        """The closed-form invariants, computed once per tuple."""
+        return derived_invariants(self)
 
 
 @dataclass(frozen=True)
@@ -144,10 +150,8 @@ def power(g: Element, sigma: int, p: GroupParams) -> Element:
 
 @dataclass(frozen=True)
 class DerivedInvariants:
-    """Closed-form invariants of the group."""
+    """Closed-form invariants of the group; o(a) = m and |G| = mn are on GroupParams."""
 
-    order_g: int
-    o_a: int
     o_b: int
     t_derived: int  # |G'| = m/(m, r-1)
     l: int  # multiplicative order of r mod m
@@ -159,8 +163,6 @@ class DerivedInvariants:
 def derived_invariants(p: GroupParams) -> DerivedInvariants:
     d = gcd(p.m, p.s)
     return DerivedInvariants(
-        order_g=p.m * p.n,
-        o_a=p.m,
         o_b=p.n * p.m // d,
         t_derived=p.m // gcd(p.m, p.r - 1),
         l=numth.mult_order(p.r, p.m),
@@ -272,7 +274,7 @@ def brute_invariants(p: GroupParams, max_order: int = BRUTE_ORDER_LIMIT) -> Brut
         ) == mul_raw(1, 0, b1, a1):
             center.add((b1, a1))
 
-    closed = derived_invariants(p)
+    closed = p.inv
 
     # Closure of the closed-form center generators a^t and b^l.
     gen_a = (0, closed.t_derived % m)
@@ -303,7 +305,7 @@ def brute_invariants(p: GroupParams, max_order: int = BRUTE_ORDER_LIMIT) -> Brut
 
     mismatches = []
     for name, got, want in [
-        ("o(a)", o_a, closed.o_a),
+        ("o(a)", o_a, m),
         ("o(b)", o_b, closed.o_b),
         ("|G'|", derived_order, closed.t_derived),
         ("o'(a)", oprime_a, closed.oprime_a),

@@ -51,7 +51,7 @@ def mult_order(r: int, m: int) -> int:
 
 
 def geom_sum(r: int, x: int) -> int:
-    """Exact 1 + r + r**2 + ... + r**(x-1) as a Python int, x >= 0."""
+    """Exact 1 + r + ... + r**(x-1), x >= 0: the tests' reference for geom_sum_mod."""
     if x < 0:
         raise ValueError(f"geom_sum needs x >= 0, got {x}")
     if r == 1:
@@ -67,15 +67,12 @@ def geom_sum_mod(r: int, x: int, modulus: int) -> int:
         S(2k)   = S(k) * (1 + r**k)
         S(2k+1) = S(2k) + r**(2k)
 
-    so r - 1 need not be invertible.  x = 0 gives 0.  For x < 0 the
-    identity S(x) = -r**x * S(-x) is used, which needs r invertible
-    modulo ``modulus``.
+    so r - 1 need not be invertible.  x = 0 gives 0; x < 0 raises.
     """
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
     if x < 0:
-        rinv = pow(r, -1, modulus)  # ValueError when r is not a unit
-        return -pow(rinv, -x, modulus) * geom_sum_mod(r, -x, modulus) % modulus
+        raise ValueError(f"geom_sum_mod needs x >= 0, got {x}")
     r %= modulus
     result = 0
     power = 1  # r**k for the prefix length k built up so far

@@ -48,7 +48,6 @@ class OracleModel:
     """Indexed pair symbols plus the reduced relation lattice."""
 
     params: GroupParams
-    inv: metagrp.DerivedInvariants
     n_group: int
     elements: list[Element]
     index: dict[Element, int]
@@ -122,7 +121,6 @@ def build_tensor_oracle(params: GroupParams, max_group_order: int = DEFAULT_GROU
     handle = quotient_from_lattice(lattice)
     return OracleModel(
         params=params,
-        inv=metagrp.derived_invariants(params),
         n_group=ng,
         elements=elems,
         index=index,
@@ -149,7 +147,7 @@ def exterior_oracle(model: OracleModel) -> AbelianStructure:
 def oracle_schur_order(model: OracleModel) -> int:
     """Multiplier order |exterior| / |G'| measured in the oracle."""
     ext = exterior_oracle(model).order
-    t = model.inv.t_derived
+    t = model.params.inv.t_derived
     if ext % t:
         raise FormulaInconsistencyError(
             f"oracle exterior order {ext} is not divisible by |G'| = {t}"
@@ -245,7 +243,7 @@ def verify_identities(model: OracleModel) -> SuiteReport:
     col_ab = col(a_i, b_i)
     col_ba = col(b_i, a_i)
     col_bb = col(b_i, b_i)
-    o_a, o_b = model.inv.o_a, model.inv.o_b
+    o_b = p.inv.o_b
     pow_a = [index[Element(0, al)] for al in range(m)]
     pow_b = [index[metagrp.power(Element(1, 0), be, p)] for be in range(o_b)]
 
@@ -267,11 +265,11 @@ def verify_identities(model: OracleModel) -> SuiteReport:
     # Shapes of the power identities (i)-(vi).  Each instance is
     # (label, x, y, k_ab, k_aa), stating (x, y) = k_ab (a,b) + k_aa (r-1) (a,a).
     def shape_i():
-        for al in range(o_a):
+        for al in range(m):
             yield f"alpha={al}", a_i, conj_by[pow_a[al]][b_i], 1, al
 
     def shape_ii():
-        for al in range(o_a):
+        for al in range(m):
             yield f"alpha={al}", pow_a[al], b_i, al, binom2(al)
 
     def shape_iii():
@@ -283,7 +281,7 @@ def verify_identities(model: OracleModel) -> SuiteReport:
             yield f"beta={be}", a_i, pow_b[be], geom[be], s1[be]
 
     def shape_v():
-        for al in range(o_a):
+        for al in range(m):
             for be in range(o_b):
                 yield (
                     f"alpha={al} beta={be}",
@@ -294,7 +292,7 @@ def verify_identities(model: OracleModel) -> SuiteReport:
                 )
 
     def shape_vi():
-        for al in range(o_a):
+        for al in range(m):
             running = 0
             rp = 1 % exp2
             for be in range(o_b):
@@ -475,7 +473,7 @@ def verify_identities(model: OracleModel) -> SuiteReport:
 def verify_bounds(model: OracleModel) -> SuiteReport:
     """Measure generator orders in the oracle against the proved bounds."""
     p = model.params
-    bounds = upsilon_order_bounds(p, model.inv)
+    bounds = upsilon_order_bounds(p)
     handle = model.handle
     index = model.index
     col = model.column

@@ -17,21 +17,21 @@ quotient of that by t = m / gcd(m, r - 1).
 
 Relator words are tuples of (generator_index, exponent) pairs; factors
 with exponent 0 are dropped from the word but the relator count of a
-schema never changes.  E is kept as an exact integer in words and rows;
-reducing it would not change any row lattice but the exact value is
-what the group words carry, and it keeps every relator non-empty.
+schema never changes.  Every exponent is a bounded integer: E enters
+the words reduced into [1, lcm(e_u, e_z)] (see :func:`tensor_descriptor`),
+so no closed form expands r**n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from . import numth
 from .abgrp import AbelianStructure, quotient_structure
 from .errors import FormulaInconsistencyError, TensqError, ValidationError
-from .metagrp import DerivedInvariants, GroupParams, derived_invariants
+from .metagrp import GroupParams
 
 Word = tuple[tuple[int, int], ...]
 
@@ -57,7 +57,8 @@ class TensorDescriptor:
     """Exponent table of the tensor-square relation matrix.
 
     e_u, e_v, e_w, e_z are the generator order exponents; s, n and
-    big_e = 1 + r + ... + r**(n-1) appear in the cross relations.
+    big_e appear in the cross relations.  big_e is E = 1 + r + ... +
+    r**(n-1) reduced into [1, lcm(e_u, e_z)].
     """
 
     e_u: int
@@ -95,15 +96,13 @@ def _cyclic(order: int) -> AbelianStructure:
     return AbelianStructure(() if order == 1 else (order,))
 
 
-def tensor_descriptor(params: GroupParams, inv: DerivedInvariants | None = None) -> TensorDescriptor:
+def tensor_descriptor(params: GroupParams) -> TensorDescriptor:
     """Exponents of the tensor-square relations for one tuple.
 
     Geometric sums are reduced modulo the gcd of the remaining terms of
-    their gcd chain, so nothing grows beyond machine-friendly size;
-    big_e alone is exact.
+    their gcd chain, so nothing grows beyond machine-friendly size.
     """
-    if inv is None:
-        inv = derived_invariants(params)
+    inv = params.inv
     m, n, r, s = params.m, params.n, params.r, params.s
     sk = s * inv.k
     part_u = gcd(m, sk)
@@ -112,6 +111,11 @@ def tensor_descriptor(params: GroupParams, inv: DerivedInvariants | None = None)
     e_w = n * gcd(inv.k, r - 1)
     part_z = gcd(inv.oprime_a, inv.oprime_b, sk)
     e_z = gcd(part_z, numth.geom_sum_mod(r, inv.oprime_b, part_z))
+    # E only ever multiplies u and z, and u^e_u and z^e_z are relators of
+    # nu(G), of G (x) G and of the row lattice, so E is needed modulo
+    # lcm(e_u, e_z) only.  Taking the representative in [1, L] rather
+    # than [0, L) keeps v^s u^-E non-empty when s = 0.
+    period = lcm(e_u, e_z)
     return TensorDescriptor(
         e_u=e_u,
         e_v=e_v,
@@ -119,7 +123,7 @@ def tensor_descriptor(params: GroupParams, inv: DerivedInvariants | None = None)
         e_z=e_z,
         s=s,
         n=n,
-        big_e=numth.geom_sum(r, n),
+        big_e=numth.geom_sum_mod(r, n, period) or period,
     )
 
 
@@ -143,18 +147,17 @@ def tensor_relators(desc: TensorDescriptor, u: int, v: int, w: int, z: int) -> l
     ]
 
 
-def tensor_structure(params: GroupParams, inv: DerivedInvariants | None = None) -> tuple[TensorDescriptor, AbelianStructure]:
-    """Exponent table and canonical invariant factors of G (x) G."""
-    desc = tensor_descriptor(params, inv)
+def tensor_structure(params: GroupParams) -> AbelianStructure:
+    """Canonical invariant factors of G (x) G."""
     ngens = len(TENSOR_GENERATORS)
     rows = []
-    for word in tensor_relators(desc, *range(ngens)):
+    for word in tensor_relators(tensor_descriptor(params), *range(ngens)):
         row = [0] * ngens
         for g, e in word:
             row[g] += e
         rows.append(row)
     structure, _ = quotient_structure(rows, ngens)
-    return desc, structure
+    return structure
 
 
 def exterior_order(params: GroupParams) -> int:
@@ -163,7 +166,7 @@ def exterior_order(params: GroupParams) -> int:
     return gcd(partial, numth.geom_sum_mod(params.r, params.n, partial))
 
 
-def exterior_and_schur(params: GroupParams, inv: DerivedInvariants | None = None) -> SectionReport:
+def exterior_and_schur(params: GroupParams) -> SectionReport:
     """Tensor, exterior and multiplier structures with order identities.
 
     The multiplier order is |exterior| / t with t = m / gcd(m, r - 1);
@@ -171,14 +174,13 @@ def exterior_and_schur(params: GroupParams, inv: DerivedInvariants | None = None
     here are still guarded so a bad closed form fails loudly instead of
     returning a wrong report.
     """
-    if inv is None:
-        inv = derived_invariants(params)
-    _, tensor = tensor_structure(params, inv)
+    t = params.inv.t_derived
+    tensor = tensor_structure(params)
     ext = exterior_order(params)
     where = f"(m, n, r, s) = ({params.m}, {params.n}, {params.r}, {params.s})"
-    if ext % inv.t_derived:
+    if ext % t:
         raise FormulaInconsistencyError(
-            f"exterior order {ext} not divisible by t = {inv.t_derived} for {where}"
+            f"exterior order {ext} not divisible by t = {t} for {where}"
         )
     if tensor.order % ext:
         raise FormulaInconsistencyError(
@@ -187,19 +189,19 @@ def exterior_and_schur(params: GroupParams, inv: DerivedInvariants | None = None
     return SectionReport(
         tensor=tensor,
         exterior=_cyclic(ext),
-        schur=_cyclic(ext // inv.t_derived),
+        schur=_cyclic(ext // t),
         delta_order=tensor.order // ext,
         nu_order_predicted=params.order**2 * tensor.order,
     )
 
 
-def upsilon_order_bounds(params: GroupParams, inv: DerivedInvariants | None = None) -> dict[str, int]:
+def upsilon_order_bounds(params: GroupParams) -> dict[str, int]:
     """Proved order bounds for the four tensor-square generators."""
-    desc = tensor_descriptor(params, inv)
+    desc = tensor_descriptor(params)
     return {"u": desc.e_u, "v": desc.e_v, "w": desc.e_w, "z": desc.e_z}
 
 
-def nu_presentation(params: GroupParams, inv: DerivedInvariants | None = None) -> Presentation:
+def nu_presentation(params: GroupParams) -> Presentation:
     """The fixed 43-relator presentation of nu(G) on eight generators.
 
     Generator order is x1, y1, x2, y2, u, v, w, z where x/y are the two
@@ -207,7 +209,7 @@ def nu_presentation(params: GroupParams, inv: DerivedInvariants | None = None) -
     and [y1, x2] = u^-1 z.  The relator schema never changes shape;
     only the integer exponents depend on (m, n, r, s).
     """
-    desc = tensor_descriptor(params, inv)
+    desc = tensor_descriptor(params)
     m, n, r, s = params.m, params.n, params.r, params.s
     x1, y1, x2, y2, u, v, w, z = range(8)
     relators = [
@@ -238,10 +240,10 @@ def nu_presentation(params: GroupParams, inv: DerivedInvariants | None = None) -
     )
 
 
-def tensor_presentation(params: GroupParams, inv: DerivedInvariants | None = None) -> Presentation:
+def tensor_presentation(params: GroupParams) -> Presentation:
     """Abelian presentation of G (x) G on the generators u, v, w, z."""
     gens = range(len(TENSOR_GENERATORS))
-    relators = tensor_relators(tensor_descriptor(params, inv), *gens)
+    relators = tensor_relators(tensor_descriptor(params), *gens)
     relators += [_comm(i, j) for i, j in combinations(gens, 2)]
     return Presentation(
         name=f"g({params.m},{params.n};{params.r},{params.s}) tensor square",

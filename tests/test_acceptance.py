@@ -99,7 +99,7 @@ def test_criterion_2_split_family():
 
 
 def test_criterion_3_smallest_example():
-    _, structure = presentations.tensor_structure(metagrp.validate(3, 2, 2, 0))
+    structure = presentations.tensor_structure(metagrp.validate(3, 2, 2, 0))
     _report(
         3,
         structure.invariant_factors == (6,),

@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -119,6 +123,37 @@ def test_verify_nu_inconclusive(capsys):
                "--suite", "nu", "--max-cosets", "10"])
     assert rc == 3
     assert "[INCONCLUSIVE]" in capsys.readouterr().out
+
+
+BIG = ["--m", "1000000007", "--n", "1000000006", "--r", "5", "--s", "0"]
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["compute", *BIG], 0),
+        (["emit", *BIG, "--what", "nu"], 0),
+        (["verify", *BIG, "--suite", "nu"], 3),
+    ],
+    ids=["compute", "emit-nu", "verify-nu"],
+)
+def test_big_tuple_runs_in_bounded_time_and_memory(args, code):
+    # Every closed form on this tuple stays polylogarithmic in m and n:
+    # the run gets 20 s and a 1 GiB address space.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tensq.cli", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == code, proc.stderr
 
 
 def test_batch_max_order(capsys):

@@ -1,8 +1,9 @@
+import random
 from pathlib import Path
 
 import pytest
 
-from tensq import metagrp
+from tensq import fpgrp, metagrp
 from tensq.fpgrp import (
     DEFAULT_MAX_COSETS,
     PresentationSyntaxError,
@@ -84,13 +85,21 @@ def test_parse_errors(text, line, column, fragment):
 
 
 def test_round_trip_nu_and_tensor():
-    for tup in [(3, 2, 2, 0), (9, 3, 4, 3)]:
-        p = metagrp.validate(*tup)
+    # Two hand-picked tuples, a seeded draw over |G| <= 2000, and two
+    # tuples with m, n near 10^6 and 10^9 whose exact E has millions of
+    # digits.  Every exponent must stay within |G|.
+    pool = metagrp.enumerate_valid_tuples(2000, include_s_zero=True)
+    tuples = [metagrp.validate(3, 2, 2, 0), metagrp.validate(9, 3, 4, 3)]
+    tuples += random.Random(20251018).sample(pool, 300)
+    tuples += [metagrp.validate(931657, 116457, 917707, 0),
+               metagrp.validate(1000000007, 1000000006, 5, 0)]
+    for p in tuples:
         for build in (nu_presentation, tensor_presentation):
             original = build(p)
             parsed = parse_presentation(presentation_to_text(original))
-            assert parsed.generators == original.generators
-            assert parsed.relators == original.relators
+            assert parsed.generators == original.generators, p
+            assert parsed.relators == original.relators, p
+            assert all(abs(e) <= p.order for word in original.relators for _, e in word), p
 
 
 def test_golden_text_parses_to_nu():
@@ -114,6 +123,18 @@ def test_certify_inconclusive_on_tiny_table():
     assert result.predicted == 216
     assert result.enumerated is None
     assert result.cosets_used == 10
+
+
+def test_certify_skips_enumeration_when_g_exceeds_the_table(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("todd_coxeter called although |G| > max_cosets")
+
+    monkeypatch.setattr(fpgrp, "todd_coxeter", no_enumeration)
+    result = certify_nu_order(metagrp.validate(9, 3, 4, 3), max_cosets=20)
+    assert result.status == "INCONCLUSIVE"
+    assert result.predicted == 59049
+    assert result.enumerated is None
+    assert result.cosets_used == 0
 
 
 def test_default_budget_is_generous():
