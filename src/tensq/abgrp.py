@@ -209,13 +209,12 @@ class AbelianStructure:
 
 @dataclass
 class QuotientHandle:
-    """A quotient Z^ngens / L kept ready for order and membership queries.
+    """A quotient Z^lattice.ncols / L kept ready for order and membership queries.
 
     Stores the echelon basis of L and the columns left in its core after
     unit-pivot elimination.
     """
 
-    ngens: int
     lattice: RowLattice
     structure: AbelianStructure
     core_columns: list[int]
@@ -282,7 +281,6 @@ def quotient_from_lattice(lattice: RowLattice) -> QuotientHandle:
     rank = sum(1 for d in diag if d)
     factors = tuple(d for d in diag if d > 1) + (0,) * (len(core_columns) - rank)
     return QuotientHandle(
-        ngens=lattice.ncols,
         lattice=lattice,
         structure=AbelianStructure(factors),
         core_columns=core_columns,
@@ -308,8 +306,8 @@ def _sparse_vec(handle: QuotientHandle, vec) -> dict:
     if isinstance(vec, dict):
         return {int(c): int(v) for c, v in vec.items() if v}
     vec = list(vec)
-    if len(vec) != handle.ngens:
-        raise TensqError(f"vector of length {len(vec)}, expected {handle.ngens}")
+    if len(vec) != handle.lattice.ncols:
+        raise TensqError(f"vector of length {len(vec)}, expected {handle.lattice.ncols}")
     return {c: int(v) for c, v in enumerate(vec) if v}
 
 

@@ -8,8 +8,9 @@ version) and a rerun returns the stored bytes verbatim, timings
 included.
 
 Exit codes: 0 success, 1 failed verification or batch rows, 2 invalid
-parameters, 3 resource bound hit (including an enumeration that did not
-close), 4 internal formula inconsistency, 64 usage errors.
+parameters or a path that cannot be read or written, 3 resource bound
+hit (including an enumeration that did not close), 4 internal formula
+inconsistency, 64 usage errors.
 """
 
 from __future__ import annotations
@@ -38,6 +39,14 @@ EXIT_FORMULA = 4
 EXIT_USAGE = 64
 
 SCHEMA_VERSION = 1
+
+# An OSError is a manifest, --out, --json or cache path that cannot be used.
+EXIT_CODES = {
+    ValidationError: EXIT_VALIDATION,
+    OSError: EXIT_VALIDATION,
+    ResourceLimitError: EXIT_RESOURCE,
+    FormulaInconsistencyError: EXIT_FORMULA,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -168,7 +177,7 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _print_suite(report) -> tuple[int, int]:
+def _print_suite(report) -> int:
     failed = 0
     for check in report.checks:
         tag = "PASS" if check.passed else "FAIL"
@@ -177,7 +186,7 @@ def _print_suite(report) -> tuple[int, int]:
             failed += 1
             line += f" failed {check.failed}: " + "; ".join(check.examples)
         print(line)
-    return len(report.checks), failed
+    return failed
 
 
 def cmd_verify(args) -> int:
@@ -188,29 +197,23 @@ def cmd_verify(args) -> int:
     if args.suite in ("identities", "bounds", "all"):
         model = oracle.build_tensor_oracle(params)
     if args.suite in ("identities", "all"):
-        _, bad = _print_suite(oracle.verify_identities(model))
-        failures += bad
+        failures += _print_suite(oracle.verify_identities(model))
     if args.suite in ("bounds", "all"):
-        _, bad = _print_suite(oracle.verify_bounds(model))
-        failures += bad
+        failures += _print_suite(oracle.verify_bounds(model))
     if args.suite in ("nu", "all"):
         cert = fpgrp.certify_nu_order(params, max_cosets=args.max_cosets)
-        if cert.status == "PASS":
-            print(
-                f"[PASS] nu order: enumerated {cert.enumerated} == predicted "
-                f"{cert.predicted} (cosets used {cert.cosets_used})"
-            )
-        elif cert.status == "FAIL":
-            failures += 1
-            print(
-                f"[FAIL] nu order: enumerated {cert.enumerated} != predicted "
-                f"{cert.predicted} (cosets used {cert.cosets_used})"
-            )
-        else:
+        if cert.status == "INCONCLUSIVE":
             inconclusive = True
             print(
                 f"[INCONCLUSIVE] nu order: the coset table does not close within "
                 f"{args.max_cosets} cosets (predicted {cert.predicted}); raise --max-cosets"
+            )
+        else:
+            failures += cert.status == "FAIL"
+            relation = "==" if cert.status == "PASS" else "!="
+            print(
+                f"[{cert.status}] nu order: enumerated {cert.enumerated} {relation} predicted "
+                f"{cert.predicted} (cosets used {cert.cosets_used})"
             )
     if failures:
         return EXIT_CHECK_FAILED
@@ -232,48 +235,41 @@ def cmd_emit(args) -> int:
     return EXIT_OK
 
 
-def _load_manifest(path: str) -> dict:
+def _load_manifest(path: str) -> list:
+    """The tuples of a manifest, a JSON object {"tuples": [[m, n, r, s], ...]}."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ValidationError([f"cannot read manifest {path}: {exc}"])
     if not isinstance(manifest, dict):
         raise ValidationError([f"manifest {path} must be a JSON object"])
-    return manifest
-
-
-def _manifest_flag(manifest: dict, name: str) -> bool:
-    value = manifest.get(name, False)
-    if type(value) is not bool:
-        raise ValidationError([f"manifest {name} must be true or false, got {value!r}"])
-    return value
+    for key in manifest:
+        if key != "tuples":
+            raise ValidationError(
+                [f"manifest key {key!r} is not allowed; a manifest carries only tuples"]
+            )
+    tuples = manifest.get("tuples")
+    if not isinstance(tuples, list):
+        raise ValidationError([f"manifest tuples must be a list of rows, got {tuples!r}"])
+    for row in tuples:
+        if not (isinstance(row, list) and len(row) == 4 and all(type(x) is int for x in row)):
+            raise ValidationError(
+                [f"manifest row {row!r} is not a list of four integers [m, n, r, s]"]
+            )
+    return tuples
 
 
 def cmd_batch(args) -> int:
-    manifest = _load_manifest(args.manifest) if args.manifest else {}
-    max_order = args.max_order if args.max_order is not None else manifest.get("max_order")
-    include_s_zero = _manifest_flag(manifest, "include_s_zero") or args.include_s_zero
-    with_oracle = _manifest_flag(manifest, "oracle") or args.oracle
-    tuples = manifest.get("tuples")
-    if tuples is None:
-        if max_order is None:
-            raise ValidationError(["batch needs --max-order, or a manifest with bounds or tuples"])
-        if type(max_order) is not int:
-            raise ValidationError([f"manifest max_order must be an integer, got {max_order!r}"])
+    if args.manifest:
+        jobs = _load_manifest(args.manifest)
+    elif args.max_order is not None:
         jobs = [
             (p.m, p.n, p.r, p.s)
-            for p in metagrp.enumerate_valid_tuples(max_order, include_s_zero=include_s_zero)
+            for p in metagrp.enumerate_valid_tuples(args.max_order, include_s_zero=args.include_s_zero)
         ]
     else:
-        if not isinstance(tuples, list):
-            raise ValidationError([f"manifest tuples must be a list of rows, got {tuples!r}"])
-        for row in tuples:
-            if not (isinstance(row, list) and len(row) == 4 and all(type(x) is int for x in row)):
-                raise ValidationError(
-                    [f"manifest row {row!r} is not a list of four integers [m, n, r, s]"]
-                )
-        jobs = tuples
+        raise ValidationError(["batch needs --max-order or --manifest"])
 
     rows = []
     counts = {"ok": 0, "mismatch": 0, "error": 0}
@@ -281,7 +277,7 @@ def cmd_batch(args) -> int:
         params_block = {"m": m, "n": n, "r": r, "s": s}
         try:
             params = metagrp.validate(m, n, r, s)
-            record, _ = _load_record(params, with_oracle)
+            record, _ = _load_record(params, args.oracle)
             status = "ok"
             if record["oracle"] is not None and not record["oracle"]["match"]:
                 status = "mismatch"
@@ -347,8 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     emit.set_defaults(func=cmd_emit)
 
     batch = subs.add_parser("batch", help="sweep many tuples")
-    batch.add_argument("--manifest", metavar="PATH", help="JSON manifest with bounds or tuples")
-    batch.add_argument("--max-order", type=int, help="enumerate all valid tuples with mn <= this")
+    jobs = batch.add_mutually_exclusive_group()
+    jobs.add_argument("--manifest", metavar="PATH", help='JSON manifest {"tuples": [[m, n, r, s], ...]}')
+    jobs.add_argument("--max-order", type=int, help="enumerate all valid tuples with mn <= this")
     batch.add_argument("--include-s-zero", action="store_true")
     batch.add_argument("--oracle", action="store_true")
     batch.add_argument("--out", metavar="PATH", help="write JSON lines here instead of stdout")
@@ -358,19 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except FormulaInconsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMULA
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -178,10 +178,8 @@ def derived_subgroup(p: GroupParams) -> frozenset[Element]:
     return frozenset(Element(0, alpha) for alpha in range(0, p.m, da))
 
 
-def coset_order(g: Element, p: GroupParams, derived: frozenset[Element] | None = None) -> int:
-    """Order o'(g) of the image of g in G/G'."""
-    if derived is None:
-        derived = derived_subgroup(p)
+def coset_order(g: Element, p: GroupParams, derived: frozenset[Element]) -> int:
+    """Order o'(g) of the image of g in G/G', with G' given as ``derived``."""
     cur = g
     order = 1
     while cur not in derived:
@@ -190,37 +188,20 @@ def coset_order(g: Element, p: GroupParams, derived: frozenset[Element] | None =
     return order
 
 
-@dataclass
-class BruteCheck:
-    """Closed-form invariants next to their enumerated counterparts."""
+def brute_invariants(p: GroupParams) -> list[str]:
+    """Re-derive o(a), o(b), |G'|, o'(a), o'(b) and Z(G) by enumeration.
 
-    closed: DerivedInvariants
-    o_a: int
-    o_b: int
-    derived_order: int
-    center_order: int
-    center_matches: bool
-    oprime_a: int
-    oprime_b: int
-    mismatches: list[str]
-
-    @property
-    def mismatch(self) -> bool:
-        return bool(self.mismatches)
-
-
-def brute_invariants(p: GroupParams, max_order: int = BRUTE_ORDER_LIMIT) -> BruteCheck:
-    """Re-derive the closed-form invariants by enumeration.
-
-    Elements are handled as raw (beta, alpha) pairs inside the loops;
-    the commutator of x and y is computed as (yx)^-1 * (xy), whose
-    normal form is a^(alpha(xy) - alpha(yx)) because both products
-    carry the same b-exponent.
+    Returns one line per invariant that differs from its closed form, so
+    an empty list means agreement.  Elements are handled as raw
+    (beta, alpha) pairs inside the loops; the commutator of x and y is
+    computed as (yx)^-1 * (xy), whose normal form is
+    a^(alpha(xy) - alpha(yx)) because both products carry the same
+    b-exponent.
     """
     m, n, r, s = p.m, p.n, p.r, p.s
-    if m * n > max_order:
+    if m * n > BRUTE_ORDER_LIMIT:
         raise ResourceLimitError(
-            f"brute-force enumeration limited to |G| <= {max_order}, got {m * n}"
+            f"brute-force enumeration limited to |G| <= {BRUTE_ORDER_LIMIT}, got {m * n}"
         )
     rpow = [pow(r, b, m) for b in range(n)]
     pairs = [(beta, alpha) for beta in range(n) for alpha in range(m)]
@@ -233,17 +214,25 @@ def brute_invariants(p: GroupParams, max_order: int = BRUTE_ORDER_LIMIT) -> Brut
             a += s
         return b, a % m
 
-    # Orders of a and b by repeated multiplication.
-    o_a = 1
-    cur = (0, 1)
-    while cur != (0, 0):
-        cur = mul_raw(cur[0], cur[1], 0, 1)
-        o_a += 1
-    o_b = 1
-    cur = (1, 0)
-    while cur != (0, 0):
-        cur = mul_raw(cur[0], cur[1], 1, 0)
-        o_b += 1
+    def order_until(b0, a0, done):
+        """Least k >= 1 with done(g**k) for g = b^b0 a^a0, by repeated multiplication."""
+        cur, order = (b0, a0), 1
+        while not done(cur):
+            cur = mul_raw(cur[0], cur[1], b0, a0)
+            order += 1
+        return order
+
+    def closure(gens, op, start):
+        """Close {start} under op(element, generator)."""
+        seen, frontier = {start}, [start]
+        while frontier:
+            d = frontier.pop()
+            for e in gens:
+                v = op(d, e)
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+        return seen
 
     # Commutator values; [x, y]^-1 = [y, x], so ordered pairs one way
     # round still give a generating set of G'.
@@ -254,25 +243,13 @@ def brute_invariants(p: GroupParams, max_order: int = BRUTE_ORDER_LIMIT) -> Brut
             yx = mul_raw(b2, a2, b1, a1)
             comm_exps.add((xy[1] - yx[1]) % m)
     # Closure under addition mod m (all commutators are powers of a).
-    comm_gens = sorted(comm_exps)
-    derived_exps = {0}
-    frontier = [0]
-    while frontier:
-        d = frontier.pop()
-        for e in comm_gens:
-            v = (d + e) % m
-            if v not in derived_exps:
-                derived_exps.add(v)
-                frontier.append(v)
-    derived_order = len(derived_exps)
+    derived_exps = closure(sorted(comm_exps), lambda d, e: (d + e) % m, 0)
 
     # Center by centralizing the two generators.
-    center = set()
-    for b1, a1 in pairs:
-        if mul_raw(b1, a1, 0, 1) == mul_raw(0, 1, b1, a1) and mul_raw(
-            b1, a1, 1, 0
-        ) == mul_raw(1, 0, b1, a1):
-            center.add((b1, a1))
+    center = {
+        g for g in pairs
+        if mul_raw(*g, 0, 1) == mul_raw(0, 1, *g) and mul_raw(*g, 1, 0) == mul_raw(1, 0, *g)
+    }
 
     closed = p.inv
 
@@ -281,52 +258,27 @@ def brute_invariants(p: GroupParams, max_order: int = BRUTE_ORDER_LIMIT) -> Brut
     gen_b = (1, 0)
     for _ in range(closed.l - 1):
         gen_b = mul_raw(gen_b[0], gen_b[1], 1, 0)
-    closed_center = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        d = frontier.pop()
-        for e in (gen_a, gen_b):
-            v = mul_raw(d[0], d[1], e[0], e[1])
-            if v not in closed_center:
-                closed_center.add(v)
-                frontier.append(v)
-    center_matches = center == closed_center
+    closed_center = closure((gen_a, gen_b), lambda d, e: mul_raw(*d, *e), (0, 0))
 
-    def brute_coset_order(b0, a0):
-        cur = (b0, a0)
-        order = 1
-        while not (cur[0] == 0 and cur[1] in derived_exps):
-            cur = mul_raw(cur[0], cur[1], b0, a0)
-            order += 1
-        return order
+    def is_identity(g):
+        return g == (0, 0)
 
-    oprime_a = brute_coset_order(0, 1)
-    oprime_b = brute_coset_order(1, 0)
+    def in_derived(g):
+        return g[0] == 0 and g[1] in derived_exps
 
     mismatches = []
     for name, got, want in [
-        ("o(a)", o_a, m),
-        ("o(b)", o_b, closed.o_b),
-        ("|G'|", derived_order, closed.t_derived),
-        ("o'(a)", oprime_a, closed.oprime_a),
-        ("o'(b)", oprime_b, closed.oprime_b),
+        ("o(a)", order_until(0, 1, is_identity), m),
+        ("o(b)", order_until(1, 0, is_identity), closed.o_b),
+        ("|G'|", len(derived_exps), closed.t_derived),
+        ("o'(a)", order_until(0, 1, in_derived), closed.oprime_a),
+        ("o'(b)", order_until(1, 0, in_derived), closed.oprime_b),
     ]:
         if got != want:
             mismatches.append(f"{name}: enumerated {got}, closed form {want}")
-    if not center_matches:
+    if center != closed_center:
         mismatches.append("Z(G) differs from <a^t, b^l>")
-
-    return BruteCheck(
-        closed=closed,
-        o_a=o_a,
-        o_b=o_b,
-        derived_order=derived_order,
-        center_order=len(center),
-        center_matches=center_matches,
-        oprime_a=oprime_a,
-        oprime_b=oprime_b,
-        mismatches=mismatches,
-    )
+    return mismatches
 
 
 def enumerate_valid_tuples(max_order: int, include_s_zero: bool = False) -> list[GroupParams]:

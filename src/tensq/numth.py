@@ -11,22 +11,81 @@ so expressions such as m/(m, s) stay well defined when s = 0.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from itertools import count
+from math import gcd, isqrt, lcm
+
+
+# Miller-Rabin with the prime bases up to 41 proves primality for every x
+# below _MR_LIMIT (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 86 (2017)).  Its "composite" is always right.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _miller_rabin(x: int) -> bool:
+    """False when x is composite; x must be odd and greater than 41."""
+    d, k = x - 1, 0
+    while d % 2 == 0:
+        d, k = d // 2, k + 1
+    for a in _MR_BASES:
+        y = pow(a, d, x)
+        if y in (1, x - 1):
+            continue
+        for _ in range(k - 1):
+            y = y * y % x
+            if y == x - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(x: int) -> int:
+    """A proper divisor of a composite x: Pollard rho with Brent's cycle search."""
+    for c in count(1):
+        y = saved = 2
+        steps = limit = g = 1
+        while g == 1:
+            if steps == limit:
+                saved, steps, limit = y, 0, 2 * limit
+            y = (y * y + c) % x
+            steps += 1
+            g = gcd(y - saved, x)
+        if g != x:
+            return g
 
 
 def _prime_factors(x: int) -> list[int]:
-    """Distinct prime factors of x >= 1, ascending, by trial division."""
-    out = []
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            out.append(d)
-            while x % d == 0:
-                x //= d
-        d += 1 if d == 2 else 2
-    if x > 1:
-        out.append(x)
-    return out
+    """Distinct prime factors of x >= 1, ascending.
+
+    Composites are split by Pollard rho.  A probable prime at or above
+    _MR_LIMIT is confirmed by trial division, so the answer stays exact.
+    """
+    found = set()
+    for p in _MR_BASES:
+        if p * p > x:
+            break
+        if x % p == 0:
+            found.add(p)
+            while x % p == 0:
+                x //= p
+    pending = [x] if x > 1 else []
+    while pending:
+        y = pending.pop()
+        if y < 43 * 43:
+            # No prime below 43 divides y, or none up to sqrt(y): y is prime.
+            d = y
+        elif not _miller_rabin(y):
+            d = _rho_factor(y)
+        elif y < _MR_LIMIT:
+            d = y
+        else:
+            d = next((d for d in range(43, isqrt(y) + 1, 2) if y % d == 0), y)
+        if d == y:
+            found.add(y)
+        else:
+            pending += [d, y // d]
+    return sorted(found)
 
 
 def mult_order(r: int, m: int) -> int:
@@ -34,7 +93,8 @@ def mult_order(r: int, m: int) -> int:
 
     Requires m >= 2 and gcd(r, m) == 1.  The order divides phi(m), so
     each prime of phi(m) is stripped from phi(m) while r still reaches
-    1; trial division of m and phi(m) bounds the cost by sqrt(m).
+    1.  Factoring m and phi(m) costs about m**(1/4) steps of Pollard
+    rho at worst, unless a prime factor is at least _MR_LIMIT.
     """
     if m < 2:
         raise ValueError(f"mult_order needs a modulus >= 2, got {m}")

@@ -40,7 +40,7 @@ from .errors import FormulaInconsistencyError, ResourceLimitError
 from .metagrp import Element, GroupParams
 from .presentations import upsilon_order_bounds
 
-DEFAULT_GROUP_ORDER_LIMIT = 45
+GROUP_ORDER_LIMIT = 45
 
 
 @dataclass
@@ -76,7 +76,7 @@ def _normalized_row(c_plus: int, c_minus1: int, c_minus2: int):
     return tuple(items)
 
 
-def build_tensor_oracle(params: GroupParams, max_group_order: int = DEFAULT_GROUP_ORDER_LIMIT) -> OracleModel:
+def build_tensor_oracle(params: GroupParams) -> OracleModel:
     """Build and reduce the defining relation lattice of G (x) G.
 
     Generates the 2*|G|^3 defining rows, deduplicates them after sign
@@ -84,10 +84,10 @@ def build_tensor_oracle(params: GroupParams, max_group_order: int = DEFAULT_GROU
     reduced lattice is a deterministic function of the parameters.
     """
     ng = params.order
-    if ng > max_group_order:
+    if ng > GROUP_ORDER_LIMIT:
         raise ResourceLimitError(
             f"oracle needs |G|^2 = {ng * ng} columns; |G| = {ng} exceeds the "
-            f"limit {max_group_order}"
+            f"limit {GROUP_ORDER_LIMIT}"
         )
     elems = metagrp.elements(params)
     index = {e: i for i, e in enumerate(elems)}
@@ -171,7 +171,6 @@ class CheckResult:
 
 @dataclass
 class SuiteReport:
-    params: GroupParams
     checks: list[CheckResult]
 
     @property
@@ -467,7 +466,7 @@ def verify_identities(model: OracleModel) -> SuiteReport:
         )
     )
 
-    return SuiteReport(params=p, checks=checks)
+    return SuiteReport(checks=checks)
 
 
 def verify_bounds(model: OracleModel) -> SuiteReport:
@@ -510,4 +509,4 @@ def verify_bounds(model: OracleModel) -> SuiteReport:
 
     checks.append(_check("diagonal order divides odd o'(h)", odd_diagonal()))
     checks.append(_check("derived diagonal has order 1", derived_diagonal()))
-    return SuiteReport(params=p, checks=checks)
+    return SuiteReport(checks=checks)

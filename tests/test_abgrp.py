@@ -147,7 +147,7 @@ def reduce(lattice, vec):
 
 def enumerate_quotient(handle):
     """All canonical residues, by closing {0} under generator addition."""
-    ngens = handle.ngens
+    ngens = handle.lattice.ncols
     lattice = handle.lattice
     zero = ()
     seen = {zero}

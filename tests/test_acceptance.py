@@ -183,7 +183,7 @@ def test_criterion_7_schur_multiplier(sweep_models):
 def test_criterion_8_brute_force_sweep():
     start = time.perf_counter()
     tuples = metagrp.enumerate_valid_tuples(200, include_s_zero=True)
-    bad = [p for p in tuples if metagrp.brute_invariants(p).mismatch]
+    bad = [p for p in tuples if metagrp.brute_invariants(p)]
     dt = time.perf_counter() - start
     ok = not bad and dt < 60 and len(tuples) == 1189
     detail = (

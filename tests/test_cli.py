@@ -65,6 +65,9 @@ def test_usage_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 64
+    with pytest.raises(SystemExit) as info:
+        main(["batch", "--manifest", "jobs.json", "--max-order", "30"])
+    assert info.value.code == 64
 
 
 def test_version(capsys):
@@ -126,6 +129,8 @@ def test_verify_nu_inconclusive(capsys):
 
 
 BIG = ["--m", "1000000007", "--n", "1000000006", "--r", "5", "--s", "0"]
+# m is prime, so phi(m) = m - 1 = 4 * 11 * 22727272727272727 must be factored.
+BIG_PRIME = ["--m", "999999999999999989", "--n", "999999999999999988", "--r", "2", "--s", "0"]
 
 
 def _cap_address_space():
@@ -138,8 +143,9 @@ def _cap_address_space():
         (["compute", *BIG], 0),
         (["emit", *BIG, "--what", "nu"], 0),
         (["verify", *BIG, "--suite", "nu"], 3),
+        (["compute", *BIG_PRIME], 0),
     ],
-    ids=["compute", "emit-nu", "verify-nu"],
+    ids=["compute", "emit-nu", "verify-nu", "compute-prime-m"],
 )
 def test_big_tuple_runs_in_bounded_time_and_memory(args, code):
     # Every closed form on this tuple stays polylogarithmic in m and n:
@@ -154,6 +160,28 @@ def test_big_tuple_runs_in_bounded_time_and_memory(args, code):
         preexec_fn=_cap_address_space,
     )
     assert proc.returncode == code, proc.stderr
+
+
+SMALL = ["--m", "3", "--n", "2", "--r", "2", "--s", "0"]
+
+
+@pytest.mark.parametrize(
+    "args, cache_is_a_file",
+    [
+        (["compute", *SMALL, "--json", "{missing}"], False),
+        (["batch", "--max-order", "30", "--out", "{missing}"], False),
+        (["compute", *SMALL], True),
+    ],
+    ids=["compute-json", "batch-out", "cache-dir"],
+)
+def test_unwritable_path_exits_2(args, cache_is_a_file, tmp_path, monkeypatch, capsys):
+    missing = tmp_path / "no-such-dir" / "out.json"
+    if cache_is_a_file:
+        cache = tmp_path / "cache"
+        cache.write_text("")
+        monkeypatch.setenv("TENSQ_CACHE_DIR", str(cache))
+    assert main([a.format(missing=missing) for a in args]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_batch_max_order(capsys):
@@ -180,11 +208,9 @@ def test_batch_empty_range(capsys):
 
 def test_batch_manifest_with_bad_row(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps(
-        {"tuples": [[3, 2, 2, 0], [10, 2, 3, 0]], "oracle": True}
-    ))
+    manifest.write_text(json.dumps({"tuples": [[3, 2, 2, 0], [10, 2, 3, 0]]}))
     out_path = tmp_path / "rows.jsonl"
-    rc = main(["batch", "--manifest", str(manifest), "--out", str(out_path)])
+    rc = main(["batch", "--oracle", "--manifest", str(manifest), "--out", str(out_path)])
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == "tuples: 2  ok: 1  mismatches: 0  errors: 1\n"
@@ -208,9 +234,9 @@ def test_batch_rejects_bad_manifest(tmp_path, capsys):
         ({"tuples": [[3, 2, "x", 0]]}, "'x'"),
         ({"tuples": 5}, "5"),
         ({"tuples": [[3, 2, 2, 0], 7]}, "7"),
-        ({"max_order": "45"}, "'45'"),
-        ({"tuples": [[3, 2, 2, 0]], "oracle": "false"}, "'false'"),
-        ({"max_order": 30, "include_s_zero": "no"}, "'no'"),
+        ({"max_order": 45}, "'max_order'"),
+        ({"tuples": [[3, 2, 2, 0]], "oracle": True}, "'oracle'"),
+        ({"tuples": [[3, 2, 2, 0]], "include_s_zero": False}, "'include_s_zero'"),
     ]:
         bad.write_text(json.dumps(body))
         assert main(["batch", "--manifest", str(bad)]) == 2, body

@@ -148,24 +148,25 @@ def test_r_equal_m_minus_one_forces_s_zero():
 
 
 def test_brute_invariants_examples():
-    chk = metagrp.brute_invariants(metagrp.validate(3, 2, 2, 0))
-    assert not chk.mismatch
-    assert chk.closed.o_b == 2
-    chk = metagrp.brute_invariants(metagrp.validate(9, 3, 4, 3))
-    assert not chk.mismatch
-    assert chk.closed.t_derived == 3
-    assert chk.closed.oprime_b == 3
+    p = metagrp.validate(3, 2, 2, 0)
+    assert metagrp.brute_invariants(p) == []
+    assert p.inv.o_b == 2
+    p = metagrp.validate(9, 3, 4, 3)
+    assert metagrp.brute_invariants(p) == []
+    assert p.inv.t_derived == 3
+    assert p.inv.oprime_b == 3
 
 
 def test_brute_invariants_bound():
+    # |G| = 10002 is just past BRUTE_ORDER_LIMIT; the guard fires before any enumeration.
     with pytest.raises(ResourceLimitError):
-        metagrp.brute_invariants(metagrp.validate(9, 3, 4, 3), max_order=5)
+        metagrp.brute_invariants(metagrp.validate(3, 3334, 2, 0))
 
 
 def test_brute_invariants_sweep_small():
     for p in metagrp.enumerate_valid_tuples(100, include_s_zero=True):
-        chk = metagrp.brute_invariants(p)
-        assert not chk.mismatch, (p, chk.mismatches)
+        mismatches = metagrp.brute_invariants(p)
+        assert not mismatches, (p, mismatches)
 
 
 def test_enumerate_valid_tuples_scope():

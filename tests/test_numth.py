@@ -1,9 +1,25 @@
+import random
 from math import lcm
 
 import pytest
 
-from tensq import metagrp
-from tensq.numth import capital_k, geom_sum, geom_sum_mod, mult_order
+from tensq import metagrp, numth
+from tensq.numth import _prime_factors, capital_k, geom_sum, geom_sum_mod, mult_order
+
+
+def trial_prime_factors(x: int) -> list[int]:
+    """Distinct prime factors of x >= 1, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= x:
+        if x % d == 0:
+            out.append(d)
+            while x % d == 0:
+                x //= d
+        d += 1 if d == 2 else 2
+    if x > 1:
+        out.append(x)
+    return out
 
 
 def lcm_all(values) -> int:
@@ -19,6 +35,32 @@ def test_lcm_all_zero_convention():
     assert lcm_all([4, 6]) == 12
     with pytest.raises(ValueError):
         lcm_all([])
+
+
+def test_prime_factors_match_trial_division():
+    rng = random.Random(20261018)
+    primes = [p for p in range(43, 3000) if trial_prime_factors(p) == [p]]
+    sample = list(range(1, 5000)) + [rng.randrange(1, 10**9) for _ in range(300)]
+    # Products of primes above 41, with repeats, are what Pollard rho splits.
+    for _ in range(500):
+        x = 1
+        for _ in range(rng.randint(1, 4)):
+            x *= rng.choice(primes) ** rng.randint(1, 3)
+        sample.append(x)
+    for x in sample:
+        assert _prime_factors(x) == trial_prime_factors(x), x
+    p, q = 10**9 + 7, 10**9 + 9
+    assert trial_prime_factors(p) == [p] and trial_prime_factors(q) == [q]
+    assert _prime_factors(p * q) == [p, q]
+    assert _prime_factors(2**3 * 3 * p**2 * q) == [2, 3, p, q]
+
+
+def test_prime_factors_confirm_probable_primes_past_the_proof_bound(monkeypatch):
+    # 8321 = 53 * 157 passes Miller-Rabin to base 2; with that base alone
+    # and the bound lowered to 8321, only trial division can split it.
+    monkeypatch.setattr(numth, "_MR_BASES", (2,))
+    monkeypatch.setattr(numth, "_MR_LIMIT", 8321)
+    assert _prime_factors(8321) == [53, 157]
 
 
 def test_mult_order_examples():

@@ -78,8 +78,6 @@ def test_oracle_agrees_with_closed_delta(model_3220, model_9343):
 def test_group_order_limit():
     with pytest.raises(ResourceLimitError):
         build_tensor_oracle(metagrp.validate(7, 8, 6, 0))
-    with pytest.raises(ResourceLimitError):
-        build_tensor_oracle(metagrp.validate(3, 2, 2, 0), max_group_order=5)
 
 
 def test_act_on_basis_vector(model_3220):

@@ -1,10 +1,11 @@
 """Every function the benchmark tracer wraps by name must still exist,
-and a traced run must still fill the counters its hooks read.
+a traced run must still fill the counters its hooks read, and a traced
+manifest batch must still record its spans.
 
 perfbench/tracer.py wraps tensq functions from outside the package, so
 renaming or deleting one would otherwise only surface in a traced
 benchmark run.  The name check loads the module by path without calling
-install(); the smoke test runs the tracer in a child process.
+install(); the smoke tests run the tracer in a child process.
 """
 
 import importlib
@@ -38,14 +39,29 @@ def test_wrapped_names_resolve_to_callables():
                 assert callable(obj), f"tensq.{layer}.{attr}"
 
 
+def run_traced(tmp_path, *args) -> dict:
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("TENSQ_CACHE_DIR", None)
+    proc = subprocess.run([sys.executable, str(TRACER), str(trace), *args], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(trace.read_text())
+
+
 def test_traced_verify_run_fills_the_hook_counters(tmp_path):
     # The hooks read attributes of oracle models, suite reports and
     # enumeration results, which only a traced run reaches.
-    trace = tmp_path / "trace.json"
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     args = ["verify", "--m", "3", "--n", "2", "--r", "2", "--s", "0", "--suite", "all"]
-    proc = subprocess.run([sys.executable, str(TRACER), str(trace), *args], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    counters = json.loads(trace.read_text())["counters"]
+    counters = run_traced(tmp_path, *args)["counters"]
     for name in ("abgrp.pivots", "abgrp.core_dim", "oracle.raw_rows", "oracle.suite_instances", "fpgrp.cosets_used"):
         assert name in counters, name
+
+
+def test_traced_manifest_batch_records_its_spans(tmp_path):
+    # Three of the four benchmark workloads run batch --manifest.
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"tuples": [[3, 2, 2, 0], [9, 3, 4, 3]]}))
+    args = ["batch", "--manifest", str(manifest), "--out", str(tmp_path / "rows.jsonl")]
+    names = [span[0] for span in run_traced(tmp_path, *args)["spans"]]
+    assert names.count("cli.cmd_batch") == 1
+    assert names.count("cli.build_run_record") == 2
