@@ -1,9 +1,10 @@
 """Exact linear algebra over the integers.
 
 Everything here works on plain Python ints; no floating point is used
-anywhere.  Two representations are supported: small dense matrices as
-lists of row lists, and sparse rows as {column: coefficient} dicts for
-the large relation matrices produced by the tensor-square oracle.
+anywhere.  There is one representation: a row or vector is a sparse
+{column: coefficient} dict, from the eight tensor relations to the
+large relation matrices of the tensor-square oracle, and through the
+Smith normal form.
 
 The central object is :class:`RowLattice`, an integer row lattice kept
 as an echelon basis (one basis row per pivot column, pivot = leftmost
@@ -220,20 +221,16 @@ class QuotientHandle:
     core_columns: list[int]
 
 
-def smith_normal_form(matrix) -> list[int]:
-    """Diagonal d1 | d2 | ... of the Smith normal form of an integer matrix.
+def smith_normal_form(rows) -> list[int]:
+    """Nonzero diagonal d1 | d2 | ... of the Smith normal form of sparse rows.
 
-    Has min(rows, cols) entries, zeros last.  Each pass inserts the
-    columns of the current basis into a fresh RowLattice, so echelon
-    passes alternate between the columns and the rows of the matrix
-    until every basis row has a single entry; that diagonal is then put
-    in divisibility order.
+    Rows are {column: coefficient} dicts; the column labels need not be
+    contiguous.  Each pass inserts the columns of the current basis into
+    a fresh RowLattice, so echelon passes alternate between the columns
+    and the rows of the matrix until every basis row has a single entry;
+    that diagonal is then put in divisibility order.  Its length is the
+    rank of the matrix.
     """
-    rows = [list(map(int, row)) for row in matrix]
-    ncols = len(rows[0]) if rows else 0
-    if any(len(row) != ncols for row in rows):
-        raise TensqError("ragged matrix")
-    size = min(len(rows), ncols)
     # After the first pass the basis is in echelon form, so each later
     # pass meets the first pivot p first, as the vector (p).  If p
     # divides every entry of its row, that vector stays the first basis
@@ -241,7 +238,7 @@ def smith_normal_form(matrix) -> list[int]:
     # step makes p strictly smaller.  So the first pivot only shrinks
     # until it divides its row and its column, and the rest of the
     # matrix then settles the same way, one pivot at a time.
-    basis = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    basis = list(rows)
     while True:
         columns: dict[int, dict] = {}
         for i, row in enumerate(basis):
@@ -258,7 +255,7 @@ def smith_normal_form(matrix) -> list[int]:
         for j in range(i + 1, len(diag)):
             g = gcd(diag[i], diag[j])
             diag[i], diag[j] = g, diag[i] // g * diag[j]
-    return diag + [0] * (size - len(diag))
+    return diag
 
 
 def quotient_from_lattice(lattice: RowLattice) -> QuotientHandle:
@@ -267,19 +264,8 @@ def quotient_from_lattice(lattice: RowLattice) -> QuotientHandle:
     pivots = lattice.pivots
     unit_cols = {j for j, row in pivots.items() if row[j] == 1}
     core_columns = [c for c in range(lattice.ncols) if c not in unit_cols]
-    col_index = {c: i for i, c in enumerate(core_columns)}
-    core_rows = []
-    for j in sorted(pivots):
-        row = pivots[j]
-        if row[j] == 1:
-            continue
-        dense = [0] * len(core_columns)
-        for c, v in row.items():
-            dense[col_index[c]] = v
-        core_rows.append(dense)
-    diag = smith_normal_form(core_rows) if core_rows else []
-    rank = sum(1 for d in diag if d)
-    factors = tuple(d for d in diag if d > 1) + (0,) * (len(core_columns) - rank)
+    diag = smith_normal_form(pivots[j] for j in sorted(pivots) if j not in unit_cols)
+    factors = tuple(d for d in diag if d > 1) + (0,) * (len(core_columns) - len(diag))
     return QuotientHandle(
         lattice=lattice,
         structure=AbelianStructure(factors),
@@ -287,35 +273,23 @@ def quotient_from_lattice(lattice: RowLattice) -> QuotientHandle:
     )
 
 
-def quotient_structure(relations, ngens: int) -> tuple[AbelianStructure, QuotientHandle]:
-    """Canonical structure of Z^ngens modulo the rows of ``relations``.
+def quotient_structure(relations, ngens: int) -> QuotientHandle:
+    """Z^ngens modulo the lattice spanned by the sparse rows of ``relations``.
 
-    Rows are dense length-``ngens`` sequences.  Insertion order is the
-    given order, so identical input yields an identical handle.
+    Insertion order is the given order, so identical input yields an
+    identical handle.
     """
     lattice = RowLattice(ngens)
     for rel in relations:
-        if len(rel) != ngens:
-            raise TensqError(f"dense relation of length {len(rel)}, expected {ngens}")
-        lattice.insert({c: int(v) for c, v in enumerate(rel) if v})
-    handle = quotient_from_lattice(lattice)
-    return handle.structure, handle
+        lattice.insert(rel)
+    return quotient_from_lattice(lattice)
 
 
-def _sparse_vec(handle: QuotientHandle, vec) -> dict:
-    if isinstance(vec, dict):
-        return {int(c): int(v) for c, v in vec.items() if v}
-    vec = list(vec)
-    if len(vec) != handle.lattice.ncols:
-        raise TensqError(f"vector of length {len(vec)}, expected {handle.lattice.ncols}")
-    return {c: int(v) for c, v in enumerate(vec) if v}
-
-
-def lattice_member(handle: QuotientHandle, vec) -> bool:
+def lattice_member(handle: QuotientHandle, vec: dict) -> bool:
     """Whether vec lies in the relation lattice (is trivial in the quotient)."""
-    return handle.lattice.contains(_sparse_vec(handle, vec))
+    return handle.lattice.contains(vec)
 
 
-def element_order(handle: QuotientHandle, vec) -> int:
+def element_order(handle: QuotientHandle, vec: dict) -> int:
     """Order of the image of vec in the quotient; 0 when infinite."""
-    return handle.lattice.order(_sparse_vec(handle, vec))
+    return handle.lattice.order(vec)

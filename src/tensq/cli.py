@@ -260,24 +260,15 @@ def _load_manifest(path: str) -> list:
     return tuples
 
 
-def cmd_batch(args) -> int:
-    if args.manifest:
-        jobs = _load_manifest(args.manifest)
-    elif args.max_order is not None:
-        jobs = [
-            (p.m, p.n, p.r, p.s)
-            for p in metagrp.enumerate_valid_tuples(args.max_order, include_s_zero=args.include_s_zero)
-        ]
-    else:
-        raise ValidationError(["batch needs --max-order or --manifest"])
-
+def _sweep(jobs, with_oracle: bool, rows_out, summary_out) -> int:
+    """One JSON line per tuple to rows_out after the last tuple, then the summary."""
     rows = []
     counts = {"ok": 0, "mismatch": 0, "error": 0}
     for m, n, r, s in jobs:
         params_block = {"m": m, "n": n, "r": r, "s": s}
         try:
             params = metagrp.validate(m, n, r, s)
-            record, _ = _load_record(params, args.oracle)
+            record, _ = _load_record(params, with_oracle)
             status = "ok"
             if record["oracle"] is not None and not record["oracle"]["match"]:
                 status = "mismatch"
@@ -291,21 +282,31 @@ def cmd_batch(args) -> int:
         counts[row["status"]] += 1
         rows.append(json.dumps(row, sort_keys=True))
 
-    body = "".join(line + "\n" for line in rows)
-    summary = (
+    rows_out.write("".join(line + "\n" for line in rows))
+    summary_out.write(
         f"tuples: {len(rows)}  ok: {counts['ok']}  "
         f"mismatches: {counts['mismatch']}  errors: {counts['error']}\n"
     )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
-        sys.stdout.write(summary)
-    else:
-        sys.stdout.write(body)
-        sys.stderr.write(summary)
     if counts["mismatch"] or counts["error"]:
         return EXIT_CHECK_FAILED
     return EXIT_OK
+
+
+def cmd_batch(args) -> int:
+    if args.manifest:
+        jobs = _load_manifest(args.manifest)
+    elif args.max_order is not None:
+        jobs = [
+            (p.m, p.n, p.r, p.s)
+            for p in metagrp.enumerate_valid_tuples(args.max_order, include_s_zero=args.include_s_zero)
+        ]
+    else:
+        raise ValidationError(["batch needs --max-order or --manifest"])
+    if not args.out:
+        return _sweep(jobs, args.oracle, sys.stdout, sys.stderr)
+    # Opened before the first tuple, so an unusable path fails at once.
+    with open(args.out, "w", encoding="utf-8") as fh:
+        return _sweep(jobs, args.oracle, fh, sys.stdout)
 
 
 def _add_params(sub) -> None:
@@ -346,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     jobs = batch.add_mutually_exclusive_group()
     jobs.add_argument("--manifest", metavar="PATH", help='JSON manifest {"tuples": [[m, n, r, s], ...]}')
     jobs.add_argument("--max-order", type=int, help="enumerate all valid tuples with mn <= this")
-    batch.add_argument("--include-s-zero", action="store_true")
+    batch.add_argument("--include-s-zero", action="store_true", help="with --max-order, also s = 0")
     batch.add_argument("--oracle", action="store_true")
     batch.add_argument("--out", metavar="PATH", help="write JSON lines here instead of stdout")
     batch.set_defaults(func=cmd_batch)
@@ -355,7 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "batch" and args.manifest and args.include_s_zero:
+        parser.error("argument --include-s-zero: not allowed with argument --manifest")
     try:
         return args.func(args)
     except tuple(EXIT_CODES) as exc:

@@ -12,7 +12,9 @@ so expressions such as m/(m, s) stay well defined when s = 0.
 from __future__ import annotations
 
 from itertools import count
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
+
+from .errors import ResourceLimitError
 
 
 # Miller-Rabin with the prime bases up to 41 proves primality for every x
@@ -59,7 +61,8 @@ def _prime_factors(x: int) -> list[int]:
     """Distinct prime factors of x >= 1, ascending.
 
     Composites are split by Pollard rho.  A probable prime at or above
-    _MR_LIMIT is confirmed by trial division, so the answer stays exact.
+    _MR_LIMIT cannot be proved prime here, so it raises
+    ResourceLimitError instead of risking a wrong answer.
     """
     found = set()
     for p in _MR_BASES:
@@ -80,7 +83,7 @@ def _prime_factors(x: int) -> list[int]:
         elif y < _MR_LIMIT:
             d = y
         else:
-            d = next((d for d in range(43, isqrt(y) + 1, 2) if y % d == 0), y)
+            raise ResourceLimitError(f"probable prime factor {y} is past the proof bound {_MR_LIMIT}")
         if d == y:
             found.add(y)
         else:
@@ -94,7 +97,8 @@ def mult_order(r: int, m: int) -> int:
     Requires m >= 2 and gcd(r, m) == 1.  The order divides phi(m), so
     each prime of phi(m) is stripped from phi(m) while r still reaches
     1.  Factoring m and phi(m) costs about m**(1/4) steps of Pollard
-    rho at worst, unless a prime factor is at least _MR_LIMIT.
+    rho at worst; a probable prime factor at or above _MR_LIMIT raises
+    ResourceLimitError.
     """
     if m < 2:
         raise ValueError(f"mult_order needs a modulus >= 2, got {m}")

@@ -152,12 +152,11 @@ def tensor_structure(params: GroupParams) -> AbelianStructure:
     ngens = len(TENSOR_GENERATORS)
     rows = []
     for word in tensor_relators(tensor_descriptor(params), *range(ngens)):
-        row = [0] * ngens
+        row = {}
         for g, e in word:
-            row[g] += e
+            row[g] = row.get(g, 0) + e
         rows.append(row)
-    structure, _ = quotient_structure(rows, ngens)
-    return structure
+    return quotient_structure(rows, ngens).structure
 
 
 def exterior_order(params: GroupParams) -> int:

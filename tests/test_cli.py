@@ -68,6 +68,9 @@ def test_usage_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["batch", "--manifest", "jobs.json", "--max-order", "30"])
     assert info.value.code == 64
+    with pytest.raises(SystemExit) as info:
+        main(["batch", "--manifest", "jobs.json", "--include-s-zero"])
+    assert info.value.code == 64
 
 
 def test_version(capsys):
@@ -131,6 +134,8 @@ def test_verify_nu_inconclusive(capsys):
 BIG = ["--m", "1000000007", "--n", "1000000006", "--r", "5", "--s", "0"]
 # m is prime, so phi(m) = m - 1 = 4 * 11 * 22727272727272727 must be factored.
 BIG_PRIME = ["--m", "999999999999999989", "--n", "999999999999999988", "--r", "2", "--s", "0"]
+# m and (m - 1) / 2 pass Miller-Rabin above its proof bound: exit 3, no hang.
+HUGE_PRIME = ["--m", "10000000000000000000001879", "--n", "10000000000000000000001878", "--r", "2", "--s", "0"]
 
 
 def _cap_address_space():
@@ -144,8 +149,9 @@ def _cap_address_space():
         (["emit", *BIG, "--what", "nu"], 0),
         (["verify", *BIG, "--suite", "nu"], 3),
         (["compute", *BIG_PRIME], 0),
+        (["compute", *HUGE_PRIME], 3),
     ],
-    ids=["compute", "emit-nu", "verify-nu", "compute-prime-m"],
+    ids=["compute", "emit-nu", "verify-nu", "compute-prime-m", "compute-unprovable-prime-m"],
 )
 def test_big_tuple_runs_in_bounded_time_and_memory(args, code):
     # Every closed form on this tuple stays polylogarithmic in m and n:
@@ -181,6 +187,17 @@ def test_unwritable_path_exits_2(args, cache_is_a_file, tmp_path, monkeypatch, c
         cache.write_text("")
         monkeypatch.setenv("TENSQ_CACHE_DIR", str(cache))
     assert main([a.format(missing=missing) for a in args]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_batch_out_fails_before_the_first_record(tmp_path, monkeypatch, capsys):
+    def fail(*args):
+        raise AssertionError("a record was built before --out was opened")
+
+    monkeypatch.setattr(cli, "build_run_record", fail)
+    monkeypatch.delenv("TENSQ_CACHE_DIR", raising=False)
+    missing = tmp_path / "no-such-dir" / "rows.jsonl"
+    assert main(["batch", "--max-order", "30", "--out", str(missing)]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 

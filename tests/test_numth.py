@@ -4,6 +4,7 @@ from math import lcm
 import pytest
 
 from tensq import metagrp, numth
+from tensq.errors import ResourceLimitError
 from tensq.numth import _prime_factors, capital_k, geom_sum, geom_sum_mod, mult_order
 
 
@@ -55,12 +56,15 @@ def test_prime_factors_match_trial_division():
     assert _prime_factors(2**3 * 3 * p**2 * q) == [2, 3, p, q]
 
 
-def test_prime_factors_confirm_probable_primes_past_the_proof_bound(monkeypatch):
+def test_prime_factors_refuse_probable_primes_past_the_proof_bound(monkeypatch):
     # 8321 = 53 * 157 passes Miller-Rabin to base 2; with that base alone
-    # and the bound lowered to 8321, only trial division can split it.
+    # and the bound lowered to 8321, it is an unprovable probable prime
+    # and must raise instead of being reported as prime.
     monkeypatch.setattr(numth, "_MR_BASES", (2,))
     monkeypatch.setattr(numth, "_MR_LIMIT", 8321)
-    assert _prime_factors(8321) == [53, 157]
+    with pytest.raises(ResourceLimitError, match="8321"):
+        _prime_factors(8321)
+    assert _prime_factors(8317) == [8317]
 
 
 def test_mult_order_examples():

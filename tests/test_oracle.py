@@ -109,7 +109,8 @@ def test_act_preserves_lattice_membership(model_3220):
             dense = [0] * ncols
             for col, val in row.items():
                 dense[col] = val
-            assert abgrp.lattice_member(m.handle, act(m, dense, c))
+            image = act(m, dense, c)
+            assert abgrp.lattice_member(m.handle, {col: v for col, v in enumerate(image) if v})
 
 
 def test_conjugation_permutation_is_bijective(model_3220):

@@ -65,3 +65,12 @@ def test_traced_manifest_batch_records_its_spans(tmp_path):
     names = [span[0] for span in run_traced(tmp_path, *args)["spans"]]
     assert names.count("cli.cmd_batch") == 1
     assert names.count("cli.build_run_record") == 2
+
+
+def test_traced_compute_records_the_abgrp_spans(tmp_path):
+    # The closed-form-sweep abgrp.* per-layer metrics read these spans,
+    # one each per closed-form tensor structure.
+    args = ["compute", "--m", "9", "--n", "3", "--r", "4", "--s", "3"]
+    names = [span[0] for span in run_traced(tmp_path, *args)["spans"]]
+    for name in ("abgrp.quotient_structure", "abgrp.quotient_from_lattice", "abgrp.smith_normal_form"):
+        assert names.count(name) == 1, name
