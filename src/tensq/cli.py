@@ -77,11 +77,11 @@ def build_run_record(params: GroupParams, with_oracle: bool) -> dict:
         ext = oracle.exterior_oracle(model)
         schur_order = oracle.oracle_schur_order(model)
         timings["oracle_s"] = time.perf_counter() - start
-        tensor_match = model.structure == report.tensor
+        tensor_match = model.handle.structure == report.tensor
         exterior_match = ext == report.exterior
         schur_match = schur_order == report.schur.order
         oracle_block = {
-            "tensor_invariant_factors": list(model.structure.invariant_factors),
+            "tensor_invariant_factors": list(model.handle.structure.invariant_factors),
             "exterior_invariant_factors": list(ext.invariant_factors),
             "schur_order": schur_order,
             "raw_rows": model.raw_rows,
@@ -116,6 +116,30 @@ def build_run_record(params: GroupParams, with_oracle: bool) -> dict:
     }
 
 
+_RECORD_KEYS = frozenset(
+    {
+        "schema_version", "tool", "params", "derived", "tensor", "exterior", "schur",
+        "delta_order", "nu_order_predicted", "oracle", "nu_certification", "timings",
+    }
+)
+
+
+def _is_record(value, params: GroupParams, with_oracle: bool) -> bool:
+    """Whether a parsed cache file is this tuple's record under these flags."""
+    if not (isinstance(value, dict) and value.keys() == _RECORD_KEYS):
+        return False
+    oracle_block = value["oracle"]
+    return (
+        value["params"] == {"m": params.m, "n": params.n, "r": params.r, "s": params.s}
+        and value["schema_version"] == SCHEMA_VERSION
+        and (
+            isinstance(oracle_block, dict) and isinstance(oracle_block.get("match"), bool)
+            if with_oracle
+            else oracle_block is None
+        )
+    )
+
+
 def _record_json(record: dict) -> str:
     return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
@@ -123,10 +147,11 @@ def _record_json(record: dict) -> str:
 def _load_record(params: GroupParams, with_oracle: bool) -> tuple[dict, str | None]:
     """The record for one tuple and its cached text (None when uncached).
 
-    With TENSQ_CACHE_DIR set, a stored file that parses is returned as
-    is.  A missing or unparsable file is a miss: the record is built and
-    the file rewritten atomically, through a temporary file and
-    os.replace, so a reader never sees a partial record.
+    With TENSQ_CACHE_DIR set, a stored file that parses to this tuple's
+    record is returned as is.  Any other file, missing, unparsable or
+    not such a record, is a miss: the record is built and the file
+    rewritten atomically, through a temporary file and os.replace, so a
+    reader never sees a partial record.
     """
     cache_dir = os.environ.get("TENSQ_CACHE_DIR")
     if not cache_dir:
@@ -148,7 +173,9 @@ def _load_record(params: GroupParams, with_oracle: bool) -> tuple[dict, str | No
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        return json.loads(text), text
+        cached = json.loads(text)
+        if _is_record(cached, params, with_oracle):
+            return cached, text
     except (FileNotFoundError, ValueError):
         pass
     record = build_run_record(params, with_oracle)

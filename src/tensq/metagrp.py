@@ -32,6 +32,12 @@ from .errors import OutOfScopeError, ResourceLimitError, ValidationError
 
 BRUTE_ORDER_LIMIT = 10_000
 
+# Every integer tensq prints is at most m^6 n^3, since |nu(G)| = (mn)^2
+# |G (x) G| and |G (x) G| <= m^4 n.  With m and n below 10^400 that stays
+# under Python's 4300-digit limit on int-to-str conversion.
+DIGIT_LIMIT = 400
+_DIGIT_BOUND = 10**DIGIT_LIMIT
+
 
 @dataclass(frozen=True)
 class GroupParams:
@@ -68,8 +74,16 @@ def validate(m: int, n: int, r: int, s: int) -> GroupParams:
 
     Every violated condition is reported.  s is normalized into
     [0, m) first.  Even m raises :class:`OutOfScopeError`, a subclass
-    of :class:`ValidationError`, since only odd m is modelled.
+    of :class:`ValidationError`, since only odd m is modelled.  m or n
+    of more than DIGIT_LIMIT digits is rejected before any other check.
     """
+    oversized = [
+        f"{name} has more than {DIGIT_LIMIT} digits; m and n are limited to {DIGIT_LIMIT} digits"
+        for name, x in (("m", m), ("n", n))
+        if abs(x) >= _DIGIT_BOUND
+    ]
+    if oversized:
+        raise ValidationError(oversized)
     violations = []
     out_of_scope = False
     if m < 1:

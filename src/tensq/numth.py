@@ -42,27 +42,43 @@ def _miller_rabin(x: int) -> bool:
     return True
 
 
-def _rho_factor(x: int) -> int:
-    """A proper divisor of a composite x: Pollard rho with Brent's cycle search."""
+# Brent steps one _prime_factors call may spend, over all restarts and
+# cofactors: about 4 s.  Every composite below _MR_LIMIT has a prime factor
+# below 1.9*10^12, which rho finds in about 10^6 to 2.3*10^6 steps.
+_RHO_BUDGET = 1 << 22
+
+
+def _rho_factor(x: int, budget: int) -> tuple[int, int]:
+    """A proper divisor of a composite x and the budget left over.
+
+    Pollard rho with Brent's cycle search, spending at most ``budget``
+    steps over every restart; raises ResourceLimitError when they run out.
+    """
     for c in count(1):
         y = saved = 2
         steps = limit = g = 1
         while g == 1:
+            if not budget:
+                raise ResourceLimitError(
+                    f"Pollard rho did not split the composite cofactor {x} within {_RHO_BUDGET} steps"
+                )
             if steps == limit:
                 saved, steps, limit = y, 0, 2 * limit
             y = (y * y + c) % x
             steps += 1
+            budget -= 1
             g = gcd(y - saved, x)
         if g != x:
-            return g
+            return g, budget
 
 
 def _prime_factors(x: int) -> list[int]:
     """Distinct prime factors of x >= 1, ascending.
 
-    Composites are split by Pollard rho.  A probable prime at or above
-    _MR_LIMIT cannot be proved prime here, so it raises
-    ResourceLimitError instead of risking a wrong answer.
+    Composites are split by Pollard rho within _RHO_BUDGET steps per
+    call; a cofactor left unsplit raises ResourceLimitError.  A probable
+    prime at or above _MR_LIMIT cannot be proved prime here, so it
+    raises ResourceLimitError instead of risking a wrong answer.
     """
     found = set()
     for p in _MR_BASES:
@@ -73,13 +89,14 @@ def _prime_factors(x: int) -> list[int]:
             while x % p == 0:
                 x //= p
     pending = [x] if x > 1 else []
+    budget = _RHO_BUDGET
     while pending:
         y = pending.pop()
         if y < 43 * 43:
             # No prime below 43 divides y, or none up to sqrt(y): y is prime.
             d = y
         elif not _miller_rabin(y):
-            d = _rho_factor(y)
+            d, budget = _rho_factor(y, budget)
         elif y < _MR_LIMIT:
             d = y
         else:
@@ -97,7 +114,8 @@ def mult_order(r: int, m: int) -> int:
     Requires m >= 2 and gcd(r, m) == 1.  The order divides phi(m), so
     each prime of phi(m) is stripped from phi(m) while r still reaches
     1.  Factoring m and phi(m) costs about m**(1/4) steps of Pollard
-    rho at worst; a probable prime factor at or above _MR_LIMIT raises
+    rho at worst; a cofactor rho cannot split within its budget, or a
+    probable prime factor at or above _MR_LIMIT, raises
     ResourceLimitError.
     """
     if m < 2:

@@ -8,6 +8,8 @@ families of the tensor square,
     g (x) (h h1)  =  (g (x) h1) (g^{h1} (x) h^{h1})
 
 abelianize to integer rows with at most three nonzero entries.  The
+second family is the mirror of the first: swapping the two entries of
+every pair symbol turns one into the other, triple for triple.  The
 quotient of Z^(|G|^2) by the row lattice is the tensor square itself:
 for the groups in scope the tensor square is abelian, so abelianizing
 loses nothing.  Everything downstream (invariant factors, element
@@ -45,22 +47,23 @@ GROUP_ORDER_LIMIT = 45
 
 @dataclass
 class OracleModel:
-    """Indexed pair symbols plus the reduced relation lattice."""
+    """Indexed pair symbols, the reduced relation lattice, the sorted element
+    indices of G' (``derived_ids``) and o'(g) for every element (``oprime``)."""
 
     params: GroupParams
-    n_group: int
     elements: list[Element]
     index: dict[Element, int]
     mul: list[list[int]]
     conj_by: list[list[int]]
     handle: QuotientHandle
-    structure: AbelianStructure
     raw_rows: int
     distinct_rows: int
+    derived_ids: list[int]
+    oprime: list[int]
     ext_handle: QuotientHandle | None = None
 
     def column(self, gi: int, hi: int) -> int:
-        return gi * self.n_group + hi
+        return gi * self.params.order + hi
 
 
 def _normalized_row(c_plus: int, c_minus1: int, c_minus2: int):
@@ -79,9 +82,9 @@ def _normalized_row(c_plus: int, c_minus1: int, c_minus2: int):
 def build_tensor_oracle(params: GroupParams) -> OracleModel:
     """Build and reduce the defining relation lattice of G (x) G.
 
-    Generates the 2*|G|^3 defining rows, deduplicates them after sign
-    normalization, and inserts the distinct rows in sorted order, so the
-    reduced lattice is a deterministic function of the parameters.
+    Generates |G|^3 defining rows and their mirrors, normalizes their
+    signs and inserts the distinct rows in sorted order, so the reduced
+    lattice is a deterministic function of the parameters.
     """
     ng = params.order
     if ng > GROUP_ORDER_LIMIT:
@@ -99,37 +102,32 @@ def build_tensor_oracle(params: GroupParams) -> OracleModel:
     for c in rng:
         act = conj_by[c]
         for g in rng:
-            # first family, g1 = c: (g c) (x) h
-            left = mul[g][c] * ng
-            twisted = act[g] * ng
-            tail = c * ng
+            gc = mul[g][c]
+            gt = act[g]
             for h in rng:
-                row = _normalized_row(left + h, twisted + act[h], tail + h)
-                if row:
-                    rows.add(row)
-            # second family, h1 = c, with g in the h role: x (x) (g c)
-            hc = mul[g][c]
-            hca = act[g]
-            for x in rng:
-                row = _normalized_row(x * ng + hc, x * ng + c, act[x] * ng + hca)
-                if row:
-                    rows.add(row)
+                ht = act[h]
+                # (g c) (x) h = (g^c (x) h^c) (c (x) h), then its mirror, every
+                # pair symbol swapped: the second family at h1 = c,
+                # h (x) (g c) = (h (x) c) (h^c (x) g^c).
+                rows.add(_normalized_row(gc * ng + h, gt * ng + ht, c * ng + h))
+                rows.add(_normalized_row(h * ng + gc, ht * ng + gt, h * ng + c))
+    rows.discard(None)
 
     lattice = RowLattice(ng * ng)
     for row in sorted(rows):
-        lattice.insert(dict(row))
-    handle = quotient_from_lattice(lattice)
+        lattice.insert(row)
+    derived = metagrp.derived_subgroup(params)
     return OracleModel(
         params=params,
-        n_group=ng,
         elements=elems,
         index=index,
         mul=mul,
         conj_by=conj_by,
-        handle=handle,
-        structure=handle.structure,
+        handle=quotient_from_lattice(lattice),
         raw_rows=2 * ng**3,
         distinct_rows=len(rows),
+        derived_ids=sorted(index[e] for e in derived),
+        oprime=[metagrp.coset_order(e, params, derived) for e in elems],
     )
 
 
@@ -137,7 +135,7 @@ def exterior_oracle(model: OracleModel) -> AbelianStructure:
     """Quotient by the diagonal: adjoin a row x[(g,g)] = 0 for every g."""
     if model.ext_handle is None:
         lat = model.handle.lattice.copy()
-        ng = model.n_group
+        ng = model.params.order
         for g in range(ng):
             lat.insert({g * ng + g: 1})
         model.ext_handle = quotient_from_lattice(lat)
@@ -215,9 +213,11 @@ def verify_identities(model: OracleModel) -> SuiteReport:
     """
     p = model.params
     m, n, r, s = p.m, p.n, p.r, p.s
-    ng = model.n_group
+    ng = p.order
     lattice = model.handle.lattice
-    exp = model.structure.torsion_exponent
+    exterior_oracle(model)
+    ext_lattice = model.ext_handle.lattice
+    exp = model.handle.structure.torsion_exponent
     exp2 = 2 * exp
     checks = []
 
@@ -228,8 +228,7 @@ def verify_identities(model: OracleModel) -> SuiteReport:
         return lattice.contains(reduced(coeffs))
 
     def ext_member(coeffs: dict) -> bool:
-        exterior_oracle(model)
-        return model.ext_handle.lattice.contains(reduced(coeffs))
+        return ext_lattice.contains(reduced(coeffs))
 
     index = model.index
     conj_by = model.conj_by
@@ -354,14 +353,9 @@ def verify_identities(model: OracleModel) -> SuiteReport:
     )
 
     # Centrality: conjugation by a commutator value fixes every symbol.
-    comm_ids = set()
-    for g in range(ng):
-        row_g = mul[g]
-        for h in range(ng):
-            xy = elems[row_g[h]]
-            yx = elems[mul[h][g]]
-            comm_ids.add(index[Element(0, (xy.alpha - yx.alpha) % m)])
-
+    # The commutator values are all of G', since every a^(k(r-1)) in G'
+    # equals [a^k, b].
+    derived_ids = model.derived_ids
     checks.append(
         _check(
             "centrality: commutator conjugation fixes all symbols",
@@ -370,7 +364,7 @@ def verify_identities(model: OracleModel) -> SuiteReport:
                     member(_vec((col(conj_by[c][g], conj_by[c][h]), 1), (col(g, h), -1))),
                     f"conj by commutator #{c} moves ({g},{h})",
                 )
-                for c in sorted(comm_ids)
+                for c in derived_ids
                 for g in range(ng)
                 for h in range(ng)
             ),
@@ -390,8 +384,6 @@ def verify_identities(model: OracleModel) -> SuiteReport:
         )
     )
 
-    derived_set = metagrp.derived_subgroup(p)
-    derived_ids = sorted(index[e] for e in derived_set)
     checks.append(
         _check(
             "derived diagonal trivial",
@@ -441,7 +433,7 @@ def verify_identities(model: OracleModel) -> SuiteReport:
 
     checks.append(_check("diagonal constant on derived cosets", diag_on_cosets()))
 
-    oprime = [metagrp.coset_order(e, p, derived_set) for e in elems]
+    oprime = model.oprime
 
     def sym_order_bound():
         for g in range(ng):
@@ -492,18 +484,14 @@ def verify_bounds(model: OracleModel) -> SuiteReport:
             _check(name, [(order != 0 and bound % order == 0, f"measured order {order}, bound {bound}")])
         )
 
-    derived_set = metagrp.derived_subgroup(p)
-
     def odd_diagonal():
-        for h, e in enumerate(model.elements):
-            op = metagrp.coset_order(e, p, derived_set)
+        for h, op in enumerate(model.oprime):
             if op % 2:
                 order = element_order(handle, {col(h, h): 1})
                 yield order != 0 and op % order == 0, f"element #{h}: order {order}, o' = {op}"
 
     def derived_diagonal():
-        for e in sorted(derived_set, key=lambda e: (e.beta, e.alpha)):
-            h = index[e]
+        for h in model.derived_ids:
             order = element_order(handle, {col(h, h): 1})
             yield order == 1, f"element #{h}: order {order}"
 

@@ -48,7 +48,7 @@ def test_criterion_1_closed_forms_match_oracle(sweep_models):
     bad = []
     for tup, model in models.items():
         report = presentations.exterior_and_schur(model.params)
-        if model.structure != report.tensor:
+        if model.handle.structure != report.tensor:
             bad.append((tup, "tensor"))
         if oracle.exterior_oracle(model) != report.exterior:
             bad.append((tup, "exterior"))
@@ -83,7 +83,7 @@ def test_criterion_2_split_family():
                 crosses += 1
                 model = oracle.build_tensor_oracle(p)
                 if (
-                    model.structure != rep.tensor
+                    model.handle.structure != rep.tensor
                     or oracle.exterior_oracle(model) != rep.exterior
                     or oracle.oracle_schur_order(model) != 1
                 ):

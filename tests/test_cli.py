@@ -138,6 +138,19 @@ BIG_PRIME = ["--m", "999999999999999989", "--n", "999999999999999988", "--r", "2
 HUGE_PRIME = ["--m", "10000000000000000000001879", "--n", "10000000000000000000001878", "--r", "2", "--s", "0"]
 
 
+def semiprime(p: int, q: int) -> list[str]:
+    """The tuple g(pq, 2; pq - 1, 0), whose mult_order must factor m = pq."""
+    return ["--m", str(p * q), "--n", "2", "--r", str(p * q - 1), "--s", "0"]
+
+
+# Pollard rho splits two primes near 10^12 within its step budget; two
+# near 10^18 exhaust it and exit 3 instead of running for hours.
+SEMIPRIME = semiprime(999_999_999_989, 1_000_000_000_039)
+HARD_SEMIPRIME = semiprime(999_999_999_999_999_989, 1_000_000_000_000_000_003)
+# |nu(G)| would pass 4300 digits: n of 2201 digits exits 2.
+OVERSIZED_N = ["--m", "3", "--n", str(10**2200), "--r", "2", "--s", "0"]
+
+
 def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -150,8 +163,20 @@ def _cap_address_space():
         (["verify", *BIG, "--suite", "nu"], 3),
         (["compute", *BIG_PRIME], 0),
         (["compute", *HUGE_PRIME], 3),
+        (["compute", *SEMIPRIME], 0),
+        (["compute", *HARD_SEMIPRIME], 3),
+        (["compute", *OVERSIZED_N], 2),
     ],
-    ids=["compute", "emit-nu", "verify-nu", "compute-prime-m", "compute-unprovable-prime-m"],
+    ids=[
+        "compute",
+        "emit-nu",
+        "verify-nu",
+        "compute-prime-m",
+        "compute-unprovable-prime-m",
+        "compute-semiprime-m",
+        "compute-unsplit-semiprime-m",
+        "compute-oversized-n",
+    ],
 )
 def test_big_tuple_runs_in_bounded_time_and_memory(args, code):
     # Every closed form on this tuple stays polylogarithmic in m and n:
@@ -166,6 +191,7 @@ def test_big_tuple_runs_in_bounded_time_and_memory(args, code):
         preexec_fn=_cap_address_space,
     )
     assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 SMALL = ["--m", "3", "--n", "2", "--r", "2", "--s", "0"]
@@ -291,24 +317,29 @@ def test_schema_version_is_in_the_cache_key(tmp_path, monkeypatch, capsys):
 
 
 def test_truncated_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
+    # A truncated file does not parse; the other bodies parse but are not
+    # a record.  Each is a miss, and the record is built and rewritten.
     monkeypatch.setenv("TENSQ_CACHE_DIR", str(tmp_path))
     argv = ["compute", "--m", "3", "--n", "2", "--r", "2", "--s", "0"]
     assert main(argv) == 0
     (path,) = tmp_path.glob("*.json")
-    path.write_text(capsys.readouterr().out[:40])
-    assert main(argv) == 0
-    text = capsys.readouterr().out
-    assert json.loads(text)["params"] == {"m": 3, "n": 2, "r": 2, "s": 0}
-    assert path.read_text() == text
-
+    full = capsys.readouterr().out
     manifest = tmp_path / "manifest.txt"
     manifest.write_text(json.dumps({"tuples": [[3, 2, 2, 0]]}))
-    path.write_text(text[:-10])
-    assert main(["batch", "--manifest", str(manifest)]) == 0
-    (row,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert row["status"] == "ok"
-    assert path.read_text() == json.dumps(row["record"], sort_keys=True, indent=2) + "\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, manifest.name])
+    for body in (full[:40], full[:-10], "{}", "[1, 2]", "null"):
+        path.write_text(body)
+        assert main(argv) == 0, body
+        text = capsys.readouterr().out
+        assert json.loads(text)["params"] == {"m": 3, "n": 2, "r": 2, "s": 0}
+        assert json.loads(text).keys() == json.loads(full).keys()
+        assert path.read_text() == text
+
+        path.write_text(body)
+        assert main(["batch", "--manifest", str(manifest)]) == 0, body
+        (row,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert row["status"] == "ok"
+        assert path.read_text() == json.dumps(row["record"], sort_keys=True, indent=2) + "\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, manifest.name])
 
 
 def test_verify_suites_match_golden(capsys):

@@ -131,6 +131,28 @@ def test_power_matches_repeated_mul_full_sweep():
             assert metagrp.power(g, -3, p) == metagrp.power(metagrp.inverse(g, p), 3, p)
 
 
+def test_commutator_values_are_the_derived_subgroup():
+    # The oracle's centrality check conjugates by G' in place of the set
+    # of commutator values; the two sets are equal.  The values [g, h]
+    # over all h are g^-1 times the conjugacy class of g, and that class
+    # is the orbit of g under conjugation by the generators a and b.
+    gens = (Element(0, 1), Element(1, 0))
+    for p in metagrp.enumerate_valid_tuples(200, include_s_zero=True):
+        values = set()
+        for g in metagrp.elements(p):
+            ginv = metagrp.inverse(g, p)
+            orbit, frontier = {g}, [g]
+            while frontier:
+                x = frontier.pop()
+                for c in gens:
+                    y = metagrp.conj(x, c, p)
+                    if y not in orbit:
+                        orbit.add(y)
+                        frontier.append(y)
+            values |= {metagrp.mul(ginv, x, p) for x in orbit}
+        assert values == metagrp.derived_subgroup(p), p
+
+
 def test_split_tuple_validates_only_for_even_n():
     for m in (3, 5, 7, 9, 15):
         for n in (2, 4, 6):

@@ -21,7 +21,7 @@ DATA = Path(__file__).parent / "data"
 
 def conjugation_permutation(model, c):
     """Column permutation induced by (g, h) -> (g^c, h^c)."""
-    ng = model.n_group
+    ng = model.params.order
     act_c = model.conj_by[model.index[c]]
     return [act_c[g] * ng + act_c[h] for g in range(ng) for h in range(ng)]
 
@@ -29,7 +29,7 @@ def conjugation_permutation(model, c):
 def act(model, vec, c):
     """Image of a dense coefficient vector under conjugation by c."""
     vec = list(vec)
-    ncols = model.n_group**2
+    ncols = model.params.order**2
     if len(vec) != ncols:
         raise TensqError(f"vector of length {len(vec)}, expected {ncols}")
     out = [0] * ncols
@@ -50,11 +50,11 @@ def model_9343():
 
 def test_oracle_3220(model_3220):
     m = model_3220
-    assert m.n_group == 6
+    assert m.params.order == 6
     assert m.handle.lattice.ncols == 36
     assert m.raw_rows == 432
     assert m.distinct_rows == 305
-    assert m.structure.invariant_factors == (6,)
+    assert m.handle.structure.invariant_factors == (6,)
     assert exterior_oracle(m).invariant_factors == (3,)
     assert oracle_schur_order(m) == 1
 
@@ -63,7 +63,7 @@ def test_oracle_9343(model_9343):
     m = model_9343
     assert m.raw_rows == 39366
     assert m.distinct_rows == 34559
-    assert m.structure.invariant_factors == (3, 3, 3, 3)
+    assert m.handle.structure.invariant_factors == (3, 3, 3, 3)
     assert exterior_oracle(m).invariant_factors == (3,)
     assert oracle_schur_order(m) == 1
 
@@ -71,7 +71,7 @@ def test_oracle_9343(model_9343):
 def test_oracle_agrees_with_closed_delta(model_3220, model_9343):
     for model in (model_3220, model_9343):
         report = exterior_and_schur(model.params)
-        assert model.structure.order == exterior_oracle(model).order * report.delta_order
+        assert model.handle.structure.order == exterior_oracle(model).order * report.delta_order
         assert oracle_schur_order(model) == report.schur.order
 
 
@@ -102,7 +102,7 @@ def test_act_rejects_wrong_length(model_3220):
 
 def test_act_preserves_lattice_membership(model_3220):
     m = model_3220
-    ncols = m.n_group**2
+    ncols = m.params.order**2
     rows = [dict(row) for row in m.handle.lattice.pivots.values()]
     for c in m.elements:
         for row in rows:
@@ -123,7 +123,7 @@ def test_relabel_invariance(model_3220):
     # Permuting the element indexing permutes columns by (g, h) ->
     # (sg, sh); the quotient structure must not change.
     m = model_3220
-    ng = m.n_group
+    ng = m.params.order
     rng = random.Random(20260815)
     sigma = list(range(ng))
     rng.shuffle(sigma)
@@ -133,7 +133,17 @@ def test_relabel_invariance(model_3220):
             {sigma[c // ng] * ng + sigma[c % ng]: v for c, v in row.items()}
         )
     handle = abgrp.quotient_from_lattice(lat)
-    assert handle.structure == m.structure
+    assert handle.structure == m.handle.structure
+
+
+def test_transposition_maps_the_lattice_to_itself(model_9343):
+    # The second relation family is the first with every pair symbol
+    # (g, h) swapped to (h, g), so swapping maps the lattice onto itself.
+    for model in (build_tensor_oracle(metagrp.validate(7, 3, 2, 0)), model_9343):
+        ng = model.params.order
+        for row in model.handle.lattice.pivots.values():
+            swapped = {(c % ng) * ng + c // ng: v for c, v in row.items()}
+            assert model.handle.lattice.contains(swapped)
 
 
 def test_derived_diagonal_already_trivial(model_9343):
