@@ -9,13 +9,16 @@ Smith normal form.
 The central object is :class:`RowLattice`, an integer row lattice kept
 as an echelon basis (one basis row per pivot column, pivot = leftmost
 nonzero entry, kept positive).  ``RowLattice.insert`` is the only
-elimination in the module.  Finitely generated abelian groups are
-presented as Z^n modulo such a lattice; their canonical invariant
-factors come from a Smith normal form of the small core left after
-eliminating every unit pivot, reached by alternating echelon passes
-over the core's rows and columns.  Every query against the lattice,
-membership and element order alike, is one walk down the echelon basis:
-``RowLattice.order``.
+elimination in the module.  A lattice given a modulus M that the
+quotient's exponent divides starts from M * Z^n and keeps every basis
+entry below M (Domich, Kannan and Trotter's bound for the Hermite
+normal form); without one, entries are never reduced.  Finitely
+generated abelian groups are presented as Z^n modulo such a lattice;
+their canonical invariant factors come from a Smith normal form of the
+small core left after eliminating every unit pivot, reached by
+alternating echelon passes over the core's rows and columns.  Every
+query against the lattice, membership and element order alike, is one
+walk down the echelon basis: ``RowLattice.order``.
 """
 
 from __future__ import annotations
@@ -53,18 +56,49 @@ def _axpy(target: dict, c: int, source: dict) -> None:
 
 
 class RowLattice:
-    """Sublattice of Z^ncols spanned by inserted integer rows."""
+    """Sublattice of Z^ncols spanned by inserted integer rows.
 
-    __slots__ = ("ncols", "pivots")
+    With a ``modulus`` M the lattice starts as M * Z^ncols, the row
+    M * e_j at every column j, so it always has full rank and every
+    pivot divides M.  A pivot row built in a gcd step then has its tail
+    reduced modulo the pivots of the later columns, which keeps every
+    basis entry below M; the lattice so built is L + M * Z^ncols, equal
+    to L exactly when M is a multiple of the exponent of Z^ncols / L.
+    Without a modulus entries are never reduced.
+    """
 
-    def __init__(self, ncols: int):
+    __slots__ = ("ncols", "pivots", "modulus")
+
+    def __init__(self, ncols: int, modulus: int | None = None):
         self.ncols = ncols
-        self.pivots: dict[int, dict] = {}
+        self.modulus = modulus
+        self.pivots: dict[int, dict] = (
+            {} if modulus is None else {j: {j: modulus} for j in range(ncols)}
+        )
 
     def copy(self) -> "RowLattice":
         dup = RowLattice(self.ncols)
+        dup.modulus = self.modulus
         dup.pivots = {j: dict(row) for j, row in self.pivots.items()}
         return dup
+
+    def _reduce_tail(self, row: dict, j: int) -> None:
+        """Reduce row's entries right of column j modulo the pivots there.
+
+        Needs a pivot at every such column, as a lattice with a modulus
+        has; afterwards each entry lies in [0, pivot of its column).
+        """
+        heap = [k for k in row if k > j]
+        heapq.heapify(heap)
+        while heap:
+            k = heapq.heappop(heap)
+            piv = self.pivots[k]
+            q = row.get(k, 0) // piv[k]
+            if q:
+                for col in piv:
+                    if col not in row:
+                        heapq.heappush(heap, col)
+                _axpy(row, -q, piv)
 
     def insert(self, row) -> None:
         """Add a row (dict or iterable of (col, coeff)) to the lattice."""
@@ -74,6 +108,7 @@ class RowLattice:
                 raise TensqError("lattice rows must have integer entries")
         pending = [vec]
         pivots = self.pivots
+        modulus = self.modulus
         while pending:
             vec = pending.pop()
             # Columns are consumed in ascending order; reductions only
@@ -97,10 +132,16 @@ class RowLattice:
                     new = {}
                     _axpy(new, x, piv)
                     _axpy(new, y, vec)
+                    if modulus is not None:
+                        self._reduce_tail(new, j)
                     old = piv
                     pivots[j] = new
                     rem = dict(old)
                     _axpy(rem, -(old[j] // g), new)
+                    if modulus is not None:
+                        # The lattice holds M * Z^ncols, so only the
+                        # residues of rem modulo M matter.
+                        rem = {k: v % modulus for k, v in rem.items() if v % modulus}
                     if rem:
                         pending.append(rem)
                     piv = new
@@ -156,7 +197,16 @@ class RowLattice:
         Leaves the lattice unchanged as a set; afterwards a unit-pivot
         row is the only row touching its pivot column, so row and
         column can be dropped when reading off the quotient.
+
+        With a modulus every column has a pivot, so reducing each row's
+        tail modulo the later pivots, last row first, does it: a reduced
+        row has 0 under every unit pivot, and the rows it is reduced by
+        are reduced already, so every entry stays below the modulus.
         """
+        if self.modulus is not None:
+            for j in sorted(self.pivots, reverse=True):
+                self._reduce_tail(self.pivots[j], j)
+            return
         unit_cols = sorted(j for j, row in self.pivots.items() if row[j] == 1)
         for j in unit_cols:
             piv = self.pivots[j]

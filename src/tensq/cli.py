@@ -176,7 +176,8 @@ def _load_record(params: GroupParams, with_oracle: bool) -> tuple[dict, str | No
         cached = json.loads(text)
         if _is_record(cached, params, with_oracle):
             return cached, text
-    except (FileNotFoundError, ValueError):
+    except (FileNotFoundError, ValueError, RecursionError):
+        # json raises RecursionError on deeply nested arrays or objects.
         pass
     record = build_run_record(params, with_oracle)
     text = _record_json(record)
@@ -267,7 +268,7 @@ def _load_manifest(path: str) -> list:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValidationError([f"cannot read manifest {path}: {exc}"])
     if not isinstance(manifest, dict):
         raise ValidationError([f"manifest {path} must be a JSON object"])

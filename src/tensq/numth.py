@@ -48,11 +48,19 @@ def _miller_rabin(x: int) -> bool:
 _RHO_BUDGET = 1 << 22
 
 
+# Brent steps whose differences |y - saved| are multiplied modulo x before
+# one gcd is taken.
+_RHO_BLOCK = 128
+
+
 def _rho_factor(x: int, budget: int) -> tuple[int, int]:
     """A proper divisor of a composite x and the budget left over.
 
     Pollard rho with Brent's cycle search, spending at most ``budget``
     steps over every restart; raises ResourceLimitError when they run out.
+    The differences of a block of up to _RHO_BLOCK steps are multiplied
+    modulo x and share one gcd; a block whose gcd is x is replayed step
+    by step, since its factors may have met in different steps.
     """
     for c in count(1):
         y = saved = 2
@@ -62,12 +70,26 @@ def _rho_factor(x: int, budget: int) -> tuple[int, int]:
                 raise ResourceLimitError(
                     f"Pollard rho did not split the composite cofactor {x} within {_RHO_BUDGET} steps"
                 )
-            if steps == limit:
-                saved, steps, limit = y, 0, 2 * limit
-            y = (y * y + c) % x
-            steps += 1
-            budget -= 1
-            g = gcd(y - saved, x)
+            block = (y, saved, steps, limit)
+            size = min(_RHO_BLOCK, budget)
+            budget -= size
+            product = 1
+            for _ in range(size):
+                if steps == limit:
+                    saved, steps, limit = y, 0, 2 * limit
+                y = (y * y + c) % x
+                steps += 1
+                product = product * (y - saved) % x
+            g = gcd(product, x)
+        if g == x:
+            y, saved, steps, limit = block
+            g = 1
+            while g == 1:
+                if steps == limit:
+                    saved, steps, limit = y, 0, 2 * limit
+                y = (y * y + c) % x
+                steps += 1
+                g = gcd(y - saved, x)
         if g != x:
             return g, budget
 

@@ -15,6 +15,14 @@ for the groups in scope the tensor square is abelian, so abelianizing
 loses nothing.  Everything downstream (invariant factors, element
 orders, identity checks) is a question about this lattice.
 
+Two proved reductions keep the build small and exact.  Rows are
+generated only for second variables g1 in the conjugacy classes of the
+generators a and b, 2 |a^G u b^G| |G|^2 rows instead of 2|G|^3, which
+span the same lattice.  And the lattice is seeded with M * Z^(|G|^2)
+for M = 2|G|^2, a multiple of the exponent of G (x) G (the modulus
+method of Domich, Kannan and Trotter for Hermite normal forms), so no
+coefficient exceeds M while the quotient is unchanged.
+
 The verification suites re-check, instance by instance, the statements
 the closed forms were derived from: the twelve power identities, the
 relation tying n-th powers of (b, b) to s-th powers of the mixed
@@ -42,7 +50,7 @@ from .errors import FormulaInconsistencyError, ResourceLimitError
 from .metagrp import Element, GroupParams
 from .presentations import upsilon_order_bounds
 
-GROUP_ORDER_LIMIT = 45
+GROUP_ORDER_LIMIT = 100
 
 
 @dataclass
@@ -79,12 +87,63 @@ def _normalized_row(c_plus: int, c_minus1: int, c_minus2: int):
     return tuple(items)
 
 
+def tensor_exponent_bound(order: int) -> int:
+    """M = 2|G|^2, a multiple of the exponents of G (x) G and G ^ G.
+
+    The tensor square is an extension 1 -> J2(G) -> G (x) G -> G' -> 1,
+    so its exponent divides |G'| exp J2(G).  Brown-Loday's exact
+    sequence Gamma(G^ab) -> J2(G) -> M(G) -> 0 makes exp J2(G) divide
+    exp Gamma(G^ab) exp M(G).  The exponent of Gamma(A) divides 2 exp A,
+    so 2|G^ab|, and by Schur exp(M(G))^2 divides |G|, so exp M(G)
+    divides |G|.  Hence exp(G (x) G) divides |G'| * 2|G^ab| * |G| =
+    2|G|^2, and G ^ G, a quotient of G (x) G, has an exponent dividing
+    it too.
+    """
+    return 2 * order * order
+
+
+def _bounded_quotient(lattice: RowLattice) -> QuotientHandle:
+    """The quotient of a lattice seeded with M * Z^N, checked against M.
+
+    Seeding turns the quotient A into A / MA, whose invariant factors
+    are gcd(d, M) for those d of A.  One equal to M is where a d that is
+    a proper multiple of M would show, so it is refused rather than
+    trusted; the bound's proof says it cannot happen.
+    """
+    handle = quotient_from_lattice(lattice)
+    if lattice.modulus in handle.structure.invariant_factors:
+        raise FormulaInconsistencyError(
+            f"oracle quotient {handle.structure} has the exponent bound "
+            f"{lattice.modulus} as an invariant factor"
+        )
+    return handle
+
+
 def build_tensor_oracle(params: GroupParams) -> OracleModel:
     """Build and reduce the defining relation lattice of G (x) G.
 
-    Generates |G|^3 defining rows and their mirrors, normalizes their
-    signs and inserts the distinct rows in sorted order, so the reduced
-    lattice is a deterministic function of the parameters.
+    The lattice is seeded with M * Z^(|G|^2), M = tensor_exponent_bound,
+    which leaves it unchanged and keeps every coefficient below M.
+
+    Rows are generated only for second variables c in S = a^G u b^G,
+    the union of the conjugacy classes of the generators.  Write
+    R(g, c, h) = [gc, h] - [g^c, h^c] - [c, h] for the first family's
+    row, [x, y] the column of the pair symbol (x, y).  Since conjugation
+    is a right action,
+
+        R(g, c1 c2, h) = R(g c1, c2, h) + R(g^c2, c1^c2, h^c2) - R(c1, c2, h),
+
+    so if every conjugate of c1 and of c2 has all its rows in the
+    lattice L, so does every conjugate (c1 c2)^x = c1^x c2^x.  The set
+    of such c contains S and is closed under products, so it is all of
+    the finite group G = <a, b>.  The mirrored family is the same
+    identity with every pair symbol swapped.  Hence |S| * |G|^2 rows and
+    their mirrors span the lattice of all 2|G|^3 rows.
+
+    Their distinct normalized forms are inserted in descending order, so
+    the reduced lattice is a deterministic function of the parameters,
+    and most later columns already hold their final, mostly unit, pivots
+    when a row reaches them, which keeps the reduced pivot rows short.
     """
     ng = params.order
     if ng > GROUP_ORDER_LIMIT:
@@ -96,10 +155,12 @@ def build_tensor_oracle(params: GroupParams) -> OracleModel:
     index = {e: i for i, e in enumerate(elems)}
     mul = [[index[metagrp.mul(g, h, params)] for h in elems] for g in elems]
     conj_by = [[index[metagrp.conj(h, c, params)] for h in elems] for c in elems]
+    rng = range(ng)
+    gens = (index[Element(0, 1)], index[Element(1, 0)])
+    second = sorted({conj_by[x][gen] for gen in gens for x in rng})
 
     rows = set()
-    rng = range(ng)
-    for c in rng:
+    for c in second:
         act = conj_by[c]
         for g in rng:
             gc = mul[g][c]
@@ -113,8 +174,8 @@ def build_tensor_oracle(params: GroupParams) -> OracleModel:
                 rows.add(_normalized_row(h * ng + gc, ht * ng + gt, h * ng + c))
     rows.discard(None)
 
-    lattice = RowLattice(ng * ng)
-    for row in sorted(rows):
+    lattice = RowLattice(ng * ng, modulus=tensor_exponent_bound(ng))
+    for row in sorted(rows, reverse=True):
         lattice.insert(row)
     derived = metagrp.derived_subgroup(params)
     return OracleModel(
@@ -123,8 +184,8 @@ def build_tensor_oracle(params: GroupParams) -> OracleModel:
         index=index,
         mul=mul,
         conj_by=conj_by,
-        handle=quotient_from_lattice(lattice),
-        raw_rows=2 * ng**3,
+        handle=_bounded_quotient(lattice),
+        raw_rows=2 * len(second) * ng * ng,
         distinct_rows=len(rows),
         derived_ids=sorted(index[e] for e in derived),
         oprime=[metagrp.coset_order(e, params, derived) for e in elems],
@@ -138,7 +199,7 @@ def exterior_oracle(model: OracleModel) -> AbelianStructure:
         ng = model.params.order
         for g in range(ng):
             lat.insert({g * ng + g: 1})
-        model.ext_handle = quotient_from_lattice(lat)
+        model.ext_handle = _bounded_quotient(lat)
     return model.ext_handle.structure
 
 

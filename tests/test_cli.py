@@ -53,7 +53,7 @@ def test_validation_exit_code(capsys):
 
 
 def test_resource_exit_code(capsys):
-    rc = main(["compute", "--m", "7", "--n", "8", "--r", "6", "--s", "0", "--oracle"])
+    rc = main(["compute", "--m", "11", "--n", "10", "--r", "10", "--s", "0", "--oracle"])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
 
@@ -285,6 +285,26 @@ def test_batch_rejects_bad_manifest(tmp_path, capsys):
         assert main(["batch", "--manifest", str(bad)]) == 2, body
         err = capsys.readouterr().err
         assert err.startswith("error: manifest ") and named in err, (body, err)
+
+
+def test_deeply_nested_manifest_exits_2(tmp_path, capsys):
+    bad = tmp_path / "nested.json"
+    bad.write_text("[" * 100_000)
+    assert main(["batch", "--manifest", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read manifest {bad}")
+
+
+def test_deeply_nested_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TENSQ_CACHE_DIR", str(tmp_path))
+    argv = ["compute", "--m", "3", "--n", "2", "--r", "2", "--s", "0"]
+    assert main(argv) == 0
+    (path,) = tmp_path.glob("*.json")
+    capsys.readouterr()
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert json.loads(text)["params"] == {"m": 3, "n": 2, "r": 2, "s": 0}
+    assert path.read_text() == text
 
 
 def test_cache_returns_stored_bytes(tmp_path, monkeypatch, capsys):

@@ -1,13 +1,15 @@
 import json
 import random
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from tensq import abgrp, metagrp
-from tensq.errors import ResourceLimitError, TensqError
+from tensq import abgrp, metagrp, oracle
+from tensq.errors import FormulaInconsistencyError, ResourceLimitError, TensqError
 from tensq.metagrp import Element
 from tensq.oracle import (
+    _normalized_row,
     build_tensor_oracle,
     exterior_oracle,
     oracle_schur_order,
@@ -17,6 +19,37 @@ from tensq.oracle import (
 from tensq.presentations import exterior_and_schur
 
 DATA = Path(__file__).parent / "data"
+
+
+def family_rows(model):
+    """The distinct normalized rows of both relation families over every
+    second variable c in G: 2|G|^3 rows before deduplication."""
+    ng = model.params.order
+    mul, conj_by = model.mul, model.conj_by
+    rows = set()
+    for c in range(ng):
+        act = conj_by[c]
+        for g in range(ng):
+            gc, gt = mul[g][c], act[g]
+            for h in range(ng):
+                ht = act[h]
+                rows.add(_normalized_row(gc * ng + h, gt * ng + ht, c * ng + h))
+                rows.add(_normalized_row(h * ng + gc, ht * ng + gt, h * ng + c))
+    rows.discard(None)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def exact_reference(tup):
+    """Every family row inserted in sorted order into a lattice without a
+    modulus, unit columns cleared: the oracle lattice built exactly, with
+    no exponent bound and no generating set."""
+    model = build_tensor_oracle(metagrp.validate(*tup))
+    lattice = abgrp.RowLattice(model.params.order ** 2)
+    for row in sorted(family_rows(model)):
+        lattice.insert(row)
+    lattice.clear_unit_columns()
+    return lattice
 
 
 def conjugation_permutation(model, c):
@@ -52,7 +85,7 @@ def test_oracle_3220(model_3220):
     m = model_3220
     assert m.params.order == 6
     assert m.handle.lattice.ncols == 36
-    assert m.raw_rows == 432
+    assert m.raw_rows == 360
     assert m.distinct_rows == 305
     assert m.handle.structure.invariant_factors == (6,)
     assert exterior_oracle(m).invariant_factors == (3,)
@@ -61,8 +94,8 @@ def test_oracle_3220(model_3220):
 
 def test_oracle_9343(model_9343):
     m = model_9343
-    assert m.raw_rows == 39366
-    assert m.distinct_rows == 34559
+    assert m.raw_rows == 8748
+    assert m.distinct_rows == 8369
     assert m.handle.structure.invariant_factors == (3, 3, 3, 3)
     assert exterior_oracle(m).invariant_factors == (3,)
     assert oracle_schur_order(m) == 1
@@ -76,8 +109,44 @@ def test_oracle_agrees_with_closed_delta(model_3220, model_9343):
 
 
 def test_group_order_limit():
+    assert metagrp.validate(11, 10, 10, 0).order > oracle.GROUP_ORDER_LIMIT
     with pytest.raises(ResourceLimitError):
-        build_tensor_oracle(metagrp.validate(7, 8, 6, 0))
+        build_tensor_oracle(metagrp.validate(11, 10, 10, 0))
+
+
+def test_oracle_matches_closed_forms_past_order_45():
+    for tup in ((9, 6, 4, 3), (27, 3, 10, 9)):
+        model = build_tensor_oracle(metagrp.validate(*tup))
+        report = exterior_and_schur(model.params)
+        assert model.params.order > 45
+        assert model.handle.structure == report.tensor, tup
+        assert exterior_oracle(model) == report.exterior, tup
+        assert oracle_schur_order(model) == report.schur.order, tup
+
+
+def test_generating_set_spans_every_family_row():
+    # Rows for c in a^G u b^G span the rows of every c in G.
+    for p in metagrp.enumerate_valid_tuples(45, include_s_zero=True):
+        model = build_tensor_oracle(p)
+        lattice = model.handle.lattice
+        assert all(lattice.contains(dict(row)) for row in family_rows(model)), tuple(p)
+
+
+def test_exponent_bound_seeds_lie_in_the_exact_lattice():
+    # M * e_j lies in the lattice of all rows, so seeding with M * Z^N
+    # leaves it unchanged.
+    for p in metagrp.enumerate_valid_tuples(30, include_s_zero=True):
+        exact = exact_reference((p.m, p.n, p.r, p.s))
+        bound = oracle.tensor_exponent_bound(p.order)
+        assert all(exact.contains({j: bound}) for j in range(exact.ncols)), tuple(p)
+
+
+def test_exponent_bound_equal_to_the_exponent_raises(model_9343, monkeypatch):
+    # With M the tensor exponent itself, M is an invariant factor.
+    exponent = model_9343.handle.structure.torsion_exponent
+    monkeypatch.setattr(oracle, "tensor_exponent_bound", lambda order: exponent)
+    with pytest.raises(FormulaInconsistencyError):
+        build_tensor_oracle(model_9343.params)
 
 
 def test_act_on_basis_vector(model_3220):
@@ -179,8 +248,8 @@ def test_bounds_suite_passes(model_3220, model_9343):
         assert any("odd o'(h)" in n for n in names)
 
 
-# Sublattice models: the lattice keeps only the pivot rows of the first
-# half of its pivot columns, so every check family except the tautology
+# Sublattice models: the exact reference keeps only the pivot rows of the
+# first half of its pivot columns, so every check family except the tautology
 # fails somewhere.  (15,2,4,10) takes the "2 || s" branch of the n-s
 # relation.  The golden pins each check's (name, instances, failed,
 # examples) from both suites.
@@ -189,7 +258,7 @@ FAILURE_PANEL = [(9, 3, 4, 3), (7, 3, 2, 0), (15, 2, 4, 10)]
 
 def _sublattice_model(tup):
     model = build_tensor_oracle(metagrp.validate(*tup))
-    lat = model.handle.lattice
+    lat = exact_reference(tup)
     sub = abgrp.RowLattice(lat.ncols)
     keep = sorted(lat.pivots)[: len(lat.pivots) // 2]
     sub.pivots = {j: dict(lat.pivots[j]) for j in keep}
