@@ -16,12 +16,12 @@ loses nothing.  Everything downstream (invariant factors, element
 orders, identity checks) is a question about this lattice.
 
 Two proved reductions keep the build small and exact.  Rows are
-generated only for second variables g1 in the conjugacy classes of the
-generators a and b, 2 |a^G u b^G| |G|^2 rows instead of 2|G|^3, which
-span the same lattice.  And the lattice is seeded with M * Z^(|G|^2)
-for M = 2|G|^2, a multiple of the exponent of G (x) G (the modulus
-method of Domich, Kannan and Trotter for Hermite normal forms), so no
-coefficient exceeds M while the quotient is unchanged.
+generated only for second variables g1 in {a, b}, the generators,
+4|G|^2 rows instead of 2|G|^3, which span the same lattice.  And the
+lattice is seeded with M * Z^(|G|^2) for M = 2|G|^2, a multiple of the
+exponent of G (x) G (the modulus method of Domich, Kannan and Trotter
+for Hermite normal forms), so no coefficient exceeds M while the
+quotient is unchanged.
 
 The verification suites re-check, instance by instance, the statements
 the closed forms were derived from: the twelve power identities, the
@@ -125,20 +125,22 @@ def build_tensor_oracle(params: GroupParams) -> OracleModel:
     The lattice is seeded with M * Z^(|G|^2), M = tensor_exponent_bound,
     which leaves it unchanged and keeps every coefficient below M.
 
-    Rows are generated only for second variables c in S = a^G u b^G,
-    the union of the conjugacy classes of the generators.  Write
-    R(g, c, h) = [gc, h] - [g^c, h^c] - [c, h] for the first family's
-    row, [x, y] the column of the pair symbol (x, y).  Since conjugation
-    is a right action,
+    Rows are generated only for second variables c in S = {a, b}, the
+    generators.  Write R(g, c, h) = [gc, h] - [g^c, h^c] - [c, h] for
+    the first family's row, [x, y] the column of the pair symbol (x, y).
+    Since conjugation is a right action,
 
         R(g, c1 c2, h) = R(g c1, c2, h) + R(g^c2, c1^c2, h^c2) - R(c1, c2, h),
 
-    so if every conjugate of c1 and of c2 has all its rows in the
-    lattice L, so does every conjugate (c1 c2)^x = c1^x c2^x.  The set
-    of such c contains S and is closed under products, so it is all of
-    the finite group G = <a, b>.  The mirrored family is the same
-    identity with every pair symbol swapped.  Hence |S| * |G|^2 rows and
-    their mirrors span the lattice of all 2|G|^3 rows.
+    so if c2 and c1^c2 have all their rows in the lattice L, so has
+    c1 c2: each term on the right is a row of one of them.  Taking
+    c1 = a^(k-1) and c2 = a, where c1^c2 = c1, gives every power of a by
+    induction on k, the identity a^m included, and every power of b
+    likewise.  Taking c1 = a^i and c2 = b^j, where c1^c2 = a^(i r^j) is
+    a power of a, gives every a^i b^j, and these are all of
+    G = <a><b>.  The mirrored family is the same identity with every
+    pair symbol swapped.  Hence 2|G|^2 rows and their mirrors
+    span the lattice of all 2|G|^3 rows.
 
     Their distinct normalized forms are inserted in descending order, so
     the reduced lattice is a deterministic function of the parameters,
@@ -156,8 +158,7 @@ def build_tensor_oracle(params: GroupParams) -> OracleModel:
     mul = [[index[metagrp.mul(g, h, params)] for h in elems] for g in elems]
     conj_by = [[index[metagrp.conj(h, c, params)] for h in elems] for c in elems]
     rng = range(ng)
-    gens = (index[Element(0, 1)], index[Element(1, 0)])
-    second = sorted({conj_by[x][gen] for gen in gens for x in rng})
+    second = (index[Element(0, 1)], index[Element(1, 0)])  # a, b
 
     rows = set()
     for c in second:

@@ -111,14 +111,17 @@ def test_criterion_4_coset_enumeration():
     ok = True
     parts = []
     for tup, order in [((3, 2, 2, 0), 216), ((7, 3, 2, 0), 9261)]:
+        params = metagrp.validate(*tup)
         start = time.perf_counter()
-        cert = fpgrp.certify_nu_order(metagrp.validate(*tup))
+        cert = fpgrp.certify_nu_order(params)
+        # The trivial-subgroup run cross-checks the <x1, y1> certificate.
+        full = fpgrp.todd_coxeter(presentations.nu_presentation(params))
         dt = time.perf_counter() - start
-        good = cert.status == "PASS" and cert.enumerated == order and dt < 60
+        good = cert.status == "PASS" and cert.enumerated == full.order == order and dt < 60
         ok = ok and good
         parts.append(
-            f"nu(g{tup}) enumerated to {cert.enumerated} "
-            f"(want {order}, {dt:.1f}s, limit 60s)"
+            f"nu(g{tup}) enumerated to {cert.enumerated} over <x1, y1> and "
+            f"{full.order} over 1 (want {order}, {dt:.1f}s, limit 60s)"
         )
     _report(4, ok, "; ".join(parts))
 

@@ -42,6 +42,14 @@ def test_enumeration_classics():
         assert result.order == order
 
 
+def test_enumeration_over_a_subgroup_gives_its_index():
+    s3 = pres(("x", "y"), (((0, 2),), ((1, 3),), ((0, 1), (1, 1), (0, 1), (1, 1))))
+    x, y = ((0, 1),), ((1, 1),)
+    assert todd_coxeter(s3, subgroup=(x,)).order == 3
+    assert todd_coxeter(s3, subgroup=(y,)).order == 2
+    assert todd_coxeter(s3, subgroup=(x, y)).order == 1
+
+
 def test_enumeration_overflow_is_a_value():
     result = todd_coxeter(pres(("x",), (((0, 5),),)), max_cosets=2)
     assert result.order is None
@@ -114,7 +122,51 @@ def test_certify_small_group():
     assert result.status == "PASS"
     assert result.predicted == 216
     assert result.enumerated == 216
+    assert result.cosets_used == 122
+
+
+def test_trivial_subgroup_enumeration_of_small_nu():
+    # The definitional run, |nu(G)| cosets at least, that the H = <x1, y1>
+    # certificate replaced.
+    result = todd_coxeter(nu_presentation(metagrp.validate(3, 2, 2, 0)))
+    assert result.order == 216
     assert result.cosets_used == 559
+
+
+def test_certify_reaches_past_the_trivial_subgroup_budget():
+    # Over the trivial subgroup (13,3,3,0) takes 399,199 cosets and
+    # (7,6,2,0) more than 4*10^5.
+    for tup, order, cosets in (((7, 6, 2, 0), 74088, 14404), ((13, 3, 3, 0), 59319, 11216)):
+        result = certify_nu_order(metagrp.validate(*tup))
+        assert result.status == "PASS", tup
+        assert result.enumerated == result.predicted == order, tup
+        assert result.cosets_used == cosets, tup
+
+
+def evaluate(word, images, p):
+    out = metagrp.IDENTITY
+    for gen, exp in word:
+        out = metagrp.mul(out, metagrp.power(images[gen], exp, p), p)
+    return out
+
+
+def test_projection_to_g_kills_every_nu_relator():
+    # x1 -> a, y1 -> b, every other generator -> 1 is a homomorphism
+    # nu(G) -> G mapping H = <x1, y1> onto G: the |H| >= |G| half of the
+    # certificate's |H| = mn.
+    images = [metagrp.Element(0, 1), metagrp.Element(1, 0)] + [metagrp.IDENTITY] * 6
+    for p in metagrp.enumerate_valid_tuples(100, include_s_zero=True):
+        for word in nu_presentation(p).relators:
+            assert evaluate(word, images, p) == metagrp.IDENTITY, (p, word)
+
+
+def test_certificate_agrees_with_the_trivial_subgroup_run():
+    pool = metagrp.enumerate_valid_tuples(21, include_s_zero=True)
+    assert len(pool) == 11
+    for p in pool:
+        full = todd_coxeter(nu_presentation(p))
+        assert full.order is not None, p
+        assert certify_nu_order(p).enumerated == full.order, p
 
 
 def test_certify_inconclusive_on_tiny_table():
