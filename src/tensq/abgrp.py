@@ -12,7 +12,17 @@ nonzero entry, kept positive).  ``RowLattice.insert`` is the only
 elimination in the module.  A lattice given a modulus M that the
 quotient's exponent divides starts from M * Z^n and keeps every basis
 entry below M (Domich, Kannan and Trotter's bound for the Hermite
-normal form); without one, entries are never reduced.  Finitely
+normal form); without one, entries are never reduced.  Its pivot rows
+are kept reduced lazily: a row is brought back to reduced form, every
+entry right of its pivot in [0, pivot of that column), only just before
+it is next used, and is stored so.  Almost every pivot is a unit, and a
+reduced row is zero under every unit pivot, so the rows in use stay
+short and a redundant row costs a short walk (the unit pivots are
+eliminated cheaply and a small core is left, as in Havas, Holt and
+Rees's strategy).  For a fixed column order the fully reduced echelon
+basis is the Hermite normal form, which the lattice alone determines,
+so the basis ``clear_unit_columns`` leaves does not depend on the order
+rows were inserted in.  Finitely
 generated abelian groups are presented as Z^n modulo such a lattice;
 their canonical invariant factors come from a Smith normal form of the
 small core left after eliminating every unit pivot, reached by
@@ -43,6 +53,13 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+def _columns_after(row: dict, j: int) -> list[int]:
+    """Heap of row's columns right of column j."""
+    heap = [k for k in row if k > j]
+    heapq.heapify(heap)
+    return heap
+
+
 def _axpy(target: dict, c: int, source: dict) -> None:
     """target += c * source, dropping zero entries."""
     if not c:
@@ -60,11 +77,17 @@ class RowLattice:
 
     With a ``modulus`` M the lattice starts as M * Z^ncols, the row
     M * e_j at every column j, so it always has full rank and every
-    pivot divides M.  A pivot row built in a gcd step then has its tail
-    reduced modulo the pivots of the later columns, which keeps every
-    basis entry below M; the lattice so built is L + M * Z^ncols, equal
-    to L exactly when M is a multiple of the exponent of Z^ncols / L.
-    Without a modulus entries are never reduced.
+    pivot divides M.  The lattice so built is L + M * Z^ncols, equal to
+    L exactly when M is a multiple of the exponent of Z^ncols / L.
+
+    Every pivot row is lazily reduced: when stored, its entries right of
+    the pivot lie in [0, pivot of their column).  A gcd step at a later
+    column shrinks that pivot and can leave an earlier row unreduced;
+    such a row is reduced again, in place, just before it is next
+    subtracted.  Pivots only shrink, so every basis entry stays below M.
+    ``clear_unit_columns`` reduces every row, which gives the Hermite
+    normal form: unique for the lattice, so the same for every insertion
+    order.  Without a modulus entries are never reduced.
     """
 
     __slots__ = ("ncols", "pivots", "modulus")
@@ -82,30 +105,61 @@ class RowLattice:
         dup.pivots = {j: dict(row) for j, row in self.pivots.items()}
         return dup
 
+    def _is_reduced(self, row: dict, j: int) -> bool:
+        """Whether every entry of row right of column j lies in
+        [0, pivot of its column)."""
+        pivots = self.pivots
+        for k, v in row.items():
+            if k > j and not 0 <= v < pivots[k][k]:
+                return False
+        return True
+
     def _reduce_tail(self, row: dict, j: int) -> None:
         """Reduce row's entries right of column j modulo the pivots there.
 
         Needs a pivot at every such column, as a lattice with a modulus
-        has; afterwards each entry lies in [0, pivot of its column).
+        has; afterwards each entry lies in [0, pivot of its column).  A
+        pivot row that is not reduced itself is reduced the same way, in
+        place, just before it is subtracted, so it is short when used and
+        stays reduced for later use.  An explicit stack of frames does
+        this without recursion; a frame's ``ready`` column is the one
+        whose pivot row its child frame has just reduced.
         """
-        heap = [k for k in row if k > j]
-        heapq.heapify(heap)
-        while heap:
-            k = heapq.heappop(heap)
-            piv = self.pivots[k]
-            q = row.get(k, 0) // piv[k]
-            if q:
-                for col in piv:
-                    if col not in row:
-                        heapq.heappush(heap, col)
-                _axpy(row, -q, piv)
+        pivots = self.pivots
+        frames = [[row, _columns_after(row, j), None]]
+        while frames:
+            frame = frames[-1]
+            row, heap, ready = frame
+            while heap:
+                k = heap[0]
+                piv = pivots[k]
+                q = row.get(k, 0) // piv[k]
+                if q and k != ready and not self._is_reduced(piv, k):
+                    frame[2] = k
+                    frames.append([piv, _columns_after(piv, k), None])
+                    break
+                heapq.heappop(heap)
+                if q:
+                    for col in piv:
+                        if col not in row:
+                            heapq.heappush(heap, col)
+                    _axpy(row, -q, piv)
+            else:
+                frames.pop()
 
     def insert(self, row) -> None:
-        """Add a row (dict or iterable of (col, coeff)) to the lattice."""
+        """Add a row (dict or iterable of (col, coeff)) to the lattice.
+
+        Zero coefficients are dropped.  With a modulus a pivot row left
+        unreduced by a later gcd step is reduced just before it is
+        subtracted.
+        """
         vec = dict(row)
         for v in vec.values():
             if not isinstance(v, int):
                 raise TensqError("lattice rows must have integer entries")
+        if 0 in vec.values():
+            vec = {k: v for k, v in vec.items() if v}
         pending = [vec]
         pivots = self.pivots
         modulus = self.modulus
@@ -127,6 +181,13 @@ class RowLattice:
                         vec = {k: -v for k, v in vec.items()}
                     pivots[j] = vec
                     break
+                if modulus is not None:
+                    # Inline form of self._is_reduced(piv, j): most pivot
+                    # rows are already reduced, and this runs per column.
+                    for k, v in piv.items():
+                        if k > j and not 0 <= v < pivots[k][k]:
+                            self._reduce_tail(piv, j)
+                            break
                 if c % piv[j]:
                     g, x, y = _xgcd(piv[j], c)
                     new = {}
@@ -144,6 +205,11 @@ class RowLattice:
                         rem = {k: v % modulus for k, v in rem.items() if v % modulus}
                     if rem:
                         pending.append(rem)
+                    if not x:
+                        # new is y * vec plus later pivot rows, with
+                        # y * c = g, so vec - (c / g) * new is a sum of
+                        # later pivot rows: nothing of vec is left.
+                        break
                     piv = new
                 q = c // piv[j]
                 for col, v in piv.items():

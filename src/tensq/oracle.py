@@ -50,7 +50,7 @@ from .errors import FormulaInconsistencyError, ResourceLimitError
 from .metagrp import Element, GroupParams
 from .presentations import upsilon_order_bounds
 
-GROUP_ORDER_LIMIT = 100
+GROUP_ORDER_LIMIT = 200
 
 
 @dataclass
@@ -74,17 +74,43 @@ class OracleModel:
         return gi * self.params.order + hi
 
 
-def _normalized_row(c_plus: int, c_minus1: int, c_minus2: int):
-    """Combine +1/-1/-1 at three columns into a canonical sparse row."""
-    acc = {c_plus: 1}
-    acc[c_minus1] = acc.get(c_minus1, 0) - 1
-    acc[c_minus2] = acc.get(c_minus2, 0) - 1
-    items = sorted((c, v) for c, v in acc.items() if v)
-    if not items:
-        return None
-    if items[0][1] < 0:
-        items = [(c, -v) for c, v in items]
-    return tuple(items)
+def _normalized_row(c_plus: int, c_minus1: int, c_minus2: int) -> tuple:
+    """e[c_plus] - e[c_minus1] - e[c_minus2] as sorted (column, coefficient)
+    pairs, the first coefficient positive.  Its coefficients sum to -1,
+    so it is never zero."""
+    lo, hi = (c_minus1, c_minus2) if c_minus1 <= c_minus2 else (c_minus2, c_minus1)
+    if c_plus == lo:
+        return ((hi, 1),)
+    if c_plus == hi:
+        return ((lo, 1),)
+    if lo == hi:
+        return ((c_plus, 1), (lo, -2)) if c_plus < lo else ((lo, 2), (c_plus, -1))
+    if c_plus < lo:
+        return ((c_plus, 1), (lo, -1), (hi, -1))
+    if c_plus < hi:
+        return ((lo, 1), (c_plus, -1), (hi, 1))
+    return ((lo, 1), (hi, 1), (c_plus, -1))
+
+
+def _relation_rows(mul: list[list[int]], conj_by: list[list[int]], second) -> set:
+    """Distinct normalized rows of both relation families, for every
+    second variable c in ``second`` and every g, h in G."""
+    ng = len(mul)
+    rng = range(ng)
+    rows = set()
+    for c in second:
+        act = conj_by[c]
+        for g in rng:
+            gc = mul[g][c]
+            gt = act[g]
+            for h in rng:
+                ht = act[h]
+                # (g c) (x) h = (g^c (x) h^c) (c (x) h), then its mirror, every
+                # pair symbol swapped: the second family at h1 = c,
+                # h (x) (g c) = (h (x) c) (h^c (x) g^c).
+                rows.add(_normalized_row(gc * ng + h, gt * ng + ht, c * ng + h))
+                rows.add(_normalized_row(h * ng + gc, ht * ng + gt, h * ng + c))
+    return rows
 
 
 def tensor_exponent_bound(order: int) -> int:
@@ -142,10 +168,12 @@ def build_tensor_oracle(params: GroupParams) -> OracleModel:
     pair symbol swapped.  Hence 2|G|^2 rows and their mirrors
     span the lattice of all 2|G|^3 rows.
 
-    Their distinct normalized forms are inserted in descending order, so
-    the reduced lattice is a deterministic function of the parameters,
-    and most later columns already hold their final, mostly unit, pivots
-    when a row reaches them, which keeps the reduced pivot rows short.
+    The reduced basis is the lattice's Hermite normal form, the same for
+    every insertion order.  The distinct normalized rows are inserted in
+    descending order for speed: most columns right of a row's leading
+    one then already hold their final, mostly unit, pivots, so few gcd
+    steps leave earlier pivot rows to be reduced again.  Ascending
+    order is somewhat slower, a shuffled order many times slower.
     """
     ng = params.order
     if ng > GROUP_ORDER_LIMIT:
@@ -157,24 +185,8 @@ def build_tensor_oracle(params: GroupParams) -> OracleModel:
     index = {e: i for i, e in enumerate(elems)}
     mul = [[index[metagrp.mul(g, h, params)] for h in elems] for g in elems]
     conj_by = [[index[metagrp.conj(h, c, params)] for h in elems] for c in elems]
-    rng = range(ng)
     second = (index[Element(0, 1)], index[Element(1, 0)])  # a, b
-
-    rows = set()
-    for c in second:
-        act = conj_by[c]
-        for g in rng:
-            gc = mul[g][c]
-            gt = act[g]
-            for h in rng:
-                ht = act[h]
-                # (g c) (x) h = (g^c (x) h^c) (c (x) h), then its mirror, every
-                # pair symbol swapped: the second family at h1 = c,
-                # h (x) (g c) = (h (x) c) (h^c (x) g^c).
-                rows.add(_normalized_row(gc * ng + h, gt * ng + ht, c * ng + h))
-                rows.add(_normalized_row(h * ng + gc, ht * ng + gt, h * ng + c))
-    rows.discard(None)
-
+    rows = _relation_rows(mul, conj_by, second)
     lattice = RowLattice(ng * ng, modulus=tensor_exponent_bound(ng))
     for row in sorted(rows, reverse=True):
         lattice.insert(row)

@@ -9,6 +9,7 @@ from tensq.abgrp import (
     RowLattice,
     element_order,
     lattice_member,
+    quotient_from_lattice,
     quotient_structure,
     smith_normal_form,
 )
@@ -296,6 +297,44 @@ def test_row_lattice_insert_accepts_pairs_and_dicts():
     assert not lat.contains({0: 1})
     with pytest.raises(TensqError):
         lat.insert({0: 1.5})
+
+
+def test_modulus_lattice_is_the_exact_lattice_in_hermite_form():
+    # Seeded with M * Z^n for M the exponent of the quotient, the
+    # lattice is the exact one; its reduced basis, the Hermite normal
+    # form, is the same for every insertion order.
+    rng = random.Random(20261018)
+    done = 0
+    while done < 40:
+        ngens = rng.randint(2, 5)
+        rows = sparse([[rng.randint(-6, 6) for _ in range(ngens)] for _ in range(ngens + 1)])
+        exact = quotient_structure(rows, ngens)
+        if exact.structure.order == 0:
+            continue
+        done += 1
+        bases = []
+        for _ in range(3):
+            rng.shuffle(rows)
+            lat = RowLattice(ngens, modulus=exact.structure.torsion_exponent)
+            for row in rows:
+                lat.insert(row)
+            handle = quotient_from_lattice(lat)
+            assert handle.structure == exact.structure, rows
+            bases.append(lat.pivots)
+        assert bases[0] == bases[1] == bases[2], rows
+        for _ in range(20):
+            vec = {j: rng.randint(-9, 9) for j in range(ngens)}
+            assert lat.order(vec) == exact.lattice.order(vec), (rows, vec)
+
+
+def test_zero_coefficients_are_dropped_on_insert():
+    # A stored explicit zero once kept smith_normal_form from ever
+    # finishing on this input.
+    handle = quotient_structure([{0: 9}, {1: 3, 0: 0}], 2)
+    assert handle.structure.invariant_factors == (3, 9)
+    lat = RowLattice(2, modulus=9)
+    lat.insert([(0, 0), (1, 3)])
+    assert all(v for row in lat.pivots.values() for v in row.values())
 
 
 def test_row_lattice_copy_is_independent():

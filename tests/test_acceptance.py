@@ -194,5 +194,5 @@ def test_criterion_8_brute_force_sweep():
         f"valid tuples with |G| <= 200 ({dt:.1f}s, limit 60s)"
     )
     if bad:
-        detail += f"; mismatches: {[tuple(p) for p in bad[:5]]}"
+        detail += f"; mismatches: {[(p.m, p.n, p.r, p.s) for p in bad[:5]]}"
     _report(8, ok, detail)

@@ -53,7 +53,7 @@ def test_validation_exit_code(capsys):
 
 
 def test_resource_exit_code(capsys):
-    rc = main(["compute", "--m", "11", "--n", "10", "--r", "10", "--s", "0", "--oracle"])
+    rc = main(["compute", "--m", "11", "--n", "20", "--r", "10", "--s", "0", "--oracle"])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
 

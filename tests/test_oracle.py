@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import random
 from functools import lru_cache
@@ -10,6 +12,7 @@ from tensq.errors import FormulaInconsistencyError, ResourceLimitError, TensqErr
 from tensq.metagrp import Element
 from tensq.oracle import (
     _normalized_row,
+    _relation_rows,
     build_tensor_oracle,
     exterior_oracle,
     oracle_schur_order,
@@ -24,19 +27,7 @@ DATA = Path(__file__).parent / "data"
 def family_rows(model):
     """The distinct normalized rows of both relation families over every
     second variable c in G: 2|G|^3 rows before deduplication."""
-    ng = model.params.order
-    mul, conj_by = model.mul, model.conj_by
-    rows = set()
-    for c in range(ng):
-        act = conj_by[c]
-        for g in range(ng):
-            gc, gt = mul[g][c], act[g]
-            for h in range(ng):
-                ht = act[h]
-                rows.add(_normalized_row(gc * ng + h, gt * ng + ht, c * ng + h))
-                rows.add(_normalized_row(h * ng + gc, ht * ng + gt, h * ng + c))
-    rows.discard(None)
-    return rows
+    return _relation_rows(model.mul, model.conj_by, range(model.params.order))
 
 
 @lru_cache(maxsize=None)
@@ -108,10 +99,77 @@ def test_oracle_agrees_with_closed_delta(model_3220, model_9343):
         assert oracle_schur_order(model) == report.schur.order
 
 
+def test_normalized_row_is_the_sorted_row_with_positive_lead():
+    # Every order and coincidence pattern of the three columns.
+    for cols in itertools.product(range(4), repeat=3):
+        acc = {}
+        for col, v in zip(cols, (1, -1, -1)):
+            acc[col] = acc.get(col, 0) + v
+        items = sorted((c, v) for c, v in acc.items() if v)
+        sign = 1 if items[0][1] > 0 else -1
+        assert _normalized_row(*cols) == tuple((c, sign * v) for c, v in items), cols
+
+
 def test_group_order_limit():
-    assert metagrp.validate(11, 10, 10, 0).order > oracle.GROUP_ORDER_LIMIT
+    assert metagrp.validate(11, 20, 10, 0).order > oracle.GROUP_ORDER_LIMIT
     with pytest.raises(ResourceLimitError):
-        build_tensor_oracle(metagrp.validate(11, 10, 10, 0))
+        build_tensor_oracle(metagrp.validate(11, 20, 10, 0))
+
+
+def basis_digest(lattice):
+    """sha256 of the sorted pivot rows, each row's entries sorted."""
+    rows = sorted((j, sorted(row.items())) for j, row in lattice.pivots.items())
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+# Digests of the reduced bases of G (x) G and G ^ G, recorded with the
+# earlier insertion that reduced a pivot row only once, when a gcd step
+# built it.  The fully reduced basis is the Hermite normal form, so no
+# change to how insertion reduces may move them.
+BASIS_DIGESTS = {
+    (3, 2, 2, 0): (
+        "971ca91e140013e66b132376c494799e99643820651956c70565be230810ba17",
+        "1be8333e8817946693255680c5a5d4c0589e5182735f5285d13a4307d06fd29b",
+    ),
+    (9, 3, 4, 3): (
+        "10a95ba3fdc97f7ae5a83afcfa82387c64e58cd320630eedf44a9d05241b2c38",
+        "349b72b420bee4953b47664c80d6930d3da861e1a17921c296011e89a5dee797",
+    ),
+    (15, 2, 4, 10): (
+        "3c3253f66fc4082b9cace61cd5dd59d1180ad6bfdd528c71569ebf50c1bd8b17",
+        "1a8c9a675f7482ec4f91591191d2329bd0d38bbbaa85bdffa6116c375a2c50bb",
+    ),
+    (21, 2, 8, 6): (
+        "42868c63fab0b009b365992bc13e4bfa1cd1b39930f13a6457dd3d0bbda529c4",
+        "330abe1ccd89f7eaa090ca251d9217cf91bd5fed2b81e9f0dc95df23b8b23986",
+    ),
+}
+
+
+def test_reduced_bases_match_their_digests():
+    for tup, (tensor_digest, exterior_digest) in BASIS_DIGESTS.items():
+        model = build_tensor_oracle(metagrp.validate(*tup))
+        exterior_oracle(model)
+        assert basis_digest(model.handle.lattice) == tensor_digest, tup
+        assert basis_digest(model.ext_handle.lattice) == exterior_digest, tup
+
+
+def test_reduced_basis_does_not_depend_on_insertion_order():
+    # The oracle inserts its rows in descending order; ascending and
+    # shuffled orders must reach the same Hermite normal form.
+    for tup in ((7, 3, 2, 0), (9, 3, 4, 3)):
+        model = build_tensor_oracle(metagrp.validate(*tup))
+        ng = model.params.order
+        second = (model.index[Element(0, 1)], model.index[Element(1, 0)])
+        rows = sorted(_relation_rows(model.mul, model.conj_by, second))
+        shuffled = list(rows)
+        random.Random(20261018).shuffle(shuffled)
+        for order in (rows, rows[::-1], shuffled):
+            lattice = abgrp.RowLattice(ng * ng, modulus=oracle.tensor_exponent_bound(ng))
+            for row in order:
+                lattice.insert(row)
+            lattice.clear_unit_columns()
+            assert lattice.pivots == model.handle.lattice.pivots, tup
 
 
 def test_oracle_matches_closed_forms_past_order_45():
@@ -129,7 +187,7 @@ def test_generating_set_spans_every_family_row():
     for p in metagrp.enumerate_valid_tuples(45, include_s_zero=True):
         model = build_tensor_oracle(p)
         lattice = model.handle.lattice
-        assert all(lattice.contains(dict(row)) for row in family_rows(model)), tuple(p)
+        assert all(lattice.contains(dict(row)) for row in family_rows(model)), (p.m, p.n, p.r, p.s)
 
 
 def test_exponent_bound_seeds_lie_in_the_exact_lattice():
@@ -138,7 +196,7 @@ def test_exponent_bound_seeds_lie_in_the_exact_lattice():
     for p in metagrp.enumerate_valid_tuples(30, include_s_zero=True):
         exact = exact_reference((p.m, p.n, p.r, p.s))
         bound = oracle.tensor_exponent_bound(p.order)
-        assert all(exact.contains({j: bound}) for j in range(exact.ncols)), tuple(p)
+        assert all(exact.contains({j: bound}) for j in range(exact.ncols)), (p.m, p.n, p.r, p.s)
 
 
 def test_exponent_bound_equal_to_the_exponent_raises(model_9343, monkeypatch):
