@@ -288,9 +288,17 @@ def _load_manifest(path: str) -> list:
     return tuples
 
 
+# One encoder for every batch row: json.dumps would build a new one per call.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _sweep(jobs, with_oracle: bool, rows_out, summary_out) -> int:
-    """One JSON line per tuple to rows_out after the last tuple, then the summary."""
-    rows = []
+    """One JSON line per tuple to rows_out, then the summary.
+
+    Each row is written and flushed as soon as its tuple is done, and
+    nothing is kept but the counts, so memory does not grow with the
+    number of tuples and a run that is killed keeps every finished row.
+    """
     counts = {"ok": 0, "mismatch": 0, "error": 0}
     for m, n, r, s in jobs:
         params_block = {"m": m, "n": n, "r": r, "s": s}
@@ -308,11 +316,11 @@ def _sweep(jobs, with_oracle: bool, rows_out, summary_out) -> int:
                 "error": {"type": type(exc).__name__, "message": str(exc)},
             }
         counts[row["status"]] += 1
-        rows.append(json.dumps(row, sort_keys=True))
+        rows_out.write(_ROW_ENCODER.encode(row) + "\n")
+        rows_out.flush()
 
-    rows_out.write("".join(line + "\n" for line in rows))
     summary_out.write(
-        f"tuples: {len(rows)}  ok: {counts['ok']}  "
+        f"tuples: {sum(counts.values())}  ok: {counts['ok']}  "
         f"mismatches: {counts['mismatch']}  errors: {counts['error']}\n"
     )
     if counts["mismatch"] or counts["error"]:
@@ -324,10 +332,7 @@ def cmd_batch(args) -> int:
     if args.manifest:
         jobs = _load_manifest(args.manifest)
     elif args.max_order is not None:
-        jobs = [
-            (p.m, p.n, p.r, p.s)
-            for p in metagrp.enumerate_valid_tuples(args.max_order, include_s_zero=args.include_s_zero)
-        ]
+        jobs = metagrp.iter_valid_tuples(args.max_order, args.include_s_zero)
     else:
         raise ValidationError(["batch needs --max-order or --manifest"])
     if not args.out:

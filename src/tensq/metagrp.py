@@ -11,7 +11,7 @@ that the group is non-abelian.  The multiplication rule follows from
 a^alpha * b^beta = b^beta * a^(alpha * r^beta).
 
 Closed forms used throughout (all re-checked against enumeration by
-:func:`brute_invariants`):
+``brute_invariants`` in tests/test_metagrp.py):
 
     o(a) = m                     o(b)  = n*m/(m,s)
     G'   = <a^(r-1)> = C_t       t     = m/(m,r-1)
@@ -23,14 +23,13 @@ where o'(g) is the order of the image of g in G/G'.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 
 from . import numth
-from .errors import OutOfScopeError, ResourceLimitError, ValidationError
-
-BRUTE_ORDER_LIMIT = 10_000
+from .errors import OutOfScopeError, ValidationError
 
 # Every integer tensq prints is at most m^6 n^3, since |nu(G)| = (mn)^2
 # |G (x) G| and |G (x) G| <= m^4 n.  With m and n below 10^400 that stays
@@ -202,113 +201,23 @@ def coset_order(g: Element, p: GroupParams, derived: frozenset[Element]) -> int:
     return order
 
 
-def brute_invariants(p: GroupParams) -> list[str]:
-    """Re-derive o(a), o(b), |G'|, o'(a), o'(b) and Z(G) by enumeration.
-
-    Returns one line per invariant that differs from its closed form, so
-    an empty list means agreement.  Elements are handled as raw
-    (beta, alpha) pairs inside the loops; the commutator of x and y is
-    computed as (yx)^-1 * (xy), whose normal form is
-    a^(alpha(xy) - alpha(yx)) because both products carry the same
-    b-exponent.
-    """
-    m, n, r, s = p.m, p.n, p.r, p.s
-    if m * n > BRUTE_ORDER_LIMIT:
-        raise ResourceLimitError(
-            f"brute-force enumeration limited to |G| <= {BRUTE_ORDER_LIMIT}, got {m * n}"
-        )
-    rpow = [pow(r, b, m) for b in range(n)]
-    pairs = [(beta, alpha) for beta in range(n) for alpha in range(m)]
-
-    def mul_raw(b1, a1, b2, a2):
-        b = b1 + b2
-        a = a2 + a1 * rpow[b2]
-        if b >= n:
-            b -= n
-            a += s
-        return b, a % m
-
-    def order_until(b0, a0, done):
-        """Least k >= 1 with done(g**k) for g = b^b0 a^a0, by repeated multiplication."""
-        cur, order = (b0, a0), 1
-        while not done(cur):
-            cur = mul_raw(cur[0], cur[1], b0, a0)
-            order += 1
-        return order
-
-    def closure(gens, op, start):
-        """Close {start} under op(element, generator)."""
-        seen, frontier = {start}, [start]
-        while frontier:
-            d = frontier.pop()
-            for e in gens:
-                v = op(d, e)
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        return seen
-
-    # Commutator values; [x, y]^-1 = [y, x], so ordered pairs one way
-    # round still give a generating set of G'.
-    comm_exps = set()
-    for b1, a1 in pairs:
-        for b2, a2 in pairs:
-            xy = mul_raw(b1, a1, b2, a2)
-            yx = mul_raw(b2, a2, b1, a1)
-            comm_exps.add((xy[1] - yx[1]) % m)
-    # Closure under addition mod m (all commutators are powers of a).
-    derived_exps = closure(sorted(comm_exps), lambda d, e: (d + e) % m, 0)
-
-    # Center by centralizing the two generators.
-    center = {
-        g for g in pairs
-        if mul_raw(*g, 0, 1) == mul_raw(0, 1, *g) and mul_raw(*g, 1, 0) == mul_raw(1, 0, *g)
-    }
-
-    closed = p.inv
-
-    # Closure of the closed-form center generators a^t and b^l.
-    gen_a = (0, closed.t_derived % m)
-    gen_b = (1, 0)
-    for _ in range(closed.l - 1):
-        gen_b = mul_raw(gen_b[0], gen_b[1], 1, 0)
-    closed_center = closure((gen_a, gen_b), lambda d, e: mul_raw(*d, *e), (0, 0))
-
-    def is_identity(g):
-        return g == (0, 0)
-
-    def in_derived(g):
-        return g[0] == 0 and g[1] in derived_exps
-
-    mismatches = []
-    for name, got, want in [
-        ("o(a)", order_until(0, 1, is_identity), m),
-        ("o(b)", order_until(1, 0, is_identity), closed.o_b),
-        ("|G'|", len(derived_exps), closed.t_derived),
-        ("o'(a)", order_until(0, 1, in_derived), closed.oprime_a),
-        ("o'(b)", order_until(1, 0, in_derived), closed.oprime_b),
-    ]:
-        if got != want:
-            mismatches.append(f"{name}: enumerated {got}, closed form {want}")
-    if center != closed_center:
-        mismatches.append("Z(G) differs from <a^t, b^l>")
-    return mismatches
-
-
-def enumerate_valid_tuples(max_order: int, include_s_zero: bool = False) -> list[GroupParams]:
-    """All validated tuples with m*n <= max_order, ordered by (m, n, r, s).
+def iter_valid_tuples(max_order: int, include_s_zero: bool = False) -> Iterator[tuple[int, int, int, int]]:
+    """Yield every valid (m, n, r, s) with m*n <= max_order, ordered by (m, n, r, s).
 
     s runs over the multiples of m/(m, r-1) in [0, m); s = 0 only when
-    requested.
+    requested.  The tuples are not passed through :func:`validate`, and
+    nothing is kept, so a sweep of any size runs in constant memory.
     """
-    out = []
     for m in range(3, max_order // 2 + 1, 2):
         for n in range(2, max_order // m + 1):
             for r in range(2, m):
                 if gcd(r, m) != 1 or pow(r, n, m) != 1:
                     continue
                 step = m // gcd(m, r - 1)
-                start = 0 if include_s_zero else step
-                for s in range(start, m, step):
-                    out.append(validate(m, n, r, s))
-    return out
+                for s in range(0 if include_s_zero else step, m, step):
+                    yield m, n, r, s
+
+
+def enumerate_valid_tuples(max_order: int, include_s_zero: bool = False) -> list[GroupParams]:
+    """The tuples of :func:`iter_valid_tuples`, validated, as a list."""
+    return [validate(*t) for t in iter_valid_tuples(max_order, include_s_zero)]

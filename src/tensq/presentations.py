@@ -30,7 +30,7 @@ from math import gcd, lcm
 
 from . import numth
 from .abgrp import AbelianStructure, quotient_structure
-from .errors import FormulaInconsistencyError, TensqError, ValidationError
+from .errors import FormulaInconsistencyError, TensqError
 from .metagrp import GroupParams
 
 Word = tuple[tuple[int, int], ...]
@@ -249,39 +249,6 @@ def tensor_presentation(params: GroupParams) -> Presentation:
         generators=TENSOR_GENERATORS,
         relators=tuple(relators),
     )
-
-
-def split_specialization(params: GroupParams) -> SectionReport:
-    """Cross-check for the split family r = m - 1, s = 0, n even.
-
-    Here the closed forms collapse to textbook values: the tensor
-    square is C_gcd(m,n) x C_lcm(m,n), the exterior square is C_m and
-    the multiplier is trivial.  The general-path report is computed and
-    compared against those values; any disagreement raises.
-    """
-    m, n, r, s = params.m, params.n, params.r, params.s
-    problems = []
-    if r != m - 1:
-        problems.append(f"split specialization needs r = m - 1, got r = {r}")
-    if s != 0:
-        problems.append(f"split specialization needs s = 0, got s = {s}")
-    if n % 2:
-        problems.append(f"split specialization needs even n, got n = {n}")
-    if problems:
-        raise ValidationError(problems)
-    report = exterior_and_schur(params)
-    d = gcd(m, n)
-    expected_tensor = AbelianStructure(tuple(f for f in (d, m * n // d) if f > 1))
-    mismatches = []
-    if report.tensor != expected_tensor:
-        mismatches.append(f"tensor {report.tensor} != split form {expected_tensor}")
-    if report.exterior != _cyclic(m):
-        mismatches.append(f"exterior {report.exterior} != split form C{m}")
-    if report.schur != _cyclic(1):
-        mismatches.append(f"multiplier {report.schur} != trivial split form")
-    if mismatches:
-        raise FormulaInconsistencyError("; ".join(mismatches))
-    return report
 
 
 def presentation_to_text(pres: Presentation) -> str:

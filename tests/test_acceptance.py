@@ -13,6 +13,7 @@ from math import gcd
 import pytest
 
 from tensq import fpgrp, metagrp, oracle, presentations
+from test_metagrp import brute_invariants
 
 SWEEP_LIMIT = 45
 PANEL = [(9, 3, 4, 3), (3, 2, 2, 0), (7, 3, 2, 0), (9, 3, 4, 0)]
@@ -69,7 +70,7 @@ def test_criterion_2_split_family():
     for m in (3, 5, 7, 9, 15):
         for n in (2, 4, 6):
             p = metagrp.validate(m, n, m - 1, 0)
-            rep = presentations.split_specialization(p)
+            rep = presentations.exterior_and_schur(p)
             checked += 1
             d = gcd(m, n)
             want = tuple(f for f in (d, m * n // d) if f > 1)
@@ -186,7 +187,7 @@ def test_criterion_7_schur_multiplier(sweep_models):
 def test_criterion_8_brute_force_sweep():
     start = time.perf_counter()
     tuples = metagrp.enumerate_valid_tuples(200, include_s_zero=True)
-    bad = [p for p in tuples if metagrp.brute_invariants(p)]
+    bad = [p for p in tuples if brute_invariants(p)]
     dt = time.perf_counter() - start
     ok = not bad and dt < 60 and len(tuples) == 1189
     detail = (

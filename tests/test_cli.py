@@ -227,6 +227,37 @@ def test_batch_out_fails_before_the_first_record(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_batch_rows_are_written_as_each_tuple_finishes(tmp_path, monkeypatch, capsys):
+    # A run that dies at the third tuple has already written and flushed
+    # the first two rows as complete lines.
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"tuples": [[3, 2, 2, 0], [9, 3, 4, 3], [7, 3, 2, 0]]}))
+    out_path = tmp_path / "rows.jsonl"
+    build = cli.build_run_record
+    seen_on_disk = []
+
+    def fail_at_third(params, with_oracle):
+        if params.m == 7:
+            seen_on_disk.append(out_path.read_text())
+            raise RuntimeError("killed at the third tuple")
+        return build(params, with_oracle)
+
+    monkeypatch.setattr(cli, "build_run_record", fail_at_third)
+    monkeypatch.delenv("TENSQ_CACHE_DIR", raising=False)
+    with pytest.raises(RuntimeError):
+        main(["batch", "--manifest", str(manifest), "--out", str(out_path)])
+    (text,) = seen_on_disk
+    assert text.endswith("\n")
+    rows = [json.loads(line) for line in text.splitlines()]
+    assert [row["params"] for row in rows] == [
+        {"m": 3, "n": 2, "r": 2, "s": 0},
+        {"m": 9, "n": 3, "r": 4, "s": 3},
+    ]
+    assert all(row["status"] == "ok" for row in rows)
+    assert out_path.read_text() == text
+    assert capsys.readouterr().out == ""
+
+
 def test_batch_max_order(capsys):
     rc = main(["batch", "--max-order", "30"])
     assert rc == 0
@@ -234,6 +265,7 @@ def test_batch_max_order(capsys):
     rows = [json.loads(line) for line in captured.out.splitlines()]
     expected = metagrp.enumerate_valid_tuples(30)
     assert len(rows) == len(expected) > 0
+    assert [row["params"] for row in rows] == [{"m": p.m, "n": p.n, "r": p.r, "s": p.s} for p in expected]
     assert all(row["status"] == "ok" for row in rows)
     assert all(row["record"]["oracle"] is None for row in rows)
     assert captured.err == (

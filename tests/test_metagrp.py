@@ -22,6 +22,102 @@ def mul_table(p):
     return els, idx, tbl
 
 
+BRUTE_ORDER_LIMIT = 10_000
+
+
+def brute_invariants(p):
+    """Re-derive o(a), o(b), |G'|, o'(a), o'(b) and Z(G) by enumeration.
+
+    Returns one line per invariant that differs from its closed form, so
+    an empty list means agreement.  Elements are handled as raw
+    (beta, alpha) pairs inside the loops; the commutator of x and y is
+    computed as (yx)^-1 * (xy), whose normal form is
+    a^(alpha(xy) - alpha(yx)) because both products carry the same
+    b-exponent.
+    """
+    m, n, r, s = p.m, p.n, p.r, p.s
+    if m * n > BRUTE_ORDER_LIMIT:
+        raise ResourceLimitError(
+            f"brute-force enumeration limited to |G| <= {BRUTE_ORDER_LIMIT}, got {m * n}"
+        )
+    rpow = [pow(r, b, m) for b in range(n)]
+    pairs = [(beta, alpha) for beta in range(n) for alpha in range(m)]
+
+    def mul_raw(b1, a1, b2, a2):
+        b = b1 + b2
+        a = a2 + a1 * rpow[b2]
+        if b >= n:
+            b -= n
+            a += s
+        return b, a % m
+
+    def order_until(b0, a0, done):
+        """Least k >= 1 with done(g**k) for g = b^b0 a^a0, by repeated multiplication."""
+        cur, order = (b0, a0), 1
+        while not done(cur):
+            cur = mul_raw(cur[0], cur[1], b0, a0)
+            order += 1
+        return order
+
+    def closure(gens, op, start):
+        """Close {start} under op(element, generator)."""
+        seen, frontier = {start}, [start]
+        while frontier:
+            d = frontier.pop()
+            for e in gens:
+                v = op(d, e)
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+        return seen
+
+    # Commutator values; [x, y]^-1 = [y, x], so ordered pairs one way
+    # round still give a generating set of G'.
+    comm_exps = set()
+    for b1, a1 in pairs:
+        for b2, a2 in pairs:
+            xy = mul_raw(b1, a1, b2, a2)
+            yx = mul_raw(b2, a2, b1, a1)
+            comm_exps.add((xy[1] - yx[1]) % m)
+    # Closure under addition mod m (all commutators are powers of a).
+    derived_exps = closure(sorted(comm_exps), lambda d, e: (d + e) % m, 0)
+
+    # Center by centralizing the two generators.
+    center = {
+        g for g in pairs
+        if mul_raw(*g, 0, 1) == mul_raw(0, 1, *g) and mul_raw(*g, 1, 0) == mul_raw(1, 0, *g)
+    }
+
+    closed = p.inv
+
+    # Closure of the closed-form center generators a^t and b^l.
+    gen_a = (0, closed.t_derived % m)
+    gen_b = (1, 0)
+    for _ in range(closed.l - 1):
+        gen_b = mul_raw(gen_b[0], gen_b[1], 1, 0)
+    closed_center = closure((gen_a, gen_b), lambda d, e: mul_raw(*d, *e), (0, 0))
+
+    def is_identity(g):
+        return g == (0, 0)
+
+    def in_derived(g):
+        return g[0] == 0 and g[1] in derived_exps
+
+    mismatches = []
+    for name, got, want in [
+        ("o(a)", order_until(0, 1, is_identity), m),
+        ("o(b)", order_until(1, 0, is_identity), closed.o_b),
+        ("|G'|", len(derived_exps), closed.t_derived),
+        ("o'(a)", order_until(0, 1, in_derived), closed.oprime_a),
+        ("o'(b)", order_until(1, 0, in_derived), closed.oprime_b),
+    ]:
+        if got != want:
+            mismatches.append(f"{name}: enumerated {got}, closed form {want}")
+    if center != closed_center:
+        mismatches.append("Z(G) differs from <a^t, b^l>")
+    return mismatches
+
+
 def test_validate_accepts_main_example():
     p = metagrp.validate(9, 3, 4, 3)
     assert (p.m, p.n, p.r, p.s) == (9, 3, 4, 3)
@@ -171,10 +267,10 @@ def test_r_equal_m_minus_one_forces_s_zero():
 
 def test_brute_invariants_examples():
     p = metagrp.validate(3, 2, 2, 0)
-    assert metagrp.brute_invariants(p) == []
+    assert brute_invariants(p) == []
     assert p.inv.o_b == 2
     p = metagrp.validate(9, 3, 4, 3)
-    assert metagrp.brute_invariants(p) == []
+    assert brute_invariants(p) == []
     assert p.inv.t_derived == 3
     assert p.inv.oprime_b == 3
 
@@ -182,12 +278,12 @@ def test_brute_invariants_examples():
 def test_brute_invariants_bound():
     # |G| = 10002 is just past BRUTE_ORDER_LIMIT; the guard fires before any enumeration.
     with pytest.raises(ResourceLimitError):
-        metagrp.brute_invariants(metagrp.validate(3, 3334, 2, 0))
+        brute_invariants(metagrp.validate(3, 3334, 2, 0))
 
 
 def test_brute_invariants_sweep_small():
     for p in metagrp.enumerate_valid_tuples(100, include_s_zero=True):
-        mismatches = metagrp.brute_invariants(p)
+        mismatches = brute_invariants(p)
         assert not mismatches, (p, mismatches)
 
 
@@ -201,3 +297,27 @@ def test_enumerate_valid_tuples_scope():
     assert metagrp.GroupParams(3, 2, 2, 0) in with_zero
     # ordering is deterministic
     assert with_zero == sorted(with_zero, key=lambda p: (p.m, p.n, p.r, p.s))
+
+
+def test_enumerate_valid_tuples_is_the_validated_generator():
+    for include_s_zero in (False, True):
+        listed = metagrp.enumerate_valid_tuples(300, include_s_zero)
+        generated = [metagrp.validate(*t) for t in metagrp.iter_valid_tuples(300, include_s_zero)]
+        assert listed == generated
+
+
+def test_iter_valid_tuples_yields_every_valid_tuple():
+    # Against the definition: every (m, n, r, s) that validate accepts,
+    # with s already in [0, m), in (m, n, r, s) order.
+    for include_s_zero in (False, True):
+        accepted = []
+        for m in range(1, 51):
+            for n in range(1, 100 // m + 1):
+                for r in range(m):
+                    for s in range(0 if include_s_zero else 1, m):
+                        try:
+                            metagrp.validate(m, n, r, s)
+                        except ValidationError:
+                            continue
+                        accepted.append((m, n, r, s))
+        assert list(metagrp.iter_valid_tuples(100, include_s_zero)) == accepted

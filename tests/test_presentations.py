@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from tensq import metagrp
-from tensq.errors import TensqError, ValidationError
+from tensq.errors import TensqError
 from tensq.fpgrp import todd_coxeter
 from tensq.presentations import (
     NU_GENERATORS,
@@ -14,7 +14,6 @@ from tensq.presentations import (
     nu_presentation,
     presentation_to_gap,
     presentation_to_text,
-    split_specialization,
     tensor_descriptor,
     tensor_presentation,
     tensor_structure,
@@ -124,29 +123,19 @@ def test_tensor_presentation_enumerates_to_closed_form_order():
         assert todd_coxeter(tensor_presentation(p)).order == tensor_structure(p).order, p
 
 
-def test_split_specialization_matches_general_path():
-    for m in (3, 5, 7, 9, 15):
-        for n in (2, 4, 6):
-            p = metagrp.validate(m, n, m - 1, 0)
-            split = split_specialization(p)
-            general = exterior_and_schur(p)
-            assert split.tensor == general.tensor, (m, n)
-            assert split.exterior == general.exterior, (m, n)
-            assert split.schur == general.schur, (m, n)
-            assert split.delta_order == general.delta_order
-            assert split.exterior.invariant_factors == (m,)
-            assert split.schur.invariant_factors == ()
-
-
-def test_split_specialization_rejects_wrong_shape():
-    with pytest.raises(ValidationError):
-        split_specialization(metagrp.validate(9, 3, 4, 3))
-    # r = m - 1 forces s = 0 and even n under validate(), so bypass it
-    # to reach the other precondition branches.
-    with pytest.raises(ValidationError):
-        split_specialization(metagrp.GroupParams(9, 2, 8, 3))
-    with pytest.raises(ValidationError):
-        split_specialization(metagrp.GroupParams(9, 3, 8, 0))
+def test_split_family_has_textbook_closed_forms():
+    # r = m - 1, s = 0, n even: the tensor square is C_(m,n) x C_[m,n],
+    # the exterior square is C_m and the multiplier is trivial.
+    checked = 0
+    for m in range(3, 1001, 2):
+        for n in range(2, 2000 // m + 1, 2):
+            report = exterior_and_schur(metagrp.validate(m, n, m - 1, 0))
+            d = gcd(m, n)
+            assert report.tensor.invariant_factors == tuple(f for f in (d, m * n // d) if f > 1), (m, n)
+            assert report.exterior.invariant_factors == (m,), (m, n)
+            assert report.schur.order == 1, (m, n)
+            checked += 1
+    assert checked == 2879
 
 
 def test_beyl_tuples_have_trivial_schur():
