@@ -1,11 +1,12 @@
 """Command-line surface: compute, verify, emit and batch subcommands.
 
-Every run that produces structures emits one JSON record with sorted
-keys and a schema_version field, so identical inputs give byte-identical
-output apart from the timing block.  With TENSQ_CACHE_DIR set, records
-are cached by a content hash of (params, flags, schema version, tool
-version) and a rerun returns the stored bytes verbatim, timings
-included.
+Every run that produces structures emits one JSON record (schema 2)
+with sorted keys, so identical inputs give byte-identical output apart
+from the timing block.  With TENSQ_CACHE_DIR set, records are cached by
+a content hash of (params, flags, schema version, tool version); a rerun
+returns the stored record, written in one canonical form, so its bytes
+are identical.  The --json path and the cache directory are checked
+before any record is built.
 
 Exit codes: 0 success, 1 failed verification or batch rows, 2 invalid
 parameters or a path that cannot be read or written, 3 resource bound
@@ -16,6 +17,7 @@ inconsistency, 64 usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -38,7 +40,7 @@ EXIT_RESOURCE = 3
 EXIT_FORMULA = 4
 EXIT_USAGE = 64
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # An OSError is a manifest, --out, --json or cache path that cannot be used.
 EXIT_CODES = {
@@ -61,6 +63,10 @@ def _structure_block(structure) -> dict:
         "order": structure.order,
         "exponent": structure.torsion_exponent,
     }
+
+
+def _params_block(params: GroupParams) -> dict:
+    return {"m": params.m, "n": params.n, "r": params.r, "s": params.s}
 
 
 def build_run_record(params: GroupParams, with_oracle: bool) -> dict:
@@ -94,7 +100,7 @@ def build_run_record(params: GroupParams, with_oracle: bool) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "tensq", "version": __version__},
-        "params": {"m": params.m, "n": params.n, "r": params.r, "s": params.s},
+        "params": _params_block(params),
         "derived": {
             "group_order": params.order,
             "o_a": params.m,
@@ -111,7 +117,6 @@ def build_run_record(params: GroupParams, with_oracle: bool) -> dict:
         "delta_order": report.delta_order,
         "nu_order_predicted": report.nu_order_predicted,
         "oracle": oracle_block,
-        "nu_certification": None,
         "timings": timings,
     }
 
@@ -119,7 +124,7 @@ def build_run_record(params: GroupParams, with_oracle: bool) -> dict:
 _RECORD_KEYS = frozenset(
     {
         "schema_version", "tool", "params", "derived", "tensor", "exterior", "schur",
-        "delta_order", "nu_order_predicted", "oracle", "nu_certification", "timings",
+        "delta_order", "nu_order_predicted", "oracle", "timings",
     }
 )
 
@@ -130,7 +135,7 @@ def _is_record(value, params: GroupParams, with_oracle: bool) -> bool:
         return False
     oracle_block = value["oracle"]
     return (
-        value["params"] == {"m": params.m, "n": params.n, "r": params.r, "s": params.s}
+        value["params"] == _params_block(params)
         and value["schema_version"] == SCHEMA_VERSION
         and (
             isinstance(oracle_block, dict) and isinstance(oracle_block.get("match"), bool)
@@ -144,49 +149,37 @@ def _record_json(record: dict) -> str:
     return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
-def _load_record(params: GroupParams, with_oracle: bool) -> tuple[dict, str | None]:
-    """The record for one tuple and its cached text (None when uncached).
+def _load_record(params: GroupParams, with_oracle: bool) -> dict:
+    """The record for one tuple, from TENSQ_CACHE_DIR when set.
 
-    With TENSQ_CACHE_DIR set, a stored file that parses to this tuple's
-    record is returned as is.  Any other file, missing, unparsable or
-    not such a record, is a miss: the record is built and the file
-    rewritten atomically, through a temporary file and os.replace, so a
-    reader never sees a partial record.
+    A stored file that parses to this tuple's record is returned.  Any
+    other file, missing, unparsable or not such a record, is a miss:
+    the cache directory is created, then the record is built and the
+    file rewritten atomically, through a temporary file and os.replace,
+    so a reader never sees a partial record.
     """
     cache_dir = os.environ.get("TENSQ_CACHE_DIR")
     if not cache_dir:
-        return build_run_record(params, with_oracle), None
-    payload = json.dumps(
-        {
-            "m": params.m,
-            "n": params.n,
-            "r": params.r,
-            "s": params.s,
-            "oracle": bool(with_oracle),
-            "schema_version": SCHEMA_VERSION,
-            "version": __version__,
-        },
-        sort_keys=True,
-    )
-    key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return build_run_record(params, with_oracle)
+    payload = {"oracle": bool(with_oracle), "schema_version": SCHEMA_VERSION, "version": __version__}
+    payload.update(_params_block(params))
+    key = hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
     path = os.path.join(cache_dir, key + ".json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        cached = json.loads(text)
+            cached = json.load(fh)
         if _is_record(cached, params, with_oracle):
-            return cached, text
+            return cached
     except (FileNotFoundError, ValueError, RecursionError):
         # json raises RecursionError on deeply nested arrays or objects.
         pass
-    record = build_run_record(params, with_oracle)
-    text = _record_json(record)
     os.makedirs(cache_dir, exist_ok=True)
+    record = build_run_record(params, with_oracle)
     tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(_record_json(record))
     os.replace(tmp, path)
-    return record, text
+    return record
 
 
 def _params(args) -> GroupParams:
@@ -195,12 +188,11 @@ def _params(args) -> GroupParams:
 
 def cmd_compute(args) -> int:
     params = _params(args)
-    record, text = _load_record(params, args.oracle)
-    if text is None:
-        text = _record_json(record)
-    sys.stdout.write(text)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+    # --json is opened before the record is built, so an unusable path fails at once.
+    with open(args.json, "w", encoding="utf-8") if args.json else contextlib.nullcontext() as fh:
+        text = _record_json(_load_record(params, args.oracle))
+        sys.stdout.write(text)
+        if fh:
             fh.write(text)
     return EXIT_OK
 
@@ -304,7 +296,7 @@ def _sweep(jobs, with_oracle: bool, rows_out, summary_out) -> int:
         params_block = {"m": m, "n": n, "r": r, "s": s}
         try:
             params = metagrp.validate(m, n, r, s)
-            record, _ = _load_record(params, with_oracle)
+            record = _load_record(params, with_oracle)
             status = "ok"
             if record["oracle"] is not None and not record["oracle"]["match"]:
                 status = "mismatch"

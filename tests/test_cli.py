@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -18,13 +19,20 @@ DATA = Path(__file__).parent / "data"
 def test_compute_ok(capsys):
     assert main(["compute", "--m", "3", "--n", "2", "--r", "2", "--s", "0"]) == 0
     record = json.loads(capsys.readouterr().out)
-    assert record["schema_version"] == 1
+    assert record["schema_version"] == 2
     assert record["params"] == {"m": 3, "n": 2, "r": 2, "s": 0}
     assert record["tensor"]["invariant_factors"] == [6]
     assert record["exterior"]["invariant_factors"] == [3]
     assert record["nu_order_predicted"] == 216
     assert record["oracle"] is None
-    assert record["nu_certification"] is None
+    assert "nu_certification" not in record
+
+
+@pytest.mark.parametrize("with_oracle", [False, True])
+def test_record_keys_are_the_built_record_keys(with_oracle):
+    # The cache check and the builder agree on the one record shape.
+    record = cli.build_run_record(metagrp.validate(3, 2, 2, 0), with_oracle)
+    assert cli._RECORD_KEYS == record.keys()
 
 
 def test_compute_golden_record(tmp_path, capsys):
@@ -227,6 +235,34 @@ def test_batch_out_fails_before_the_first_record(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("unusable", ["json-path", "cache-dir"])
+def test_compute_output_fails_before_the_record(unusable, tmp_path, monkeypatch, capsys):
+    # An unusable --json path or cache directory exits 2 before any work:
+    # nothing is built and nothing reaches stdout.
+    built = []
+
+    def fail(*args):
+        built.append(args)
+        raise AssertionError("a record was built before its output was checked")
+
+    def refuse(*args, **kwargs):
+        raise PermissionError("cache directory refused")
+
+    monkeypatch.setattr(cli, "build_run_record", fail)
+    argv = ["compute", "--m", "63", "--n", "3", "--r", "4", "--s", "0", "--oracle"]
+    if unusable == "json-path":
+        monkeypatch.delenv("TENSQ_CACHE_DIR", raising=False)
+        argv += ["--json", str(tmp_path / "no-such-dir" / "x.json")]
+    else:
+        monkeypatch.setenv("TENSQ_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setattr(os, "makedirs", refuse)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert built == []
+
+
 def test_batch_rows_are_written_as_each_tuple_finishes(tmp_path, monkeypatch, capsys):
     # A run that dies at the third tuple has already written and flushed
     # the first two rows as complete lines.
@@ -297,7 +333,29 @@ def test_batch_manifest_with_bad_row(tmp_path, capsys):
     assert "odd" in rows[1]["error"]["message"]
 
 
-def test_batch_rejects_bad_manifest(tmp_path, capsys):
+def _random_json(rng, depth=0):
+    """A seeded JSON value: nested lists and dicts of small ints, floats,
+    strings, bools and null, with manifest-like keys and rows mixed in."""
+    kind = rng.randrange(9 if depth < 3 else 6)
+    if kind == 0:
+        return rng.randint(-5, 50)
+    if kind == 1:
+        return rng.uniform(-5, 50)
+    if kind == 2:
+        return rng.choice(["", "x", "3", "tuples"])
+    if kind == 3:
+        return rng.choice([True, False])
+    if kind == 4:
+        return None
+    if kind == 5:
+        return [rng.randint(-5, 50) for _ in range(4)]
+    if kind == 6:
+        keys = ["tuples", "tuples", "max_order", "x"]
+        return {rng.choice(keys): _random_json(rng, depth + 1) for _ in range(rng.randrange(3))}
+    return [_random_json(rng, depth + 1) for _ in range(rng.randrange(5))]
+
+
+def test_batch_rejects_bad_manifest(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2, 3]")
     assert main(["batch", "--manifest", str(bad)]) == 2
@@ -317,6 +375,22 @@ def test_batch_rejects_bad_manifest(tmp_path, capsys):
         assert main(["batch", "--manifest", str(bad)]) == 2, body
         err = capsys.readouterr().err
         assert err.startswith("error: manifest ") and named in err, (body, err)
+
+    # Seeded random manifests: every one gives exit 0, 1 or 2, and no
+    # exception escapes main.
+    monkeypatch.delenv("TENSQ_CACHE_DIR", raising=False)
+    rng = random.Random(13)
+    codes = {0: 0, 1: 0, 2: 0}
+    for _ in range(200):
+        value = _random_json(rng)
+        rows = [[rng.randint(-5, 50) for _ in range(4)] for _ in range(rng.randrange(4))]
+        body = rng.choice([value, {"tuples": value}, {"tuples": rows}])
+        bad.write_text(json.dumps(body))
+        code = main(["batch", "--manifest", str(bad)])
+        assert code in (0, 1, 2), body
+        codes[code] += 1
+        capsys.readouterr()
+    assert all(codes.values()), codes
 
 
 def test_deeply_nested_manifest_exits_2(tmp_path, capsys):
@@ -360,11 +434,11 @@ def test_schema_version_is_in_the_cache_key(tmp_path, monkeypatch, capsys):
     assert main(argv) == 0
     (old,) = tmp_path.glob("*.json")
     capsys.readouterr()
-    monkeypatch.setattr(cli, "SCHEMA_VERSION", 2)
+    monkeypatch.setattr(cli, "SCHEMA_VERSION", cli.SCHEMA_VERSION + 1)
     assert main(argv) == 0
     text = capsys.readouterr().out
     (new,) = set(tmp_path.glob("*.json")) - {old}
-    assert json.loads(text)["schema_version"] == 2
+    assert json.loads(text)["schema_version"] == cli.SCHEMA_VERSION
     assert new.read_text() == text
 
 
@@ -378,7 +452,12 @@ def test_truncated_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
     full = capsys.readouterr().out
     manifest = tmp_path / "manifest.txt"
     manifest.write_text(json.dumps({"tuples": [[3, 2, 2, 0]]}))
-    for body in (full[:40], full[:-10], "{}", "[1, 2]", "null"):
+    # A schema-1 record: it carries nu_certification and schema_version 1.
+    schema_1 = dict(json.loads(full), nu_certification=None, schema_version=1)
+    # Proper prefixes, short of the closing brace (full[:-1] still parses).
+    prefixes = [full[:k] for k in random.Random(7).sample(range(len(full) - 1), 50)]
+    bodies = [full[:40], full[:-10], "{}", "[1, 2]", "null", cli._record_json(schema_1)]
+    for body in bodies + prefixes:
         path.write_text(body)
         assert main(argv) == 0, body
         text = capsys.readouterr().out
