@@ -3,10 +3,12 @@
 Every run that produces structures emits one JSON record (schema 2)
 with sorted keys, so identical inputs give byte-identical output apart
 from the timing block.  With TENSQ_CACHE_DIR set, records are cached by
-a content hash of (params, flags, schema version, tool version); a rerun
-returns the stored record, written in one canonical form, so its bytes
-are identical.  The --json path and the cache directory are checked
-before any record is built.
+a content hash of (params, flags, schema version, tool version).  Each
+cache file is sealed: a first line holds the sha256 of the key and the
+record body, so a file that was truncated, edited or moved to another
+key is a miss and is rewritten.  A rerun returns the stored record,
+written in one canonical form, so its bytes are identical.  The --json
+path and the cache directory are checked before any record is built.
 
 Exit codes: 0 success, 1 failed verification or batch rows, 2 invalid
 parameters or a path that cannot be read or written, 3 resource bound
@@ -121,42 +123,25 @@ def build_run_record(params: GroupParams, with_oracle: bool) -> dict:
     }
 
 
-_RECORD_KEYS = frozenset(
-    {
-        "schema_version", "tool", "params", "derived", "tensor", "exterior", "schur",
-        "delta_order", "nu_order_predicted", "oracle", "timings",
-    }
-)
-
-
-def _is_record(value, params: GroupParams, with_oracle: bool) -> bool:
-    """Whether a parsed cache file is this tuple's record under these flags."""
-    if not (isinstance(value, dict) and value.keys() == _RECORD_KEYS):
-        return False
-    oracle_block = value["oracle"]
-    return (
-        value["params"] == _params_block(params)
-        and value["schema_version"] == SCHEMA_VERSION
-        and (
-            isinstance(oracle_block, dict) and isinstance(oracle_block.get("match"), bool)
-            if with_oracle
-            else oracle_block is None
-        )
-    )
-
-
 def _record_json(record: dict) -> str:
     return json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+
+def _seal(key: str, body: bytes) -> bytes:
+    return hashlib.sha256(key.encode("ascii") + body).hexdigest().encode("ascii")
 
 
 def _load_record(params: GroupParams, with_oracle: bool) -> dict:
     """The record for one tuple, from TENSQ_CACHE_DIR when set.
 
-    A stored file that parses to this tuple's record is returned.  Any
-    other file, missing, unparsable or not such a record, is a miss:
-    the cache directory is created, then the record is built and the
-    file rewritten atomically, through a temporary file and os.replace,
-    so a reader never sees a partial record.
+    A cache file is one seal line, the hex sha256 of the cache key and
+    the body together, then the body: the record in its canonical JSON
+    form.  A file whose seal matches is a hit, and its body is parsed.
+    Any other file, missing, truncated, edited, moved from another
+    key's path or written without a seal, is a miss: the cache
+    directory is created, then the record is built and the file
+    rewritten atomically, through a temporary file and os.replace, so a
+    reader never sees a partial record.
     """
     cache_dir = os.environ.get("TENSQ_CACHE_DIR")
     if not cache_dir:
@@ -166,18 +151,19 @@ def _load_record(params: GroupParams, with_oracle: bool) -> dict:
     key = hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
     path = os.path.join(cache_dir, key + ".json")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cached = json.load(fh)
-        if _is_record(cached, params, with_oracle):
-            return cached
+        with open(path, "rb") as fh:
+            seal, _, body = fh.read().partition(b"\n")
+        if seal == _seal(key, body):
+            return json.loads(body)
     except (FileNotFoundError, ValueError, RecursionError):
         # json raises RecursionError on deeply nested arrays or objects.
         pass
     os.makedirs(cache_dir, exist_ok=True)
     record = build_run_record(params, with_oracle)
+    body = _record_json(record).encode("utf-8")
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(_record_json(record))
+    with open(tmp, "wb") as fh:
+        fh.write(_seal(key, body) + b"\n" + body)
     os.replace(tmp, path)
     return record
 

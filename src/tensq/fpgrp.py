@@ -61,7 +61,10 @@ def _parse_relator(text: str, lineno: int, gen_index: dict[str, int]) -> Word:
             match = _INT.match(text, pos)
             if not match:
                 raise PresentationSyntaxError("expected an integer exponent", lineno, pos + 1)
-            exponent = int(match.group())
+            try:
+                exponent = int(match.group())
+            except ValueError:  # past Python's limit on int-from-str digits
+                raise PresentationSyntaxError("exponent has too many digits", lineno, pos + 1)
             if exponent == 0:
                 raise PresentationSyntaxError("zero exponent", lineno, pos + 1)
             pos = match.end()

@@ -28,13 +28,6 @@ def test_compute_ok(capsys):
     assert "nu_certification" not in record
 
 
-@pytest.mark.parametrize("with_oracle", [False, True])
-def test_record_keys_are_the_built_record_keys(with_oracle):
-    # The cache check and the builder agree on the one record shape.
-    record = cli.build_run_record(metagrp.validate(3, 2, 2, 0), with_oracle)
-    assert cli._RECORD_KEYS == record.keys()
-
-
 def test_compute_golden_record(tmp_path, capsys):
     out_path = tmp_path / "record.json"
     rc = main(
@@ -53,11 +46,47 @@ def test_compute_golden_record(tmp_path, capsys):
     assert record == json.loads((DATA / "compute_9343.json").read_text())
 
 
-def test_validation_exit_code(capsys):
+def test_validation_exit_code(monkeypatch, capsys):
     assert main(["compute", "--m", "10", "--n", "2", "--r", "3", "--s", "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "odd" in err
+
+    # 300 seeded argument lists: half a valid tuple with |G| <= 30, half
+    # with fields replaced by 0, negative or 31-digit values, some with a
+    # stray token.  Each returns or exits with a documented code.
+    monkeypatch.delenv("TENSQ_CACHE_DIR", raising=False)
+    rng = random.Random(31)
+    valid = metagrp.enumerate_valid_tuples(30, include_s_zero=True)
+    stray = ["--bogus", "x", "--m", "--oracle", "-3", "--what", "--max-cosets", "--suite", "--"]
+    codes = set()
+    for _ in range(300):
+        p = rng.choice(valid)
+        values = [p.m, p.n, p.r, p.s]
+        if rng.random() < 0.5:
+            for i in rng.sample(range(4), rng.randint(1, 4)):
+                values[i] = rng.choice(
+                    [0, rng.randint(-40, -1), rng.choice([-1, 1]) * rng.randrange(10**30, 10**31)]
+                )
+        command = rng.choice(["compute", "compute", "emit", "verify"])
+        argv = [command]
+        for name, value in zip(("--m", "--n", "--r", "--s"), values):
+            argv += [name, str(value)]
+        if command == "verify":
+            argv += ["--suite", rng.choice(["identities", "bounds", "nu", "all"])]
+            argv += ["--max-cosets", str(rng.choice([-1, 0, 5, 20000]))]
+        elif command == "emit":
+            argv += ["--what", rng.choice(["nu", "tensor"])]
+        if rng.random() < 0.25:
+            argv.insert(rng.randrange(1, len(argv) + 1), rng.choice(stray))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3, 4, 64), argv
+        codes.add(code)
+    assert {0, 2, 64} <= codes, codes
 
 
 def test_resource_exit_code(capsys):
@@ -400,6 +429,74 @@ def test_deeply_nested_manifest_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot read manifest {bad}")
 
 
+def _body(path):
+    """A cache file's record body, the text after its seal line."""
+    return path.read_text().partition("\n")[2]
+
+
+def test_edited_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
+    # The body is edited and the seal line kept: the seal no longer
+    # matches, so the true record is built again and the file rewritten.
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("TENSQ_CACHE_DIR", str(cache))
+    argv = ["compute", "--m", "3", "--n", "2", "--r", "2", "--s", "0"]
+    assert main(argv) == 0
+    (path,) = cache.glob("*.json")
+    capsys.readouterr()
+    edited = json.loads(_body(path))
+    edited["tensor"]["invariant_factors"] = [7]
+    edited["nu_order_predicted"] = "x"
+    forged = path.read_text().partition("\n")[0] + "\n" + cli._record_json(edited)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"tuples": [[3, 2, 2, 0]]}))
+
+    path.write_text(forged)
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    record = json.loads(text)
+    assert record["tensor"]["invariant_factors"] == [6]
+    assert record["nu_order_predicted"] == 216
+    assert _body(path) == text
+
+    path.write_text(forged)
+    assert main(["batch", "--manifest", str(manifest)]) == 0
+    (row,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert row["status"] == "ok"
+    assert row["record"]["tensor"]["invariant_factors"] == [6]
+    assert row["record"]["nu_order_predicted"] == 216
+    assert _body(path) == cli._record_json(row["record"])
+
+
+def test_moved_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
+    # The seal covers the key, so a file copied onto another tuple's path,
+    # or onto the other oracle flag's path, is a miss there and is rewritten.
+    monkeypatch.setenv("TENSQ_CACHE_DIR", str(tmp_path))
+
+    def cached(args):
+        before = set(tmp_path.glob("*.json"))
+        assert main(["compute", *args]) == 0
+        (path,) = set(tmp_path.glob("*.json")) - before
+        capsys.readouterr()
+        return path
+
+    def untimed(text):
+        record = json.loads(text)
+        del record["timings"]
+        return record
+
+    small = ["--m", "3", "--n", "2", "--r", "2", "--s", "0"]
+    source = cached(small)
+    for args in (["--m", "7", "--n", "3", "--r", "2", "--s", "0"], [*small, "--oracle"]):
+        target = cached(args)
+        stored = _body(target)
+        target.write_bytes(source.read_bytes())
+        assert main(["compute", *args]) == 0
+        text = capsys.readouterr().out
+        assert untimed(text) == untimed(stored)
+        assert _body(target) == text
+    assert len(list(tmp_path.glob("*.json"))) == 3
+
+
 def test_deeply_nested_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("TENSQ_CACHE_DIR", str(tmp_path))
     argv = ["compute", "--m", "3", "--n", "2", "--r", "2", "--s", "0"]
@@ -410,7 +507,7 @@ def test_deeply_nested_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
     assert main(argv) == 0
     text = capsys.readouterr().out
     assert json.loads(text)["params"] == {"m": 3, "n": 2, "r": 2, "s": 0}
-    assert path.read_text() == text
+    assert _body(path) == text
 
 
 def test_cache_returns_stored_bytes(tmp_path, monkeypatch, capsys):
@@ -420,7 +517,7 @@ def test_cache_returns_stored_bytes(tmp_path, monkeypatch, capsys):
     first = capsys.readouterr().out
     files = list(tmp_path.glob("*.json"))
     assert len(files) == 1
-    assert files[0].read_text() == first
+    assert _body(files[0]) == first
     assert main(argv) == 0
     second = capsys.readouterr().out
     # Byte-identical timings prove the record came from the cache.
@@ -439,23 +536,27 @@ def test_schema_version_is_in_the_cache_key(tmp_path, monkeypatch, capsys):
     text = capsys.readouterr().out
     (new,) = set(tmp_path.glob("*.json")) - {old}
     assert json.loads(text)["schema_version"] == cli.SCHEMA_VERSION
-    assert new.read_text() == text
+    assert _body(new) == text
 
 
 def test_truncated_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
-    # A truncated file does not parse; the other bodies parse but are not
-    # a record.  Each is a miss, and the record is built and rewritten.
+    # Neither a truncated file, sealed or not, nor an unsealed body carries
+    # a matching seal line.  Each is a miss, and the record is built and
+    # rewritten.
     monkeypatch.setenv("TENSQ_CACHE_DIR", str(tmp_path))
     argv = ["compute", "--m", "3", "--n", "2", "--r", "2", "--s", "0"]
     assert main(argv) == 0
     (path,) = tmp_path.glob("*.json")
     full = capsys.readouterr().out
+    stored = path.read_text()
     manifest = tmp_path / "manifest.txt"
     manifest.write_text(json.dumps({"tuples": [[3, 2, 2, 0]]}))
     # A schema-1 record: it carries nu_certification and schema_version 1.
     schema_1 = dict(json.loads(full), nu_certification=None, schema_version=1)
     # Proper prefixes, short of the closing brace (full[:-1] still parses).
     prefixes = [full[:k] for k in random.Random(7).sample(range(len(full) - 1), 50)]
+    # Proper prefixes of the sealed file, down to one short of its final newline.
+    prefixes += [stored[:k] for k in random.Random(11).sample(range(len(stored)), 50)]
     bodies = [full[:40], full[:-10], "{}", "[1, 2]", "null", cli._record_json(schema_1)]
     for body in bodies + prefixes:
         path.write_text(body)
@@ -463,13 +564,13 @@ def test_truncated_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
         text = capsys.readouterr().out
         assert json.loads(text)["params"] == {"m": 3, "n": 2, "r": 2, "s": 0}
         assert json.loads(text).keys() == json.loads(full).keys()
-        assert path.read_text() == text
+        assert _body(path) == text
 
         path.write_text(body)
         assert main(["batch", "--manifest", str(manifest)]) == 0, body
         (row,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert row["status"] == "ok"
-        assert path.read_text() == json.dumps(row["record"], sort_keys=True, indent=2) + "\n"
+        assert _body(path) == json.dumps(row["record"], sort_keys=True, indent=2) + "\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, manifest.name])
 
 

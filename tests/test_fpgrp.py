@@ -81,6 +81,7 @@ def test_parse_header_commas_and_bare_names():
         ("gens: x x\nx^2", 1, 1, "duplicate"),
         ("gens: 2x\n", 1, 1, "bad generator name"),
         ("gens:\nx^2", 1, 1, "no generators"),
+        pytest.param("gens: x\nx^" + "9" * 5000, 2, 3, "too many digits", id="long-exponent"),
     ],
 )
 def test_parse_errors(text, line, column, fragment):
@@ -108,6 +109,39 @@ def test_round_trip_nu_and_tensor():
             assert parsed.generators == original.generators, p
             assert parsed.relators == original.relators, p
             assert all(abs(e) <= p.order for word in original.relators for _, e in word), p
+
+    # Seeded character mutations of two emitted texts: each mutant either
+    # parses, and its own text re-parses to the same presentation, or
+    # raises PresentationSyntaxError.
+    rng = random.Random(20251019)
+    alphabet = "\t\r\n :*^-0123456789xyuvwz_\u00e9\u2028\u00a0\u0663"
+    texts = [
+        presentation_to_text(build(metagrp.validate(*t)))
+        for t in ((3, 2, 2, 0), (9, 3, 4, 3))
+        for build in (nu_presentation, tensor_presentation)
+    ]
+    outcomes = {"parsed": 0, "rejected": 0}
+    for _ in range(2000):
+        chars = list(rng.choice(texts))
+        for _ in range(rng.randint(1, 3)):
+            pos = rng.randrange(len(chars))
+            edit = rng.choice(["insert", "delete", "replace"])
+            if edit == "delete":
+                del chars[pos]
+            elif edit == "insert":
+                chars.insert(pos, rng.choice(alphabet))
+            else:
+                chars[pos] = rng.choice(alphabet)
+        mutant = "".join(chars)
+        try:
+            parsed = parse_presentation(mutant)
+        except PresentationSyntaxError:
+            outcomes["rejected"] += 1
+            continue
+        again = parse_presentation(presentation_to_text(parsed))
+        assert (again.generators, again.relators) == (parsed.generators, parsed.relators), mutant
+        outcomes["parsed"] += 1
+    assert all(outcomes.values()), outcomes
 
 
 def test_golden_text_parses_to_nu():
