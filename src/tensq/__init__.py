@@ -12,7 +12,17 @@ from .errors import (
     TensqError,
     ValidationError,
 )
-from .metagrp import Element, GroupParams, validate
+
+
+# metagrp's names are loaded on first access (PEP 562), so importing the
+# package, or the CLI for --version, does not load the group layers.
+def __getattr__(name):
+    if name in ("Element", "GroupParams", "validate"):
+        from . import metagrp
+
+        return getattr(metagrp, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Element",

@@ -10,6 +10,13 @@ key is a miss and is rewritten.  A rerun returns the stored record,
 written in one canonical form, so its bytes are identical.  The --json
 path and the cache directory are checked before any record is built.
 
+Each layer is imported where it is first used, so a command loads only
+the layers it runs: --version, --help and usage errors load none;
+checking a tuple loads metagrp and numth; building a record adds
+presentations and abgrp, and --oracle adds the oracle; a batch served
+from the cache builds no record; verify loads every layer, fpgrp too.
+hashlib is imported only when TENSQ_CACHE_DIR is set.
+
 Exit codes: 0 success, 1 failed verification or batch rows, 2 invalid
 parameters or a path that cannot be read or written, 3 resource bound
 hit (including an enumeration that did not close), 4 internal formula
@@ -20,20 +27,24 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import os
 import sys
 import time
 
-from . import __version__, fpgrp, metagrp, oracle, presentations
+from . import __version__
 from .errors import (
     FormulaInconsistencyError,
     ResourceLimitError,
     TensqError,
     ValidationError,
 )
-from .metagrp import GroupParams
+
+# typing.TYPE_CHECKING, without importing typing at start-up; type
+# checkers take this name as true.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .metagrp import GroupParams
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -73,6 +84,8 @@ def _params_block(params: GroupParams) -> dict:
 
 def build_run_record(params: GroupParams, with_oracle: bool) -> dict:
     """Closed-form record for one tuple, plus the oracle block on request."""
+    from . import presentations
+
     timings = {}
     start = time.perf_counter()
     inv = params.inv
@@ -80,6 +93,8 @@ def build_run_record(params: GroupParams, with_oracle: bool) -> dict:
     timings["closed_form_s"] = time.perf_counter() - start
     oracle_block = None
     if with_oracle:
+        from . import oracle
+
         start = time.perf_counter()
         model = oracle.build_tensor_oracle(params)
         ext = oracle.exterior_oracle(model)
@@ -128,6 +143,8 @@ def _record_json(record: dict) -> str:
 
 
 def _seal(key: str, body: bytes) -> bytes:
+    import hashlib
+
     return hashlib.sha256(key.encode("ascii") + body).hexdigest().encode("ascii")
 
 
@@ -146,6 +163,8 @@ def _load_record(params: GroupParams, with_oracle: bool) -> dict:
     cache_dir = os.environ.get("TENSQ_CACHE_DIR")
     if not cache_dir:
         return build_run_record(params, with_oracle)
+    import hashlib
+
     payload = {"oracle": bool(with_oracle), "schema_version": SCHEMA_VERSION, "version": __version__}
     payload.update(_params_block(params))
     key = hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
@@ -169,6 +188,8 @@ def _load_record(params: GroupParams, with_oracle: bool) -> dict:
 
 
 def _params(args) -> GroupParams:
+    from . import metagrp
+
     return metagrp.validate(args.m, args.n, args.r, args.s)
 
 
@@ -196,7 +217,10 @@ def _print_suite(report) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import fpgrp, oracle
+
     params = _params(args)
+    max_cosets = fpgrp.DEFAULT_MAX_COSETS if args.max_cosets is None else args.max_cosets
     failures = 0
     inconclusive = False
     model = None
@@ -207,12 +231,12 @@ def cmd_verify(args) -> int:
     if args.suite in ("bounds", "all"):
         failures += _print_suite(oracle.verify_bounds(model))
     if args.suite in ("nu", "all"):
-        cert = fpgrp.certify_nu_order(params, max_cosets=args.max_cosets)
+        cert = fpgrp.certify_nu_order(params, max_cosets=max_cosets)
         if cert.status == "INCONCLUSIVE":
             inconclusive = True
             print(
                 f"[INCONCLUSIVE] nu order: the coset table does not close within "
-                f"{args.max_cosets} cosets (predicted {cert.predicted}); raise --max-cosets"
+                f"{max_cosets} cosets (predicted {cert.predicted}); raise --max-cosets"
             )
         else:
             failures += cert.status == "FAIL"
@@ -229,6 +253,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_emit(args) -> int:
+    from . import presentations
+
     params = _params(args)
     if args.what == "nu":
         pres = presentations.nu_presentation(params)
@@ -277,6 +303,8 @@ def _sweep(jobs, with_oracle: bool, rows_out, summary_out) -> int:
     nothing is kept but the counts, so memory does not grow with the
     number of tuples and a run that is killed keeps every finished row.
     """
+    from . import metagrp
+
     counts = {"ok": 0, "mismatch": 0, "error": 0}
     for m, n, r, s in jobs:
         params_block = {"m": m, "n": n, "r": r, "s": s}
@@ -310,6 +338,8 @@ def cmd_batch(args) -> int:
     if args.manifest:
         jobs = _load_manifest(args.manifest)
     elif args.max_order is not None:
+        from . import metagrp
+
         jobs = metagrp.iter_valid_tuples(args.max_order, args.include_s_zero)
     else:
         raise ValidationError(["batch needs --max-order or --manifest"])
@@ -318,6 +348,17 @@ def cmd_batch(args) -> int:
     # Opened before the first tuple, so an unusable path fails at once.
     with open(args.out, "w", encoding="utf-8") as fh:
         return _sweep(jobs, args.oracle, fh, sys.stdout)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a size bound: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _add_params(sub) -> None:
@@ -345,7 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["identities", "bounds", "nu", "all"],
         default="all",
     )
-    verify.add_argument("--max-cosets", type=int, default=fpgrp.DEFAULT_MAX_COSETS)
+    # None stands for fpgrp.DEFAULT_MAX_COSETS, read in cmd_verify so that
+    # building the parser loads no layer.
+    verify.add_argument("--max-cosets", type=_positive_int)
     verify.set_defaults(func=cmd_verify)
 
     emit = subs.add_parser("emit", help="print a presentation")
@@ -357,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch = subs.add_parser("batch", help="sweep many tuples")
     jobs = batch.add_mutually_exclusive_group()
     jobs.add_argument("--manifest", metavar="PATH", help='JSON manifest {"tuples": [[m, n, r, s], ...]}')
-    jobs.add_argument("--max-order", type=int, help="enumerate all valid tuples with mn <= this")
+    jobs.add_argument("--max-order", type=_positive_int, help="enumerate all valid tuples with mn <= this")
     batch.add_argument("--include-s-zero", action="store_true", help="with --max-order, also s = 0")
     batch.add_argument("--oracle", action="store_true")
     batch.add_argument("--out", metavar="PATH", help="write JSON lines here instead of stdout")

@@ -108,6 +108,20 @@ def test_usage_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["batch", "--manifest", "jobs.json", "--include-s-zero"])
     assert info.value.code == 64
+    capsys.readouterr()
+    # A bound of 0 or less is a usage error, not an empty or inconclusive run.
+    for argv in (
+        ["verify", "--m", "3", "--n", "2", "--r", "2", "--s", "0", "--suite", "nu", "--max-cosets", "-1"],
+        ["verify", "--m", "3", "--n", "2", "--r", "2", "--s", "0", "--suite", "nu", "--max-cosets", "0"],
+        ["batch", "--max-order", "-5"],
+        ["batch", "--max-order", "0"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {argv[-2]}: must be a positive integer, got '{argv[-1]}'" in captured.err
 
 
 def test_version(capsys):
@@ -162,10 +176,13 @@ def test_verify_all(capsys):
 
 
 def test_verify_nu_inconclusive(capsys):
-    rc = main(["verify", "--m", "3", "--n", "2", "--r", "2", "--s", "0",
-               "--suite", "nu", "--max-cosets", "10"])
-    assert rc == 3
-    assert "[INCONCLUSIVE]" in capsys.readouterr().out
+    for bound in ("10", "1"):
+        rc = main(["verify", "--m", "3", "--n", "2", "--r", "2", "--s", "0",
+                   "--suite", "nu", "--max-cosets", bound])
+        assert rc == 3
+        out = capsys.readouterr().out
+        assert "[INCONCLUSIVE]" in out
+        assert f"within {bound} cosets" in out
 
 
 BIG = ["--m", "1000000007", "--n", "1000000006", "--r", "5", "--s", "0"]
@@ -339,11 +356,13 @@ def test_batch_max_order(capsys):
 
 
 def test_batch_empty_range(capsys):
-    rc = main(["batch", "--max-order", "20"])
-    assert rc == 0
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "tuples: 0  ok: 0  mismatches: 0  errors: 0\n"
+    # No valid tuple has |G| <= 20 with s > 0, and no group at all has |G| <= 5.
+    for bound in ("20", "5"):
+        rc = main(["batch", "--max-order", bound])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "tuples: 0  ok: 0  mismatches: 0  errors: 0\n"
 
 
 def test_batch_manifest_with_bad_row(tmp_path, capsys):
@@ -579,3 +598,63 @@ def test_verify_suites_match_golden(capsys):
     assert main(["verify", *params, "--suite", "identities"]) == 0
     assert main(["verify", *params, "--suite", "bounds"]) == 0
     assert capsys.readouterr().out == (DATA / "verify_9343.txt").read_text()
+
+
+BASE_MODULES = {"tensq", "tensq.cli", "tensq.errors"}
+GROUP_MODULES = BASE_MODULES | {"tensq.metagrp", "tensq.numth"}
+CLOSED_FORM_MODULES = GROUP_MODULES | {"tensq.presentations", "tensq.abgrp"}
+ALL_MODULES = CLOSED_FORM_MODULES | {"tensq.oracle", "tensq.fpgrp"}
+
+LOADED_MODULES = """
+import json, sys
+from tensq import cli
+try:
+    cli.main(sys.argv[1:])
+except SystemExit:
+    pass
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("tensq"))))
+"""
+
+
+def _loaded_modules(args, cache_dir=None) -> set:
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    env.pop("TENSQ_CACHE_DIR", None)
+    if cache_dir:
+        env["TENSQ_CACHE_DIR"] = str(cache_dir)
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_each_command_loads_only_the_layers_it_runs(tmp_path, monkeypatch, capsys):
+    # --version, --help and usage errors load no layer; an invalid tuple
+    # stops at metagrp; compute runs the closed forms without the oracle
+    # or fpgrp; a batch served from the cache never builds a record; and
+    # verify runs every layer.
+    assert _loaded_modules(["--version"]) == BASE_MODULES
+    assert _loaded_modules(["verify", "--help"]) == BASE_MODULES
+    assert _loaded_modules(["batch", "--max-order", "0"]) == BASE_MODULES
+    assert _loaded_modules(["compute", "--m", "4", "--n", "2", "--r", "3", "--s", "0"]) == GROUP_MODULES
+    assert _loaded_modules(["compute", *SMALL]) == CLOSED_FORM_MODULES
+    assert _loaded_modules(["verify", *SMALL, "--suite", "all"]) == ALL_MODULES
+
+    cache = tmp_path / "cache"
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"tuples": [[3, 2, 2, 0], [9, 3, 4, 3], [10, 2, 3, 0]]}))
+    monkeypatch.setenv("TENSQ_CACHE_DIR", str(cache))
+    assert main(["batch", "--manifest", str(manifest)]) == 1
+    capsys.readouterr()
+    assert _loaded_modules(["batch", "--manifest", str(manifest)], cache) == GROUP_MODULES
+
+
+def test_package_exports_resolve_on_first_access():
+    import tensq
+
+    assert tensq.validate(3, 2, 2, 0) == metagrp.GroupParams(3, 2, 2, 0)
+    assert tensq.validate is metagrp.validate
+    assert tensq.Element is metagrp.Element
+    assert tensq.GroupParams is metagrp.GroupParams
+    with pytest.raises(AttributeError, match="'nope'"):
+        tensq.nope

@@ -66,6 +66,12 @@ def test_traced_manifest_batch_records_its_spans(tmp_path):
     assert names.count("cli.cmd_batch") == 1
     assert names.count("cli.build_run_record") == 2
 
+    # With --oracle, cli imports the oracle inside build_run_record; its
+    # calls must still reach the functions the tracer wrapped.
+    names = [span[0] for span in run_traced(tmp_path, *args, "--oracle")["spans"]]
+    assert names.count("cli.build_run_record") == 2
+    assert names.count("oracle.build_tensor_oracle") == 2
+
 
 def test_traced_compute_records_the_abgrp_spans(tmp_path):
     # The closed-form-sweep abgrp.* per-layer metrics read these spans,
