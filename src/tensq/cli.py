@@ -1,6 +1,6 @@
 """Command-line surface: compute, verify, emit and batch subcommands.
 
-Every run that produces structures emits one JSON record (schema 2)
+Every run that produces structures emits one JSON record (schema 3)
 with sorted keys, so identical inputs give byte-identical output apart
 from the timing block.  With TENSQ_CACHE_DIR set, records are cached by
 a content hash of (params, flags, schema version, tool version).  Each
@@ -19,8 +19,8 @@ hashlib is imported only when TENSQ_CACHE_DIR is set.
 
 Exit codes: 0 success, 1 failed verification or batch rows, 2 invalid
 parameters or a path that cannot be read or written, 3 resource bound
-hit (including an enumeration that did not close), 4 internal formula
-inconsistency, 64 usage errors.
+hit (the oracle's group-order limit, or a coset enumeration that did
+not close), 4 internal formula inconsistency, 64 usage errors.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ EXIT_RESOURCE = 3
 EXIT_FORMULA = 4
 EXIT_USAGE = 64
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # An OSError is a manifest, --out, --json or cache path that cannot be used.
 EXIT_CODES = {
@@ -125,7 +125,6 @@ def build_run_record(params: GroupParams, with_oracle: bool) -> dict:
             "o_prime_a": inv.oprime_a,
             "o_prime_b": inv.oprime_b,
             "t": inv.t_derived,
-            "l": inv.l,
             "k": inv.k,
         },
         "tensor": _structure_block(report.tensor),

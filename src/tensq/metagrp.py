@@ -15,10 +15,12 @@ Closed forms used throughout (all re-checked against enumeration by
 
     o(a) = m                     o(b)  = n*m/(m,s)
     G'   = <a^(r-1)> = C_t       t     = m/(m,r-1)
-    Z(G) = <a^t, b^l>            l     = mult_order(r, m)
     o'(a) = (m, r-1)             o'(b) = n*(m, lcm(s, r-1))/(m, s)
 
-where o'(g) is the order of the image of g in G/G'.
+where o'(g) is the order of the image of g in G/G'.  The centre is
+Z(G) = <a^t, b^l>, l the multiplicative order of r mod m, which the
+tests check by enumeration.  No closed form reads l, and finding it
+fast means factoring phi(m), so it is not computed here.
 """
 
 from __future__ import annotations
@@ -63,9 +65,6 @@ class Element:
 
     beta: int
     alpha: int
-
-
-IDENTITY = Element(0, 0)
 
 
 def validate(m: int, n: int, r: int, s: int) -> GroupParams:
@@ -167,7 +166,6 @@ class DerivedInvariants:
 
     o_b: int
     t_derived: int  # |G'| = m/(m, r-1)
-    l: int  # multiplicative order of r mod m
     oprime_a: int
     oprime_b: int
     k: int
@@ -178,7 +176,6 @@ def derived_invariants(p: GroupParams) -> DerivedInvariants:
     return DerivedInvariants(
         o_b=p.n * p.m // d,
         t_derived=p.m // gcd(p.m, p.r - 1),
-        l=numth.mult_order(p.r, p.m),
         oprime_a=gcd(p.m, p.r - 1),
         oprime_b=p.n * gcd(p.m, lcm(p.s, p.r - 1)) // d,
         k=numth.capital_k(p),
@@ -216,8 +213,3 @@ def iter_valid_tuples(max_order: int, include_s_zero: bool = False) -> Iterator[
                 step = m // gcd(m, r - 1)
                 for s in range(0 if include_s_zero else step, m, step):
                     yield m, n, r, s
-
-
-def enumerate_valid_tuples(max_order: int, include_s_zero: bool = False) -> list[GroupParams]:
-    """The tuples of :func:`iter_valid_tuples`, validated, as a list."""
-    return [validate(*t) for t in iter_valid_tuples(max_order, include_s_zero)]

@@ -13,6 +13,7 @@ from math import gcd
 import pytest
 
 from tensq import fpgrp, metagrp, oracle, presentations
+from support import enumerate_valid_tuples
 from test_metagrp import brute_invariants
 
 SWEEP_LIMIT = 45
@@ -29,7 +30,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 def sweep_models():
     start = time.perf_counter()
     models = {}
-    for p in metagrp.enumerate_valid_tuples(SWEEP_LIMIT):
+    for p in enumerate_valid_tuples(SWEEP_LIMIT):
         models[(p.m, p.n, p.r, p.s)] = oracle.build_tensor_oracle(p)
     return models, time.perf_counter() - start
 
@@ -186,7 +187,7 @@ def test_criterion_7_schur_multiplier(sweep_models):
 
 def test_criterion_8_brute_force_sweep():
     start = time.perf_counter()
-    tuples = metagrp.enumerate_valid_tuples(200, include_s_zero=True)
+    tuples = enumerate_valid_tuples(200, include_s_zero=True)
     bad = [p for p in tuples if brute_invariants(p)]
     dt = time.perf_counter() - start
     ok = not bad and dt < 60 and len(tuples) == 1189

@@ -12,6 +12,7 @@ from tensq import cli, metagrp
 from tensq.cli import main
 from tensq.fpgrp import parse_presentation
 from tensq.presentations import nu_presentation
+from support import enumerate_valid_tuples
 
 DATA = Path(__file__).parent / "data"
 
@@ -19,7 +20,7 @@ DATA = Path(__file__).parent / "data"
 def test_compute_ok(capsys):
     assert main(["compute", "--m", "3", "--n", "2", "--r", "2", "--s", "0"]) == 0
     record = json.loads(capsys.readouterr().out)
-    assert record["schema_version"] == 2
+    assert record["schema_version"] == cli.SCHEMA_VERSION == 3
     assert record["params"] == {"m": 3, "n": 2, "r": 2, "s": 0}
     assert record["tensor"]["invariant_factors"] == [6]
     assert record["exterior"]["invariant_factors"] == [3]
@@ -57,7 +58,7 @@ def test_validation_exit_code(monkeypatch, capsys):
     # stray token.  Each returns or exits with a documented code.
     monkeypatch.delenv("TENSQ_CACHE_DIR", raising=False)
     rng = random.Random(31)
-    valid = metagrp.enumerate_valid_tuples(30, include_s_zero=True)
+    valid = enumerate_valid_tuples(30, include_s_zero=True)
     stray = ["--bogus", "x", "--m", "--oracle", "-3", "--what", "--max-cosets", "--suite", "--"]
     codes = set()
     for _ in range(300):
@@ -186,19 +187,20 @@ def test_verify_nu_inconclusive(capsys):
 
 
 BIG = ["--m", "1000000007", "--n", "1000000006", "--r", "5", "--s", "0"]
-# m is prime, so phi(m) = m - 1 = 4 * 11 * 22727272727272727 must be factored.
+# Prime m of 18 and 26 digits with n = m - 1; no closed form factors m or phi(m).
 BIG_PRIME = ["--m", "999999999999999989", "--n", "999999999999999988", "--r", "2", "--s", "0"]
-# m and (m - 1) / 2 pass Miller-Rabin above its proof bound: exit 3, no hang.
 HUGE_PRIME = ["--m", "10000000000000000000001879", "--n", "10000000000000000000001878", "--r", "2", "--s", "0"]
+# A 400-digit m; |G| is far past the coset bound, so verify --suite nu
+# is INCONCLUSIVE.
+DIGITS_400 = ["--m", str(10**399 + 1), "--n", "2", "--r", str(10**399), "--s", "0"]
 
 
 def semiprime(p: int, q: int) -> list[str]:
-    """The tuple g(pq, 2; pq - 1, 0), whose mult_order must factor m = pq."""
+    """The tuple g(pq, 2; pq - 1, 0), with m the product of two large primes."""
     return ["--m", str(p * q), "--n", "2", "--r", str(p * q - 1), "--s", "0"]
 
 
-# Pollard rho splits two primes near 10^12 within its step budget; two
-# near 10^18 exhaust it and exit 3 instead of running for hours.
+# Two primes near 10^12, and two near 10^18 that no quick factoring splits.
 SEMIPRIME = semiprime(999_999_999_989, 1_000_000_000_039)
 HARD_SEMIPRIME = semiprime(999_999_999_999_999_989, 1_000_000_000_000_000_003)
 # |nu(G)| would pass 4300 digits: n of 2201 digits exits 2.
@@ -216,10 +218,13 @@ def _cap_address_space():
         (["emit", *BIG, "--what", "nu"], 0),
         (["verify", *BIG, "--suite", "nu"], 3),
         (["compute", *BIG_PRIME], 0),
-        (["compute", *HUGE_PRIME], 3),
+        (["compute", *HUGE_PRIME], 0),
         (["compute", *SEMIPRIME], 0),
-        (["compute", *HARD_SEMIPRIME], 3),
+        (["compute", *HARD_SEMIPRIME], 0),
         (["compute", *OVERSIZED_N], 2),
+        (["compute", *DIGITS_400], 0),
+        (["emit", *DIGITS_400, "--what", "nu"], 0),
+        (["verify", *DIGITS_400, "--suite", "nu"], 3),
     ],
     ids=[
         "compute",
@@ -230,6 +235,9 @@ def _cap_address_space():
         "compute-semiprime-m",
         "compute-unsplit-semiprime-m",
         "compute-oversized-n",
+        "compute-400-digit-m",
+        "emit-nu-400-digit-m",
+        "verify-nu-400-digit-m",
     ],
 )
 def test_big_tuple_runs_in_bounded_time_and_memory(args, code):
@@ -345,7 +353,7 @@ def test_batch_max_order(capsys):
     assert rc == 0
     captured = capsys.readouterr()
     rows = [json.loads(line) for line in captured.out.splitlines()]
-    expected = metagrp.enumerate_valid_tuples(30)
+    expected = enumerate_valid_tuples(30)
     assert len(rows) == len(expected) > 0
     assert [row["params"] for row in rows] == [{"m": p.m, "n": p.n, "r": p.r, "s": p.s} for p in expected]
     assert all(row["status"] == "ok" for row in rows)

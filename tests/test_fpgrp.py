@@ -18,6 +18,7 @@ from tensq.presentations import (
     presentation_to_text,
     tensor_presentation,
 )
+from support import IDENTITY, enumerate_valid_tuples
 
 DATA = Path(__file__).parent / "data"
 
@@ -97,7 +98,7 @@ def test_round_trip_nu_and_tensor():
     # Two hand-picked tuples, a seeded draw over |G| <= 2000, and two
     # tuples with m, n near 10^6 and 10^9 whose exact E has millions of
     # digits.  Every exponent must stay within |G|.
-    pool = metagrp.enumerate_valid_tuples(2000, include_s_zero=True)
+    pool = enumerate_valid_tuples(2000, include_s_zero=True)
     tuples = [metagrp.validate(3, 2, 2, 0), metagrp.validate(9, 3, 4, 3)]
     tuples += random.Random(20251018).sample(pool, 300)
     tuples += [metagrp.validate(931657, 116457, 917707, 0),
@@ -178,7 +179,7 @@ def test_certify_reaches_past_the_trivial_subgroup_budget():
 
 
 def evaluate(word, images, p):
-    out = metagrp.IDENTITY
+    out = IDENTITY
     for gen, exp in word:
         out = metagrp.mul(out, metagrp.power(images[gen], exp, p), p)
     return out
@@ -188,14 +189,14 @@ def test_projection_to_g_kills_every_nu_relator():
     # x1 -> a, y1 -> b, every other generator -> 1 is a homomorphism
     # nu(G) -> G mapping H = <x1, y1> onto G: the |H| >= |G| half of the
     # certificate's |H| = mn.
-    images = [metagrp.Element(0, 1), metagrp.Element(1, 0)] + [metagrp.IDENTITY] * 6
-    for p in metagrp.enumerate_valid_tuples(100, include_s_zero=True):
+    images = [metagrp.Element(0, 1), metagrp.Element(1, 0)] + [IDENTITY] * 6
+    for p in enumerate_valid_tuples(100, include_s_zero=True):
         for word in nu_presentation(p).relators:
-            assert evaluate(word, images, p) == metagrp.IDENTITY, (p, word)
+            assert evaluate(word, images, p) == IDENTITY, (p, word)
 
 
 def test_certificate_agrees_with_the_trivial_subgroup_run():
-    pool = metagrp.enumerate_valid_tuples(21, include_s_zero=True)
+    pool = enumerate_valid_tuples(21, include_s_zero=True)
     assert len(pool) == 11
     for p in pool:
         full = todd_coxeter(nu_presentation(p))

@@ -1,8 +1,9 @@
 import pytest
 
-from tensq import metagrp
+from tensq import metagrp, numth
 from tensq.errors import OutOfScopeError, ResourceLimitError, ValidationError
-from tensq.metagrp import IDENTITY, Element
+from tensq.metagrp import Element
+from support import IDENTITY, enumerate_valid_tuples
 
 
 def elt_order(g, p):
@@ -90,10 +91,10 @@ def brute_invariants(p):
 
     closed = p.inv
 
-    # Closure of the closed-form center generators a^t and b^l.
+    # Closure of the center generators a^t and b^l, l the order of r mod m.
     gen_a = (0, closed.t_derived % m)
     gen_b = (1, 0)
-    for _ in range(closed.l - 1):
+    for _ in range(numth.mult_order(r, m) - 1):
         gen_b = mul_raw(gen_b[0], gen_b[1], 1, 0)
     closed_center = closure((gen_a, gen_b), lambda d, e: mul_raw(*d, *e), (0, 0))
 
@@ -193,7 +194,7 @@ def test_inverse_on_full_enumeration():
 
 
 def test_mul_associativity_full_sweep():
-    for p in metagrp.enumerate_valid_tuples(60, include_s_zero=True):
+    for p in enumerate_valid_tuples(60, include_s_zero=True):
         els, idx, tbl = mul_table(p)
         ng = len(els)
         for i in range(ng):
@@ -206,7 +207,7 @@ def test_mul_associativity_full_sweep():
 
 
 def test_conj_is_conjugation_full_sweep():
-    for p in metagrp.enumerate_valid_tuples(60, include_s_zero=True):
+    for p in enumerate_valid_tuples(60, include_s_zero=True):
         els = metagrp.elements(p)
         for g in els:
             ginv = metagrp.inverse(g, p)
@@ -216,7 +217,7 @@ def test_conj_is_conjugation_full_sweep():
 
 
 def test_power_matches_repeated_mul_full_sweep():
-    for p in metagrp.enumerate_valid_tuples(60, include_s_zero=True):
+    for p in enumerate_valid_tuples(60, include_s_zero=True):
         for g in metagrp.elements(p):
             order = elt_order(g, p)
             acc = IDENTITY
@@ -233,7 +234,7 @@ def test_commutator_values_are_the_derived_subgroup():
     # over all h are g^-1 times the conjugacy class of g, and that class
     # is the orbit of g under conjugation by the generators a and b.
     gens = (Element(0, 1), Element(1, 0))
-    for p in metagrp.enumerate_valid_tuples(200, include_s_zero=True):
+    for p in enumerate_valid_tuples(200, include_s_zero=True):
         values = set()
         for g in metagrp.elements(p):
             ginv = metagrp.inverse(g, p)
@@ -282,16 +283,16 @@ def test_brute_invariants_bound():
 
 
 def test_brute_invariants_sweep_small():
-    for p in metagrp.enumerate_valid_tuples(100, include_s_zero=True):
+    for p in enumerate_valid_tuples(100, include_s_zero=True):
         mismatches = brute_invariants(p)
         assert not mismatches, (p, mismatches)
 
 
 def test_enumerate_valid_tuples_scope():
-    tuples = metagrp.enumerate_valid_tuples(45)
+    tuples = enumerate_valid_tuples(45)
     assert all(p.s > 0 for p in tuples)
     assert len(tuples) == 18
-    with_zero = metagrp.enumerate_valid_tuples(45, include_s_zero=True)
+    with_zero = enumerate_valid_tuples(45, include_s_zero=True)
     assert set(tuples) <= set(with_zero)
     assert all(p.order <= 45 for p in with_zero)
     assert metagrp.GroupParams(3, 2, 2, 0) in with_zero
@@ -300,10 +301,10 @@ def test_enumerate_valid_tuples_scope():
 
 
 def test_enumerate_valid_tuples_is_the_validated_generator():
+    # validate accepts every generated tuple and leaves it as it is.
     for include_s_zero in (False, True):
-        listed = metagrp.enumerate_valid_tuples(300, include_s_zero)
-        generated = [metagrp.validate(*t) for t in metagrp.iter_valid_tuples(300, include_s_zero)]
-        assert listed == generated
+        listed = [(p.m, p.n, p.r, p.s) for p in enumerate_valid_tuples(300, include_s_zero)]
+        assert listed == list(metagrp.iter_valid_tuples(300, include_s_zero))
 
 
 def test_iter_valid_tuples_yields_every_valid_tuple():

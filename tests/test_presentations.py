@@ -19,6 +19,7 @@ from tensq.presentations import (
     tensor_structure,
     upsilon_order_bounds,
 )
+from support import enumerate_valid_tuples
 
 DATA = Path(__file__).parent / "data"
 
@@ -51,7 +52,7 @@ def test_frozen_structures():
 
 
 def test_section_report_consistency_sweep():
-    for p in metagrp.enumerate_valid_tuples(120, include_s_zero=True):
+    for p in enumerate_valid_tuples(120, include_s_zero=True):
         report = exterior_and_schur(p)
         t = p.m // gcd(p.m, p.r - 1)
         assert report.tensor.order == report.exterior.order * report.delta_order
@@ -119,7 +120,7 @@ def test_tensor_relators_are_the_nu_relators():
 def test_tensor_presentation_enumerates_to_closed_form_order():
     # The words carry E reduced, the rows sum them into the lattice; the
     # enumeration checks independently that both present the same group.
-    for p in metagrp.enumerate_valid_tuples(100, include_s_zero=True):
+    for p in enumerate_valid_tuples(100, include_s_zero=True):
         assert todd_coxeter(tensor_presentation(p)).order == tensor_structure(p).order, p
 
 
@@ -141,7 +142,7 @@ def test_split_family_has_textbook_closed_forms():
 def test_beyl_tuples_have_trivial_schur():
     # s = m/(m, r-1) with s(r-1) = 0 mod m automatically satisfied.
     found = 0
-    for p in metagrp.enumerate_valid_tuples(200, include_s_zero=True):
+    for p in enumerate_valid_tuples(200, include_s_zero=True):
         if p.s == p.m // gcd(p.m, p.r - 1) and p.s > 0:
             found += 1
             assert exterior_and_schur(p).schur.order == 1, p
