@@ -3,32 +3,35 @@
 Everything here works on plain Python ints; no floating point is used
 anywhere.  There is one representation: a row or vector is a sparse
 {column: coefficient} dict, from the eight tensor relations to the
-large relation matrices of the tensor-square oracle, and through the
-Smith normal form.
+large relation matrices of the tensor-square oracle, and into the Smith
+normal form.
 
 The central object is :class:`RowLattice`, an integer row lattice kept
 as an echelon basis (one basis row per pivot column, pivot = leftmost
-nonzero entry, kept positive).  ``RowLattice.insert`` is the only
-elimination in the module.  A lattice given a modulus M that the
-quotient's exponent divides starts from M * Z^n and keeps every basis
-entry below M (Domich, Kannan and Trotter's bound for the Hermite
-normal form); without one, entries are never reduced.  Its pivot rows
-are kept reduced lazily: a row is brought back to reduced form, every
-entry right of its pivot in [0, pivot of that column), only just before
-it is next used, and is stored so.  Almost every pivot is a unit, and a
-reduced row is zero under every unit pivot, so the rows in use stay
-short and a redundant row costs a short walk (the unit pivots are
-eliminated cheaply and a small core is left, as in Havas, Holt and
-Rees's strategy).  For a fixed column order the fully reduced echelon
-basis is the Hermite normal form, which the lattice alone determines,
-so the basis ``clear_unit_columns`` leaves does not depend on the order
-rows were inserted in.  Finitely
-generated abelian groups are presented as Z^n modulo such a lattice;
-their canonical invariant factors come from a Smith normal form of the
-small core left after eliminating every unit pivot, reached by
-alternating echelon passes over the core's rows and columns.  Every
-query against the lattice, membership and element order alike, is one
-walk down the echelon basis: ``RowLattice.order``.
+nonzero entry, kept positive), built by ``RowLattice.insert``.  A
+lattice given a modulus M that the quotient's exponent divides starts
+from M * Z^n and keeps every basis entry below M (Domich, Kannan and
+Trotter's bound for the Hermite normal form); without one, entries are
+never reduced.  Its pivot rows are kept reduced lazily: a row is brought
+back to reduced form, every entry right of its pivot in [0, pivot of
+that column), only just before it is next used, and is stored so.
+Almost every pivot is a unit, and a reduced row is zero under every
+unit pivot, so the rows in use stay short and a redundant row costs a
+short walk (the unit pivots are eliminated cheaply and a small core is
+left, as in Havas, Holt and Rees's strategy).  For a fixed column order
+the fully reduced echelon basis is the Hermite normal form, which the
+lattice alone determines, so the basis ``clear_unit_columns`` leaves
+does not depend on the order rows were inserted in.  Finitely generated
+abelian groups are presented as Z^n modulo such a lattice; their
+canonical invariant factors come from the Smith normal form of the
+small core left after eliminating every unit pivot.  Every query against
+the lattice, membership and element order alike, is one walk down the
+echelon basis: ``RowLattice.order``.
+
+:func:`smith_normal_form` is the module's one other elimination: a
+single pass of unimodular row and column gcd steps over a dense copy of
+a few rows.  The closed forms hand it the eight tensor relations
+directly and build no lattice.
 """
 
 from __future__ import annotations
@@ -341,32 +344,51 @@ def smith_normal_form(rows) -> list[int]:
     """Nonzero diagonal d1 | d2 | ... of the Smith normal form of sparse rows.
 
     Rows are {column: coefficient} dicts; the column labels need not be
-    contiguous.  Each pass inserts the columns of the current basis into
-    a fresh RowLattice, so echelon passes alternate between the columns
-    and the rows of the matrix until every basis row has a single entry;
-    that diagonal is then put in divisibility order.  Its length is the
-    rank of the matrix.
+    contiguous.  They are copied into a dense matrix over their sorted
+    labels, which is eliminated one column at a time by unimodular gcd
+    steps.  Row steps gather the column into one pivot row.  Where the
+    pivot does not divide an entry right of it, a column gcd step makes
+    the pivot strictly smaller and may refill the column, so the two
+    alternate until the pivot divides its row; it is then a diagonal
+    entry and its row is dropped.  A pair of diagonal entries presents
+    the same group as their gcd and lcm, which puts the diagonal in
+    divisibility order.  Its length is the rank of the matrix.
     """
-    # After the first pass the basis is in echelon form, so each later
-    # pass meets the first pivot p first, as the vector (p).  If p
-    # divides every entry of its row, that vector stays the first basis
-    # row and p's row and column are cleared for good; otherwise the gcd
-    # step makes p strictly smaller.  So the first pivot only shrinks
-    # until it divides its row and its column, and the rest of the
-    # matrix then settles the same way, one pivot at a time.
-    basis = list(rows)
-    while True:
-        columns: dict[int, dict] = {}
-        for i, row in enumerate(basis):
-            for j, v in row.items():
-                columns.setdefault(j, {})[i] = v
-        lattice = RowLattice(len(basis))
-        for j in sorted(columns):
-            lattice.insert(columns[j])
-        basis = [lattice.pivots[j] for j in sorted(lattice.pivots)]
-        if all(len(row) == 1 for row in basis):
-            break
-    diag = [v for row in basis for v in row.values()]
+    rows = list(rows)
+    labels = sorted({j for row in rows for j in row})
+    ncols = len(labels)
+    matrix = [[row.get(j, 0) for j in labels] for row in rows]
+    diag = []
+    for c in range(ncols):
+        while True:
+            live = [row for row in matrix if row[c]]
+            if not live:
+                break
+            piv = live[0]
+            for row in live[1:]:
+                a, b = piv[c], row[c]
+                if b % a:
+                    g, x, y = _xgcd(a, b)
+                    a, b = a // g, b // g
+                    for k in range(c, ncols):
+                        piv[k], row[k] = x * piv[k] + y * row[k], a * row[k] - b * piv[k]
+                else:
+                    q = b // a
+                    for k in range(c, ncols):
+                        row[k] -= q * piv[k]
+            # Column c is now zero outside piv.  When piv[c] divides the
+            # rest of its row, column steps clear that row and touch no
+            # other, so piv[c] is a diagonal entry and its row is done.
+            a = piv[c]
+            k = next((k for k in range(c + 1, ncols) if piv[k] % a), None)
+            if k is None:
+                diag.append(abs(a))
+                matrix.remove(piv)
+                break
+            g, x, y = _xgcd(a, piv[k])
+            a, b = a // g, piv[k] // g
+            for row in matrix:
+                row[c], row[k] = x * row[c] + y * row[k], a * row[k] - b * row[c]
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             g = gcd(diag[i], diag[j])

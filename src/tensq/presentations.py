@@ -29,7 +29,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from . import numth
-from .abgrp import AbelianStructure, quotient_structure
+from .abgrp import AbelianStructure, smith_normal_form
 from .errors import FormulaInconsistencyError, TensqError
 from .metagrp import GroupParams
 
@@ -148,15 +148,16 @@ def tensor_relators(desc: TensorDescriptor, u: int, v: int, w: int, z: int) -> l
 
 
 def tensor_structure(params: GroupParams) -> AbelianStructure:
-    """Canonical invariant factors of G (x) G."""
+    """Canonical invariant factors of G (x) G.
+
+    The Smith form of the eight relation rows; no word repeats a
+    generator, so each word is its row.  A generator the relations leave
+    free would be a zero invariant factor.
+    """
     ngens = len(TENSOR_GENERATORS)
-    rows = []
-    for word in tensor_relators(tensor_descriptor(params), *range(ngens)):
-        row = {}
-        for g, e in word:
-            row[g] = row.get(g, 0) + e
-        rows.append(row)
-    return quotient_structure(rows, ngens).structure
+    words = tensor_relators(tensor_descriptor(params), *range(ngens))
+    diag = smith_normal_form(dict(word) for word in words)
+    return AbelianStructure(tuple(d for d in diag if d > 1) + (0,) * (ngens - len(diag)))
 
 
 def exterior_order(params: GroupParams) -> int:

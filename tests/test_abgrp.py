@@ -4,6 +4,7 @@ from math import gcd, prod
 
 import pytest
 
+from tensq import metagrp
 from tensq.abgrp import (
     AbelianStructure,
     RowLattice,
@@ -14,6 +15,8 @@ from tensq.abgrp import (
     smith_normal_form,
 )
 from tensq.errors import TensqError
+from tensq.presentations import tensor_descriptor, tensor_relators
+from support import FROZEN
 
 
 def determinant(matrix) -> int:
@@ -90,6 +93,46 @@ def test_snf_rectangular_and_random():
     for size, bound in [(5, 6)] * 20 + [(4, 40)] * 30 + [(5, 40)] * 20:
         matrix = [[rng.randint(-bound, bound) for _ in range(size)] for _ in range(size)]
         check_snf(matrix)
+
+
+def tensor_pattern(e_u, e_v, e_w, e_z, s, n, big_e):
+    """The dense 8 x 4 matrix of tensor_relators on columns u, v, w, z:
+    four diagonal order rows, then the four cross rows."""
+    return [
+        [0, e_v, 0, 0],
+        [0, 0, e_w, 0],
+        [e_u, 0, 0, 0],
+        [0, 0, 0, e_z],
+        [s, 0, -n, 0],
+        [s, 0, n, -s],
+        [-big_e, s, 0, 0],
+        [big_e, s, 0, -big_e],
+    ]
+
+
+def test_snf_on_tall_tensor_pattern_matrices():
+    # The closed forms hand the eight tensor relations to the Smith form
+    # directly; the entries here run from one digit to several hundred.
+    # Each matrix is checked as given and with its rows and columns
+    # shuffled, which moves the first pivot off the order rows.
+    rng = random.Random(20261019)
+    for bound in [9] * 40 + [10**6] * 20 + [10**300] * 10:
+        e_u, e_v, e_w, e_z, n = (rng.randint(1, bound) for _ in range(5))
+        s = rng.choice([0, rng.randint(1, bound)])
+        big_e = rng.randint(1, bound)
+        matrix = tensor_pattern(e_u, e_v, e_w, e_z, s, n, big_e)
+        diag = check_snf(matrix)
+        rng.shuffle(matrix)
+        cols = rng.sample(range(4), 4)
+        assert check_snf([[row[j] for j in cols] for row in matrix]) == diag
+
+
+def test_snf_on_the_frozen_relation_matrices():
+    for tup, (tensor, *_) in FROZEN.items():
+        words = tensor_relators(tensor_descriptor(metagrp.validate(*tup)), 0, 1, 2, 3)
+        matrix = [[dict(word).get(g, 0) for g in range(4)] for word in words]
+        diag = check_snf(matrix)
+        assert tuple(d for d in diag if d > 1) == tensor, tup
 
 
 def test_snf_is_deterministic():

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from tensq import metagrp
+from tensq.abgrp import quotient_structure
 from tensq.errors import TensqError
 from tensq.fpgrp import todd_coxeter
 from tensq.presentations import (
@@ -16,26 +17,13 @@ from tensq.presentations import (
     presentation_to_text,
     tensor_descriptor,
     tensor_presentation,
+    tensor_relators,
     tensor_structure,
     upsilon_order_bounds,
 )
-from support import enumerate_valid_tuples
+from support import FROZEN, enumerate_valid_tuples
 
 DATA = Path(__file__).parent / "data"
-
-# (m, n, r, s) -> (tensor, exterior, schur, delta, nu order)
-FROZEN = {
-    (9, 3, 4, 3): ((3, 3, 3, 3), (3,), (), 27, 59049),
-    (9, 3, 4, 0): ((3, 3, 3, 3), (3,), (), 27, 59049),
-    (3, 2, 2, 0): ((6,), (3,), (), 2, 216),
-    (7, 3, 2, 0): ((21,), (7,), (), 3, 9261),
-    (5, 4, 2, 0): ((20,), (5,), (), 4, 8000),
-    (9, 2, 8, 0): ((18,), (9,), (), 2, 5832),
-    (3, 6, 2, 0): ((3, 6), (3,), (), 6, 5832),
-    (7, 2, 6, 0): ((14,), (7,), (), 2, 2744),
-    (15, 2, 11, 3): ((30,), (3,), (), 10, 27000),
-    (21, 2, 8, 3): ((42,), (3,), (), 14, 74088),
-}
 
 
 def test_frozen_structures():
@@ -49,6 +37,19 @@ def test_frozen_structures():
         assert report.schur.invariant_factors == schur, tup
         assert report.delta_order == delta, tup
         assert report.nu_order_predicted == nu_order, tup
+
+
+def test_tensor_structure_matches_the_lattice_quotient():
+    # The closed form reads the Smith form of the eight relation rows
+    # directly; the slow path inserts the same rows into a RowLattice.
+    for p in enumerate_valid_tuples(300, include_s_zero=True):
+        rows = []
+        for word in tensor_relators(tensor_descriptor(p), 0, 1, 2, 3):
+            row = {}
+            for g, e in word:
+                row[g] = row.get(g, 0) + e
+            rows.append(row)
+        assert tensor_structure(p) == quotient_structure(rows, 4).structure, p
 
 
 def test_section_report_consistency_sweep():

@@ -74,9 +74,20 @@ def test_traced_manifest_batch_records_its_spans(tmp_path):
 
 
 def test_traced_compute_records_the_abgrp_spans(tmp_path):
-    # The closed-form-sweep abgrp.* per-layer metrics read these spans,
-    # one each per closed-form tensor structure.
+    # The closed forms read G (x) G off one Smith form of the eight
+    # tensor relations and build no lattice; the closed-form-sweep
+    # abgrp.* per-layer metrics read these spans.
     args = ["compute", "--m", "9", "--n", "3", "--r", "4", "--s", "3"]
     names = [span[0] for span in run_traced(tmp_path, *args)["spans"]]
-    for name in ("abgrp.quotient_structure", "abgrp.quotient_from_lattice", "abgrp.smith_normal_form"):
-        assert names.count(name) == 1, name
+    assert names.count("abgrp.smith_normal_form") == 1
+    assert names.count("abgrp.quotient_structure") == 0
+    assert names.count("abgrp.quotient_from_lattice") == 0
+
+    # With --oracle the tensor and exterior lattices each reach
+    # quotient_from_lattice, which takes the Smith form of its core;
+    # the oracle-crosscheck per-layer metrics read these spans.
+    spans = run_traced(tmp_path, *args, "--oracle")["spans"]
+    parents = sorted(spans[span[3]][0] for span in spans if span[0] == "abgrp.quotient_from_lattice")
+    assert parents == ["oracle.build_tensor_oracle", "oracle.exterior_oracle"]
+    snf_parents = sorted(spans[span[3]][0] for span in spans if span[0] == "abgrp.smith_normal_form")
+    assert snf_parents == ["abgrp.quotient_from_lattice"] * 2 + ["presentations.tensor_structure"]
