@@ -6,9 +6,12 @@ from the timing block.  With TENSQ_CACHE_DIR set, records are cached by
 a content hash of (params, flags, schema version, tool version).  Each
 cache file is sealed: a first line holds the sha256 of the key and the
 record body, so a file that was truncated, edited or moved to another
-key is a miss and is rewritten.  A rerun returns the stored record,
-written in one canonical form, so its bytes are identical.  The --json
-path and the cache directory are checked before any record is built.
+key is a miss and is rewritten.  The body is the record's one-line
+canonical JSON, the exact text a batch row carries, so a batch row is
+spliced from it without encoding the record again, and a rerun of
+compute prints the stored record re-indented, byte for byte as the
+first run printed it.  The --json path and the cache directory are
+checked before any record is built.
 
 Each layer is imported where it is first used, so a command loads only
 the layers it runs: --version, --help and usage errors load none;
@@ -137,6 +140,11 @@ def build_run_record(params: GroupParams, with_oracle: bool) -> dict:
     }
 
 
+# One encoder for every one-line record and batch row: json.dumps would
+# build a new one per call.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _record_json(record: dict) -> str:
     return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
@@ -147,21 +155,27 @@ def _seal(key: str, body: bytes) -> bytes:
     return hashlib.sha256(key.encode("ascii") + body).hexdigest().encode("ascii")
 
 
-def _load_record(params: GroupParams, with_oracle: bool) -> dict:
-    """The record for one tuple, from TENSQ_CACHE_DIR when set.
+def _load_record(params: GroupParams, with_oracle: bool) -> tuple[dict, str]:
+    """The record for one tuple and its one-line canonical JSON text,
+    read from TENSQ_CACHE_DIR when set.
 
     A cache file is one seal line, the hex sha256 of the cache key and
-    the body together, then the body: the record in its canonical JSON
-    form.  A file whose seal matches is a hit, and its body is parsed.
-    Any other file, missing, truncated, edited, moved from another
-    key's path or written without a seal, is a miss: the cache
-    directory is created, then the record is built and the file
-    rewritten atomically, through a temporary file and os.replace, so a
-    reader never sees a partial record.
+    the body together, then the body: the record's one-line canonical
+    text, the same bytes _ROW_ENCODER gives.  A file is a hit only if
+    its seal matches, its body holds no line break and the body parses;
+    the parsed record is returned with the body itself, which is never
+    encoded again.  Any other file, missing, truncated, edited, moved
+    from another key's path, unsealed, or an indented body from an
+    earlier version, is a miss: the cache directory is created, then
+    the record is built, encoded once, and the file rewritten
+    atomically, through a temporary file and os.replace, so a reader
+    never sees a partial record.  A temporary file whose write or
+    rename fails is removed before the error propagates.
     """
     cache_dir = os.environ.get("TENSQ_CACHE_DIR")
     if not cache_dir:
-        return build_run_record(params, with_oracle)
+        record = build_run_record(params, with_oracle)
+        return record, _ROW_ENCODER.encode(record)
     import hashlib
 
     payload = {"oracle": bool(with_oracle), "schema_version": SCHEMA_VERSION, "version": __version__}
@@ -171,19 +185,26 @@ def _load_record(params: GroupParams, with_oracle: bool) -> dict:
     try:
         with open(path, "rb") as fh:
             seal, _, body = fh.read().partition(b"\n")
-        if seal == _seal(key, body):
-            return json.loads(body)
+        if seal == _seal(key, body) and b"\r" not in body and b"\n" not in body:
+            text = body.decode("ascii")
+            return json.loads(text), text
     except (FileNotFoundError, ValueError, RecursionError):
         # json raises RecursionError on deeply nested arrays or objects.
         pass
     os.makedirs(cache_dir, exist_ok=True)
     record = build_run_record(params, with_oracle)
-    body = _record_json(record).encode("utf-8")
+    text = _ROW_ENCODER.encode(record)
+    body = text.encode("ascii")
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(_seal(key, body) + b"\n" + body)
-    os.replace(tmp, path)
-    return record
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_seal(key, body) + b"\n" + body)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+    return record, text
 
 
 def _params(args) -> GroupParams:
@@ -196,7 +217,7 @@ def cmd_compute(args) -> int:
     params = _params(args)
     # --json is opened before the record is built, so an unusable path fails at once.
     with open(args.json, "w", encoding="utf-8") if args.json else contextlib.nullcontext() as fh:
-        text = _record_json(_load_record(params, args.oracle))
+        text = _record_json(_load_record(params, args.oracle)[0])
         sys.stdout.write(text)
         if fh:
             fh.write(text)
@@ -291,10 +312,6 @@ def _load_manifest(path: str) -> list:
     return tuples
 
 
-# One encoder for every batch row: json.dumps would build a new one per call.
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
 def _sweep(jobs, with_oracle: bool, rows_out, summary_out) -> int:
     """One JSON line per tuple to rows_out, then the summary.
 
@@ -306,22 +323,30 @@ def _sweep(jobs, with_oracle: bool, rows_out, summary_out) -> int:
 
     counts = {"ok": 0, "mismatch": 0, "error": 0}
     for m, n, r, s in jobs:
-        params_block = {"m": m, "n": n, "r": r, "s": s}
         try:
             params = metagrp.validate(m, n, r, s)
-            record = _load_record(params, with_oracle)
+            record, text = _load_record(params, with_oracle)
+        except TensqError as exc:
+            status = "error"
+            row = _ROW_ENCODER.encode(
+                {
+                    "status": status,
+                    "params": {"m": m, "n": n, "r": r, "s": s},
+                    "error": {"type": type(exc).__name__, "message": str(exc)},
+                }
+            )
+        else:
             status = "ok"
             if record["oracle"] is not None and not record["oracle"]["match"]:
                 status = "mismatch"
-            row = {"status": status, "params": params_block, "record": record}
-        except TensqError as exc:
-            row = {
-                "status": "error",
-                "params": params_block,
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-            }
-        counts[row["status"]] += 1
-        rows_out.write(_ROW_ENCODER.encode(row) + "\n")
+            # The row _ROW_ENCODER would give, keys sorted, with the
+            # record's text spliced in: the manifest's ints print as JSON.
+            row = (
+                f'{{"params": {{"m": {m}, "n": {n}, "r": {r}, "s": {s}}}, '
+                f'"record": {text}, "status": "{status}"}}'
+            )
+        counts[status] += 1
+        rows_out.write(row + "\n")
         rows_out.flush()
 
     summary_out.write(

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -461,6 +463,11 @@ def _body(path):
     return path.read_text().partition("\n")[2]
 
 
+def _one_line(text):
+    """The one-line canonical form of a printed record, as a cache file stores it."""
+    return json.dumps(json.loads(text), sort_keys=True)
+
+
 def test_edited_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
     # The body is edited and the seal line kept: the seal no longer
     # matches, so the true record is built again and the file rewritten.
@@ -473,7 +480,7 @@ def test_edited_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
     edited = json.loads(_body(path))
     edited["tensor"]["invariant_factors"] = [7]
     edited["nu_order_predicted"] = "x"
-    forged = path.read_text().partition("\n")[0] + "\n" + cli._record_json(edited)
+    forged = path.read_text().partition("\n")[0] + "\n" + json.dumps(edited, sort_keys=True)
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"tuples": [[3, 2, 2, 0]]}))
 
@@ -483,7 +490,7 @@ def test_edited_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
     record = json.loads(text)
     assert record["tensor"]["invariant_factors"] == [6]
     assert record["nu_order_predicted"] == 216
-    assert _body(path) == text
+    assert _body(path) == _one_line(text)
 
     path.write_text(forged)
     assert main(["batch", "--manifest", str(manifest)]) == 0
@@ -491,7 +498,7 @@ def test_edited_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
     assert row["status"] == "ok"
     assert row["record"]["tensor"]["invariant_factors"] == [6]
     assert row["record"]["nu_order_predicted"] == 216
-    assert _body(path) == cli._record_json(row["record"])
+    assert _body(path) == json.dumps(row["record"], sort_keys=True)
 
 
 def test_moved_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
@@ -520,7 +527,7 @@ def test_moved_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
         assert main(["compute", *args]) == 0
         text = capsys.readouterr().out
         assert untimed(text) == untimed(stored)
-        assert _body(target) == text
+        assert _body(target) == _one_line(text)
     assert len(list(tmp_path.glob("*.json"))) == 3
 
 
@@ -534,7 +541,7 @@ def test_deeply_nested_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
     assert main(argv) == 0
     text = capsys.readouterr().out
     assert json.loads(text)["params"] == {"m": 3, "n": 2, "r": 2, "s": 0}
-    assert _body(path) == text
+    assert _body(path) == _one_line(text)
 
 
 def test_cache_returns_stored_bytes(tmp_path, monkeypatch, capsys):
@@ -544,7 +551,7 @@ def test_cache_returns_stored_bytes(tmp_path, monkeypatch, capsys):
     first = capsys.readouterr().out
     files = list(tmp_path.glob("*.json"))
     assert len(files) == 1
-    assert _body(files[0]) == first
+    assert _body(files[0]) == _one_line(first)
     assert main(argv) == 0
     second = capsys.readouterr().out
     # Byte-identical timings prove the record came from the cache.
@@ -563,7 +570,7 @@ def test_schema_version_is_in_the_cache_key(tmp_path, monkeypatch, capsys):
     text = capsys.readouterr().out
     (new,) = set(tmp_path.glob("*.json")) - {old}
     assert json.loads(text)["schema_version"] == cli.SCHEMA_VERSION
-    assert _body(new) == text
+    assert _body(new) == _one_line(text)
 
 
 def test_truncated_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
@@ -582,7 +589,7 @@ def test_truncated_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
     schema_1 = dict(json.loads(full), nu_certification=None, schema_version=1)
     # Proper prefixes, short of the closing brace (full[:-1] still parses).
     prefixes = [full[:k] for k in random.Random(7).sample(range(len(full) - 1), 50)]
-    # Proper prefixes of the sealed file, down to one short of its final newline.
+    # Proper prefixes of the sealed file, down to one short of its closing brace.
     prefixes += [stored[:k] for k in random.Random(11).sample(range(len(stored)), 50)]
     bodies = [full[:40], full[:-10], "{}", "[1, 2]", "null", cli._record_json(schema_1)]
     for body in bodies + prefixes:
@@ -591,14 +598,171 @@ def test_truncated_cache_file_is_a_miss(tmp_path, monkeypatch, capsys):
         text = capsys.readouterr().out
         assert json.loads(text)["params"] == {"m": 3, "n": 2, "r": 2, "s": 0}
         assert json.loads(text).keys() == json.loads(full).keys()
-        assert _body(path) == text
+        assert _body(path) == _one_line(text)
 
         path.write_text(body)
         assert main(["batch", "--manifest", str(manifest)]) == 0, body
         (row,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert row["status"] == "ok"
-        assert _body(path) == json.dumps(row["record"], sort_keys=True, indent=2) + "\n"
+        assert _body(path) == json.dumps(row["record"], sort_keys=True)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, manifest.name])
+
+
+# Cache file names of (3, 2, 2, 0) without and with --oracle.  They move
+# only when the schema or tool version does, so an existing cache keeps
+# its paths.
+PINNED_KEYS = {
+    False: "95b8f5e74c712bfb37e65c905bf7d4333216a9f1f96adf84b0b2e11c6ed84469",
+    True: "d10776793a991943d7c65d582c041896dc18b7f32882fa833aaa2a0f3885fe93",
+}
+
+
+def test_cache_keys_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TENSQ_CACHE_DIR", str(tmp_path))
+    for oracle, key in PINNED_KEYS.items():
+        before = set(tmp_path.iterdir())
+        assert main(["compute", *SMALL, *(["--oracle"] if oracle else [])]) == 0
+        assert set(tmp_path.iterdir()) - before == {tmp_path / f"{key}.json"}
+    capsys.readouterr()
+
+
+def _seal_body(key, body):
+    """A cache file holding body under a valid seal for key."""
+    seal = hashlib.sha256(key.encode("ascii") + body.encode("ascii")).hexdigest()
+    return seal + "\n" + body
+
+
+def _untimed(text):
+    """Every record or row in text, with each timings block emptied."""
+    return re.sub(r'"timings": \{[^}]*\}', '"timings": {}', text)
+
+
+def test_indented_cache_body_is_a_miss(tmp_path, monkeypatch, capsys):
+    # Earlier versions stored the indented record under the same seal and
+    # key.  Such a file is a miss for compute and for batch: it is
+    # rewritten once in the one-line form, and the output does not change.
+    monkeypatch.setenv("TENSQ_CACHE_DIR", str(tmp_path / "cache"))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"tuples": [[3, 2, 2, 0]]}))
+    assert main(["compute", *SMALL]) == 0
+    cold = capsys.readouterr().out
+    (path,) = (tmp_path / "cache").glob("*.json")
+    assert path.stem == PINNED_KEYS[False]
+    assert main(["batch", "--manifest", str(manifest)]) == 0
+    cold_row = capsys.readouterr().out
+    indented = _seal_body(path.stem, cli._record_json(json.loads(cold)))
+    build = cli.build_run_record
+    built = []
+    monkeypatch.setattr(cli, "build_run_record", lambda *args: built.append(args) or build(*args))
+    for argv, expected in ((["compute", *SMALL], cold), (["batch", "--manifest", str(manifest)], cold_row)):
+        path.write_text(indented)
+        assert main(argv) == 0
+        rewritten = capsys.readouterr().out
+        assert _untimed(rewritten) == _untimed(expected)
+        assert len(built) == 1
+        built.clear()
+        assert path.read_text() == _seal_body(path.stem, _body(path))
+        assert "\n" not in _body(path)
+        stat = path.stat()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == rewritten
+        assert (path.stat().st_ino, path.stat().st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
+
+
+def _rows_of(argv, out_path, capsys):
+    """The rows and summary of one batch run, written to out_path or stdout."""
+    code = main([*argv, "--out", str(out_path)] if out_path else argv)
+    captured = capsys.readouterr()
+    if out_path:
+        return code, out_path.read_text(), captured.out
+    return code, captured.out, captured.err
+
+
+def test_batch_rows_are_the_same_with_and_without_the_cache(tmp_path, monkeypatch, capsys):
+    # ok rows, an error row, and with --oracle a mismatch forced by a wrong
+    # Schur order for m = 7: the rows are byte-identical apart from timings
+    # with no cache, from a cold cache and from a warm one, on stdout and
+    # through --out, and each is the canonical encoding of the row.
+    from tensq import oracle
+
+    true_schur_order = oracle.oracle_schur_order
+
+    def schur_order(model):
+        return true_schur_order(model) + (model.params.m == 7)
+
+    monkeypatch.setattr(oracle, "oracle_schur_order", schur_order)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"tuples": [[3, 2, 2, 0], [10, 2, 3, 0], [7, 3, 2, 0], [9, 3, 4, 3]]}))
+    for flags, statuses in (([], ["ok", "error", "ok", "ok"]), (["--oracle"], ["ok", "error", "mismatch", "ok"])):
+        argv = ["batch", *flags, "--manifest", str(manifest)]
+        runs = []
+        for cache, out in [(None, None), (None, "rows.jsonl"), ("a", None), ("b", "rows.jsonl")] * 2:
+            if cache:
+                monkeypatch.setenv("TENSQ_CACHE_DIR", str(tmp_path / (cache + "".join(flags))))
+            else:
+                monkeypatch.delenv("TENSQ_CACHE_DIR", raising=False)
+            runs.append(_rows_of(argv, out and tmp_path / out, capsys))
+        summary = f"tuples: 4  ok: {statuses.count('ok')}  mismatches: {statuses.count('mismatch')}  errors: 1\n"
+        for code, rows, summary_text in runs:
+            assert (code, summary_text) == (1, summary)
+            assert _untimed(rows) == _untimed(runs[0][1])
+        lines = runs[0][1].splitlines()
+        assert [json.loads(line)["status"] for line in lines] == statuses
+        assert all(json.dumps(json.loads(line), sort_keys=True) == line for line in lines)
+        # The warm runs replay the cold runs' rows, timings included.
+        assert runs[6][1] == runs[2][1] and runs[7][1] == runs[3][1]
+
+
+def test_warm_batch_builds_no_record(tmp_path, monkeypatch, capsys):
+    # A second batch over a filled cache builds no record, rewrites no
+    # cache file, and replays the cold pass's rows byte for byte.
+    def fail(*args):
+        raise AssertionError("a record was built on a warm cache")
+
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("TENSQ_CACHE_DIR", str(cache))
+    manifest = tmp_path / "manifest.json"
+    tuples = [[p.m, p.n, p.r, p.s] for p in enumerate_valid_tuples(30)] + [[3, 2, 2, 0], [10, 2, 3, 0]]
+    manifest.write_text(json.dumps({"tuples": tuples}))
+    for flags in ([], ["--oracle"]):
+        argv = ["batch", *flags, "--manifest", str(manifest)]
+        cold = _rows_of(argv, None, capsys)
+        files = {p.name: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns) for p in cache.iterdir()}
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_run_record", fail)
+            assert _rows_of(argv, None, capsys) == cold
+        assert {p.name: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns) for p in cache.iterdir()} == files
+    assert len(files) == 2 * (len(tuples) - 1)
+
+
+def test_compute_from_the_cache_matches_golden(tmp_path, monkeypatch, capsys):
+    # A cache hit prints the bytes the cold compute printed, timings
+    # included, and both match the golden record.
+    monkeypatch.setenv("TENSQ_CACHE_DIR", str(tmp_path / "cache"))
+    argv = ["compute", "--m", "9", "--n", "3", "--r", "4", "--s", "3", "--oracle"]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    assert main([*argv, "--json", str(tmp_path / "record.json")]) == 0
+    assert capsys.readouterr().out == cold == (tmp_path / "record.json").read_text()
+    record = json.loads(cold)
+    record["timings"] = {}
+    assert record == json.loads((DATA / "compute_9343.json").read_text())
+
+
+@pytest.mark.parametrize("command", ["compute", "batch"])
+def test_failed_cache_write_leaves_no_temporary_file(command, tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise OSError("rename refused")
+
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("TENSQ_CACHE_DIR", str(cache))
+    monkeypatch.setattr(os, "replace", refuse)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"tuples": [[3, 2, 2, 0]]}))
+    argv = ["compute", *SMALL] if command == "compute" else ["batch", "--manifest", str(manifest)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: rename refused\n"
+    assert list(cache.iterdir()) == []
 
 
 def test_verify_suites_match_golden(capsys):
