@@ -3,13 +3,17 @@
 Every run that produces structures emits one JSON record (schema 3)
 with sorted keys, so identical inputs give byte-identical output apart
 from the timing block.  With TENSQ_CACHE_DIR set, records are cached by
-a content hash of (params, flags, schema version, tool version).  Each
-cache file is sealed: a first line holds the sha256 of the key and the
-record body, so a file that was truncated, edited or moved to another
-key is a miss and is rewritten.  The body is the record's one-line
-canonical JSON, the exact text a batch row carries, so a batch row is
-spliced from it without encoding the record again, and a rerun of
-compute prints the stored record re-indented, byte for byte as the
+a content hash of (params, flags, schema version, tool version); each
+command reads TENSQ_CACHE_DIR once.  Each cache file is sealed: a first
+line holds the sha256 of the key and the record body, so a file that
+was truncated, edited or moved to another key is a miss and is
+rewritten.  So is a sealed body whose oracle entry is not what the
+command reads: null without --oracle, an object with a boolean match
+with it.  A hit costs one key hash, one read of the file through a
+raw descriptor, one seal hash and one parse.  The body is the record's
+one-line canonical JSON, the exact text a batch row carries, so a batch
+row is spliced from it without encoding the record again, and a rerun
+of compute prints the stored record re-indented, byte for byte as the
 first run printed it.  The --json path and the cache directory are
 checked before any record is built.
 
@@ -155,39 +159,96 @@ def _seal(key: str, body: bytes) -> bytes:
     return hashlib.sha256(key.encode("ascii") + body).hexdigest().encode("ascii")
 
 
-def _load_record(params: GroupParams, with_oracle: bool) -> tuple[dict, str]:
+# The tool version as JSON text, for the cache key.
+_VERSION_JSON = json.dumps(__version__)
+
+
+def _cache_key_text(params: GroupParams, with_oracle: bool) -> str:
+    """The text the cache key hashes: the bytes json.dumps gives, keys
+    sorted, for {m, n, oracle, r, s, schema_version, version}, formatted
+    directly.  SCHEMA_VERSION is read at each call."""
+    return (
+        f'{{"m": {params.m}, "n": {params.n}, "oracle": {"true" if with_oracle else "false"}, '
+        f'"r": {params.r}, "s": {params.s}, "schema_version": {SCHEMA_VERSION}, '
+        f'"version": {_VERSION_JSON}}}'
+    )
+
+
+def _cache_dir() -> str | None:
+    """TENSQ_CACHE_DIR with a trailing separator, so that a cache file's
+    path is one concatenation; None when it is unset or empty.  Each
+    command reads it once."""
+    cache_dir = os.environ.get("TENSQ_CACHE_DIR")
+    return os.path.join(cache_dir, "") if cache_dir else None
+
+
+def _read_file(path: str) -> bytes:
+    """The whole file at path, read through a raw descriptor: one read of
+    the size fstat gives, repeated only after a short read."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size = os.fstat(fd).st_size
+        data = os.read(fd, size)
+        while len(data) < size:
+            chunk = os.read(fd, size - len(data))
+            if not chunk:
+                break
+            data += chunk
+        return data
+    except OSError as exc:
+        # os.read's errors carry no path; name it, as open() would.
+        exc.filename = path
+        raise
+    finally:
+        os.close(fd)
+
+
+def _serves(record, with_oracle: bool) -> bool:
+    """Whether a parsed cache body has the one entry a command reads of
+    a record: oracle, null without --oracle, and with it an object whose
+    match is a boolean."""
+    if type(record) is not dict or "oracle" not in record:
+        return False
+    entry = record["oracle"]
+    if not with_oracle:
+        return entry is None
+    return type(entry) is dict and type(entry.get("match")) is bool
+
+
+def _load_record(params: GroupParams, with_oracle: bool, cache_dir: str | None) -> tuple[dict, str]:
     """The record for one tuple and its one-line canonical JSON text,
-    read from TENSQ_CACHE_DIR when set.
+    read from cache_dir (see _cache_dir) when it is not None.
 
     A cache file is one seal line, the hex sha256 of the cache key and
     the body together, then the body: the record's one-line canonical
-    text, the same bytes _ROW_ENCODER gives.  A file is a hit only if
-    its seal matches, its body holds no line break and the body parses;
-    the parsed record is returned with the body itself, which is never
+    text, the same bytes _ROW_ENCODER gives.  A hit costs one key hash,
+    one raw read, one seal hash and one parse.  A file is a hit only if
+    its seal matches, its body holds no line break, the body parses,
+    and its oracle entry is what the command reads (see _serves); the
+    parsed record is returned with the body itself, which is never
     encoded again.  Any other file, missing, truncated, edited, moved
-    from another key's path, unsealed, or an indented body from an
-    earlier version, is a miss: the cache directory is created, then
-    the record is built, encoded once, and the file rewritten
-    atomically, through a temporary file and os.replace, so a reader
-    never sees a partial record.  A temporary file whose write or
-    rename fails is removed before the error propagates.
+    from another key's path, unsealed, an indented body from an earlier
+    version, or a sealed body that is no record, is a miss: the cache
+    directory is created, then the record is built, encoded once, and
+    the file rewritten atomically, through a temporary file and
+    os.replace, so a reader never sees a partial record.  A temporary
+    file whose write or rename fails is removed before the error
+    propagates.
     """
-    cache_dir = os.environ.get("TENSQ_CACHE_DIR")
-    if not cache_dir:
+    if cache_dir is None:
         record = build_run_record(params, with_oracle)
         return record, _ROW_ENCODER.encode(record)
     import hashlib
 
-    payload = {"oracle": bool(with_oracle), "schema_version": SCHEMA_VERSION, "version": __version__}
-    payload.update(_params_block(params))
-    key = hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
-    path = os.path.join(cache_dir, key + ".json")
+    key = hashlib.sha256(_cache_key_text(params, with_oracle).encode("ascii")).hexdigest()
+    path = cache_dir + key + ".json"
     try:
-        with open(path, "rb") as fh:
-            seal, _, body = fh.read().partition(b"\n")
+        seal, _, body = _read_file(path).partition(b"\n")
         if seal == _seal(key, body) and b"\r" not in body and b"\n" not in body:
             text = body.decode("ascii")
-            return json.loads(text), text
+            record = json.loads(text)
+            if _serves(record, with_oracle):
+                return record, text
     except (FileNotFoundError, ValueError, RecursionError):
         # json raises RecursionError on deeply nested arrays or objects.
         pass
@@ -217,7 +278,7 @@ def cmd_compute(args) -> int:
     params = _params(args)
     # --json is opened before the record is built, so an unusable path fails at once.
     with open(args.json, "w", encoding="utf-8") if args.json else contextlib.nullcontext() as fh:
-        text = _record_json(_load_record(params, args.oracle)[0])
+        text = _record_json(_load_record(params, args.oracle, _cache_dir())[0])
         sys.stdout.write(text)
         if fh:
             fh.write(text)
@@ -321,11 +382,12 @@ def _sweep(jobs, with_oracle: bool, rows_out, summary_out) -> int:
     """
     from . import metagrp
 
+    cache_dir = _cache_dir()
     counts = {"ok": 0, "mismatch": 0, "error": 0}
     for m, n, r, s in jobs:
         try:
             params = metagrp.validate(m, n, r, s)
-            record, text = _load_record(params, with_oracle)
+            record, text = _load_record(params, with_oracle, cache_dir)
         except TensqError as exc:
             status = "error"
             row = _ROW_ENCODER.encode(

@@ -632,6 +632,116 @@ def _seal_body(key, body):
     return seal + "\n" + body
 
 
+def test_cache_key_text_is_the_json_payload(monkeypatch):
+    # The key text is formatted directly.  It must stay the bytes
+    # json.dumps gives for the payload, or every tuple but the pinned one
+    # would move to a new cache file.
+    from tensq import __version__
+
+    tuples = [(3, 2, 2, 0), (9, 3, 4, 3), (10**399 + 1, 2, 10**399, 0)]
+    for schema in (cli.SCHEMA_VERSION, cli.SCHEMA_VERSION + 1):
+        monkeypatch.setattr(cli, "SCHEMA_VERSION", schema)
+        for tup in tuples:
+            params = metagrp.validate(*tup)
+            for oracle in (False, True):
+                payload = {
+                    "m": params.m,
+                    "n": params.n,
+                    "r": params.r,
+                    "s": params.s,
+                    "oracle": oracle,
+                    "schema_version": schema,
+                    "version": __version__,
+                }
+                assert cli._cache_key_text(params, oracle) == json.dumps(payload, sort_keys=True)
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["plain", "oracle"])
+def test_sealed_body_that_is_no_record_is_a_miss(oracle, tmp_path, monkeypatch, capsys):
+    # The seal's key is the file name, so anyone can seal a body.  A sealed
+    # body that parses but has not the oracle entry the command reads is a
+    # miss for compute and for batch: the true record is built once and
+    # the file rewritten.
+    flags = ["--oracle"] if oracle else []
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("TENSQ_CACHE_DIR", str(cache))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"tuples": [[3, 2, 2, 0]]}))
+    assert main(["compute", *SMALL, *flags]) == 0
+    true_record = json.loads(capsys.readouterr().out)
+    path = cache / f"{PINNED_KEYS[oracle]}.json"
+    # The true record with the other flag's oracle entry.
+    swapped = dict(true_record, oracle=None if oracle else {"match": True})
+    bodies = ["[1]", "null", "{}", '{"oracle": 1}', '{"oracle": {}}', '{"oracle": {"match": 1}}']
+    bodies.append(json.dumps(swapped, sort_keys=True))
+    del true_record["timings"]
+    build = cli.build_run_record
+    built = []
+    monkeypatch.setattr(cli, "build_run_record", lambda *args: built.append(args) or build(*args))
+    for body in bodies:
+        for argv in (["compute", *SMALL, *flags], ["batch", *flags, "--manifest", str(manifest)]):
+            path.write_text(_seal_body(path.stem, body))
+            assert main(argv) == 0, (body, argv)
+            out = json.loads(capsys.readouterr().out)
+            if argv[0] == "batch":
+                assert out["status"] == "ok"
+                out = out["record"]
+            assert _body(path) == json.dumps(out, sort_keys=True)
+            del out["timings"]
+            assert out == true_record, (body, argv)
+            assert len(built) == 1, (body, argv)
+            built.clear()
+
+
+@pytest.mark.parametrize("command", ["compute", "batch"])
+def test_directory_at_a_cache_file_path_exits_2(command, tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("TENSQ_CACHE_DIR", str(cache))
+    path = cache / f"{PINNED_KEYS[False]}.json"
+    path.mkdir(parents=True)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"tuples": [[3, 2, 2, 0]]}))
+    argv = ["compute", *SMALL] if command == "compute" else ["batch", "--manifest", str(manifest)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert str(path) in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_short_reads_still_hit(tmp_path, monkeypatch, capsys):
+    # A cache file that arrives a few bytes per read is read whole and is
+    # a hit: no record is built and the stored bytes are printed.
+    def fail(*args):
+        raise AssertionError("a record was built on a warm cache")
+
+    monkeypatch.setenv("TENSQ_CACHE_DIR", str(tmp_path))
+    assert main(["compute", *SMALL]) == 0
+    cold = capsys.readouterr().out
+    read = os.read
+    monkeypatch.setattr(os, "read", lambda fd, n: read(fd, min(n, 7)))
+    monkeypatch.setattr(cli, "build_run_record", fail)
+    assert main(["compute", *SMALL]) == 0
+    assert capsys.readouterr().out == cold
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors in /proc/self/fd")
+def test_warm_batch_leaves_no_descriptor_open(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TENSQ_CACHE_DIR", str(tmp_path / "cache"))
+    manifest = tmp_path / "manifest.json"
+    tuples = [[p.m, p.n, p.r, p.s] for p in enumerate_valid_tuples(80)]
+    assert len(tuples) >= 50
+    manifest.write_text(json.dumps({"tuples": tuples}))
+    argv = ["batch", "--manifest", str(manifest)]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    before = len(os.listdir("/proc/self/fd"))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 def _untimed(text):
     """Every record or row in text, with each timings block emptied."""
     return re.sub(r'"timings": \{[^}]*\}', '"timings": {}', text)

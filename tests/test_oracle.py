@@ -188,12 +188,64 @@ def test_oracle_matches_closed_forms_past_order_45():
         assert oracle_schur_order(model) == report.schur.order, tup
 
 
+def core_table(lattice):
+    """Per column, the core vector its unit vector maps to: a unit pivot
+    column j maps to minus its reduced tail, a core column to itself.
+
+    A vector v and its image, the sum of v_j times the image of column j,
+    differ by v_j times the unit pivot row at each unit column j, and
+    every such row lies in the lattice; so k * v is in the lattice exactly
+    when k times the image is, and the walk over the image skips the unit
+    pivots.
+    """
+    return {
+        j: {k: -v for k, v in row.items() if k != j} if row[j] == 1 else {j: 1}
+        for j, row in lattice.pivots.items()
+    }
+
+
+def to_core(table, row):
+    """The image in the core of a row of (column, coefficient) pairs."""
+    vec = {}
+    for col, coeff in row:
+        for k, v in table[col].items():
+            vec[k] = vec.get(k, 0) + coeff * v
+    return vec
+
+
+def test_core_map_keeps_every_order(model_9343):
+    # The map against the plain walk: unit vectors, every family row and
+    # seeded random vectors, in the lattice and out of it, have the same
+    # order before and after the map.
+    lattice = model_9343.handle.lattice
+    table = core_table(lattice)
+    assert any(row[j] == 1 for j, row in lattice.pivots.items())
+    assert any(row[j] > 1 for j, row in lattice.pivots.items())
+    rng = random.Random(20261019)
+    vectors = [((j, 1),) for j in range(lattice.ncols)] + list(family_rows(model_9343))
+    vectors += [
+        tuple((rng.randrange(lattice.ncols), rng.randint(-5, 5)) for _ in range(3)) for _ in range(500)
+    ]
+    orders = set()
+    for row in vectors:
+        vec = {}
+        for col, coeff in row:
+            vec[col] = vec.get(col, 0) + coeff
+        order = lattice.order(vec)
+        assert lattice.order(to_core(table, row)) == order, row
+        orders.add(order)
+    assert 1 in orders and len(orders) > 1
+
+
 def test_generating_set_spans_every_family_row():
-    # Rows for c in {a, b} span the rows of every c in G.
+    # Rows for c in {a, b} span the rows of every c in G; each row is
+    # read through the core map, which test_core_map_keeps_every_order
+    # checks against the plain walk.
     for p in enumerate_valid_tuples(45, include_s_zero=True):
         model = build_tensor_oracle(p)
         lattice = model.handle.lattice
-        assert all(lattice.contains(dict(row)) for row in family_rows(model)), (p.m, p.n, p.r, p.s)
+        table = core_table(lattice)
+        assert all(lattice.contains(to_core(table, row)) for row in family_rows(model)), (p.m, p.n, p.r, p.s)
 
 
 def test_exponent_bound_seeds_lie_in_the_exact_lattice():
