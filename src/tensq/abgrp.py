@@ -81,7 +81,14 @@ class RowLattice:
     With a ``modulus`` M the lattice starts as M * Z^ncols, the row
     M * e_j at every column j, so it always has full rank and every
     pivot divides M.  The lattice so built is L + M * Z^ncols, equal to
-    L exactly when M is a multiple of the exponent of Z^ncols / L.
+    L exactly when M is a multiple of the exponent of Z^ncols / L.  A
+    column that still holds its seed M * e_j has no entry in ``pivots``
+    until a gcd step replaces the seed or ``clear_unit_columns`` writes
+    it out.
+
+    ``pivot_values`` is the flat list of every column's pivot: M at a
+    seeded column, 0 at a column with no pivot, else the first entry of
+    its row in ``pivots``.
 
     Every pivot row is lazily reduced: when stored, its entries right of
     the pivot lie in [0, pivot of their column).  A gcd step at a later
@@ -93,27 +100,26 @@ class RowLattice:
     order.  Without a modulus entries are never reduced.
     """
 
-    __slots__ = ("ncols", "pivots", "modulus")
+    __slots__ = ("ncols", "pivots", "pivot_values", "modulus")
 
     def __init__(self, ncols: int, modulus: int | None = None):
         self.ncols = ncols
         self.modulus = modulus
-        self.pivots: dict[int, dict] = (
-            {} if modulus is None else {j: {j: modulus} for j in range(ncols)}
-        )
+        self.pivots: dict[int, dict] = {}
+        self.pivot_values = [modulus or 0] * ncols
 
     def copy(self) -> "RowLattice":
-        dup = RowLattice(self.ncols)
-        dup.modulus = self.modulus
+        dup = RowLattice(self.ncols, self.modulus)
         dup.pivots = {j: dict(row) for j, row in self.pivots.items()}
+        dup.pivot_values = list(self.pivot_values)
         return dup
 
     def _is_reduced(self, row: dict, j: int) -> bool:
         """Whether every entry of row right of column j lies in
         [0, pivot of its column)."""
-        pivots = self.pivots
+        values = self.pivot_values
         for k, v in row.items():
-            if k > j and not 0 <= v < pivots[k][k]:
+            if k > j and not 0 <= v < values[k]:
                 return False
         return True
 
@@ -121,32 +127,43 @@ class RowLattice:
         """Reduce row's entries right of column j modulo the pivots there.
 
         Needs a pivot at every such column, as a lattice with a modulus
-        has; afterwards each entry lies in [0, pivot of its column).  A
-        pivot row that is not reduced itself is reduced the same way, in
-        place, just before it is subtracted, so it is short when used and
-        stays reduced for later use.  An explicit stack of frames does
-        this without recursion; a frame's ``ready`` column is the one
-        whose pivot row its child frame has just reduced.
+        has; afterwards each entry lies in [0, pivot of its column).  At
+        a seeded column that is the entry modulo M.  A pivot row that is
+        not reduced itself is reduced the same way, in place, just
+        before it is subtracted, so it is short when used and stays
+        reduced for later use.  An explicit stack of frames does this
+        without recursion; a frame's ``ready`` column is the one whose
+        pivot row its child frame has just reduced.
         """
         pivots = self.pivots
+        values = self.pivot_values
         frames = [[row, _columns_after(row, j), None]]
         while frames:
             frame = frames[-1]
             row, heap, ready = frame
             while heap:
                 k = heap[0]
-                piv = pivots[k]
-                q = row.get(k, 0) // piv[k]
-                if q and k != ready and not self._is_reduced(piv, k):
-                    frame[2] = k
-                    frames.append([piv, _columns_after(piv, k), None])
-                    break
-                heapq.heappop(heap)
+                q = row.get(k, 0) // values[k]
                 if q:
-                    for col in piv:
-                        if col not in row:
-                            heapq.heappush(heap, col)
-                    _axpy(row, -q, piv)
+                    piv = pivots.get(k)
+                    if piv is not None and k != ready and not self._is_reduced(piv, k):
+                        frame[2] = k
+                        frames.append([piv, _columns_after(piv, k), None])
+                        break
+                heapq.heappop(heap)
+                if not q:
+                    continue
+                if piv is None:
+                    v = row[k] - q * values[k]
+                    if v:
+                        row[k] = v
+                    else:
+                        del row[k]
+                    continue
+                for col in piv:
+                    if col not in row:
+                        heapq.heappush(heap, col)
+                _axpy(row, -q, piv)
             else:
                 frames.pop()
 
@@ -165,6 +182,7 @@ class RowLattice:
             vec = {k: v for k, v in vec.items() if v}
         pending = [vec]
         pivots = self.pivots
+        values = self.pivot_values
         modulus = self.modulus
         while pending:
             vec = pending.pop()
@@ -180,28 +198,43 @@ class RowLattice:
                     continue
                 piv = pivots.get(j)
                 if piv is None:
-                    if c < 0:
-                        vec = {k: -v for k, v in vec.items()}
-                    pivots[j] = vec
-                    break
-                if modulus is not None:
-                    # Inline form of self._is_reduced(piv, j): most pivot
-                    # rows are already reduced, and this runs per column.
-                    for k, v in piv.items():
-                        if k > j and not 0 <= v < pivots[k][k]:
-                            self._reduce_tail(piv, j)
-                            break
-                if c % piv[j]:
-                    g, x, y = _xgcd(piv[j], c)
+                    p = values[j]
+                    if not p or c == 1 or c == -1:
+                        # A free column takes vec as its pivot row.  So
+                        # does a seeded one when c is a unit: the gcd
+                        # step against M * e_j is then the identity, and
+                        # what it leaves is 0 modulo M.
+                        if c < 0:
+                            vec = {k: -v for k, v in vec.items()}
+                        if p:
+                            self._reduce_tail(vec, j)
+                        # A fresh dict sized to the row: vec's table may
+                        # be sized for entries the walk has since deleted.
+                        pivots[j] = {k: v for k, v in vec.items()}
+                        values[j] = abs(c)
+                        break
+                    piv = {j: p}
+                else:
+                    p = piv[j]
+                    if modulus is not None:
+                        # Inline form of self._is_reduced(piv, j): most
+                        # pivot rows are already reduced, and this runs
+                        # per column.
+                        for k, v in piv.items():
+                            if k > j and not 0 <= v < values[k]:
+                                self._reduce_tail(piv, j)
+                                break
+                if c % p:
+                    g, x, y = _xgcd(p, c)
                     new = {}
                     _axpy(new, x, piv)
                     _axpy(new, y, vec)
                     if modulus is not None:
                         self._reduce_tail(new, j)
-                    old = piv
                     pivots[j] = new
-                    rem = dict(old)
-                    _axpy(rem, -(old[j] // g), new)
+                    values[j] = g
+                    rem = dict(piv)
+                    _axpy(rem, -(p // g), new)
                     if modulus is not None:
                         # The lattice holds M * Z^ncols, so only the
                         # residues of rem modulo M matter.
@@ -214,7 +247,8 @@ class RowLattice:
                         # later pivot rows: nothing of vec is left.
                         break
                     piv = new
-                q = c // piv[j]
+                    p = g
+                q = c // p
                 for col, v in piv.items():
                     cur = vec.get(col)
                     nv = (cur or 0) - q * v
@@ -230,9 +264,10 @@ class RowLattice:
 
         Walks vec's support in ascending column order.  A column with no
         pivot can never be cleared, so no multiple of vec is in the
-        lattice.  At a pivot p with entry c the multiple must be
-        divisible by p / gcd(p, c): scale vec and k by that factor, then
-        subtract the pivot row to clear the column.
+        lattice; with a modulus no column lacks one, and a column with no
+        row holds its seed M * e_j.  At a pivot p with entry c the
+        multiple must be divisible by p / gcd(p, c): scale vec and k by
+        that factor, then subtract the pivot row to clear the column.
         """
         vec = dict(vec)
         k = 1
@@ -245,7 +280,9 @@ class RowLattice:
                 continue
             piv = self.pivots.get(j)
             if piv is None:
-                return 0
+                if self.modulus is None:
+                    return 0
+                piv = {j: self.modulus}
             scale = piv[j] // gcd(piv[j], c)
             if scale > 1:
                 k *= scale
@@ -270,11 +307,20 @@ class RowLattice:
         With a modulus every column has a pivot, so reducing each row's
         tail modulo the later pivots, last row first, does it: a reduced
         row has 0 under every unit pivot, and the rows it is reduced by
-        are reduced already, so every entry stays below the modulus.
+        are reduced already, so every entry stays below the modulus.  A
+        column still at its seed gets its row M * e_j written out, which
+        is already reduced, so ``pivots`` then holds the whole basis.
         """
         if self.modulus is not None:
-            for j in sorted(self.pivots, reverse=True):
-                self._reduce_tail(self.pivots[j], j)
+            pivots = self.pivots
+            for j in range(self.ncols - 1, -1, -1):
+                piv = pivots.get(j)
+                if piv is None:
+                    pivots[j] = {j: self.modulus}
+                else:
+                    self._reduce_tail(piv, j)
+                    # Stored afresh, sized to what the reduction left.
+                    pivots[j] = {k: v for k, v in piv.items()}
             return
         unit_cols = sorted(j for j, row in self.pivots.items() if row[j] == 1)
         for j in unit_cols:

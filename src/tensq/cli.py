@@ -7,14 +7,14 @@ a content hash of (params, flags, schema version, tool version); each
 command reads TENSQ_CACHE_DIR once.  Each cache file is sealed: a first
 line holds the sha256 of the key and the record body, so a file that
 was truncated, edited or moved to another key is a miss and is
-rewritten.  So is a sealed body whose oracle entry is not what the
-command reads: null without --oracle, an object with a boolean match
-with it.  A hit costs one key hash, one read of the file through a
-raw descriptor, one seal hash and one parse.  The body is the record's
-one-line canonical JSON, the exact text a batch row carries, so a batch
-row is spliced from it without encoding the record again, and a rerun
-of compute prints the stored record re-indented, byte for byte as the
-first run printed it.  The --json path and the cache directory are
+rewritten.  So is a sealed body whose params block is not the
+tuple's, or whose oracle entry is not what the command reads: null
+without --oracle, an object with a boolean match with it.  A hit costs
+one key hash, one read of the file through a raw descriptor, one seal
+hash and one parse.  The body is the record's one-line canonical JSON,
+the exact text a batch row carries, so a batch row is spliced from it
+without encoding the record again, and a rerun of compute prints the
+stored record re-indented, byte for byte as the first run printed it.  The --json path and the cache directory are
 checked before any record is built.
 
 Each layer is imported where it is first used, so a command loads only
@@ -203,11 +203,14 @@ def _read_file(path: str) -> bytes:
         os.close(fd)
 
 
-def _serves(record, with_oracle: bool) -> bool:
-    """Whether a parsed cache body has the one entry a command reads of
-    a record: oracle, null without --oracle, and with it an object whose
-    match is a boolean."""
+def _serves(record, params: GroupParams, with_oracle: bool) -> bool:
+    """Whether a parsed cache body is a record of params with the one
+    entry a command reads of it: params equal to the tuple's block, and
+    oracle, null without --oracle, and with it an object whose match is
+    a boolean."""
     if type(record) is not dict or "oracle" not in record:
+        return False
+    if record.get("params") != _params_block(params):
         return False
     entry = record["oracle"]
     if not with_oracle:
@@ -224,16 +227,16 @@ def _load_record(params: GroupParams, with_oracle: bool, cache_dir: str | None) 
     text, the same bytes _ROW_ENCODER gives.  A hit costs one key hash,
     one raw read, one seal hash and one parse.  A file is a hit only if
     its seal matches, its body holds no line break, the body parses,
-    and its oracle entry is what the command reads (see _serves); the
-    parsed record is returned with the body itself, which is never
-    encoded again.  Any other file, missing, truncated, edited, moved
-    from another key's path, unsealed, an indented body from an earlier
-    version, or a sealed body that is no record, is a miss: the cache
-    directory is created, then the record is built, encoded once, and
-    the file rewritten atomically, through a temporary file and
-    os.replace, so a reader never sees a partial record.  A temporary
-    file whose write or rename fails is removed before the error
-    propagates.
+    and it is a record of this tuple whose oracle entry is what the
+    command reads (see _serves); the parsed record is returned with the
+    body itself, which is never encoded again.  Any other file, missing,
+    truncated, edited, moved from another key's path, unsealed, an
+    indented body from an earlier version, or a sealed body that is no
+    record of this tuple, is a miss: the cache directory is created,
+    then the record is built, encoded once, and the file rewritten
+    atomically, through a temporary file and os.replace, so a reader
+    never sees a partial record.  A temporary file whose write or rename
+    fails is removed before the error propagates.
     """
     if cache_dir is None:
         record = build_run_record(params, with_oracle)
@@ -247,7 +250,7 @@ def _load_record(params: GroupParams, with_oracle: bool, cache_dir: str | None) 
         if seal == _seal(key, body) and b"\r" not in body and b"\n" not in body:
             text = body.decode("ascii")
             record = json.loads(text)
-            if _serves(record, with_oracle):
+            if _serves(record, params, with_oracle):
                 return record, text
     except (FileNotFoundError, ValueError, RecursionError):
         # json raises RecursionError on deeply nested arrays or objects.

@@ -50,7 +50,7 @@ from .errors import FormulaInconsistencyError, ResourceLimitError
 from .metagrp import Element, GroupParams
 from .presentations import upsilon_order_bounds
 
-GROUP_ORDER_LIMIT = 200
+GROUP_ORDER_LIMIT = 500
 
 
 @dataclass
@@ -74,30 +74,58 @@ class OracleModel:
         return gi * self.params.order + hi
 
 
-def _normalized_row(c_plus: int, c_minus1: int, c_minus2: int) -> tuple:
-    """e[c_plus] - e[c_minus1] - e[c_minus2] as sorted (column, coefficient)
-    pairs, the first coefficient positive.  Its coefficients sum to -1,
-    so it is never zero."""
+def _encode_row(c_plus: int, c_minus1: int, c_minus2: int, base: int) -> int:
+    """e[c_plus] - e[c_minus1] - e[c_minus2], normalized, as one int.
+
+    The normalized row is the row's (column, coefficient) pairs in
+    column order, the first coefficient positive; its coefficients sum
+    to -1, so it is never zero.  A pair is the digit 6 * column +
+    coefficient + 3, never 0 and ordered as the pair is, and the row is
+    its digits in ``base``, at least 6 * ncols, padded with 0 to three
+    digits.  So codes order as their rows do, and equal rows have equal
+    codes.
+    """
     lo, hi = (c_minus1, c_minus2) if c_minus1 <= c_minus2 else (c_minus2, c_minus1)
-    if c_plus == lo:
-        return ((hi, 1),)
-    if c_plus == hi:
-        return ((lo, 1),)
+    if c_plus == lo:  # ((hi, 1),)
+        return (6 * hi + 4) * base * base
+    if c_plus == hi:  # ((lo, 1),)
+        return (6 * lo + 4) * base * base
     if lo == hi:
-        return ((c_plus, 1), (lo, -2)) if c_plus < lo else ((lo, 2), (c_plus, -1))
-    if c_plus < lo:
-        return ((c_plus, 1), (lo, -1), (hi, -1))
-    if c_plus < hi:
-        return ((lo, 1), (c_plus, -1), (hi, 1))
-    return ((lo, 1), (hi, 1), (c_plus, -1))
+        if c_plus < lo:  # ((c_plus, 1), (lo, -2))
+            return ((6 * c_plus + 4) * base + 6 * lo + 1) * base
+        # ((lo, 2), (c_plus, -1))
+        return ((6 * lo + 5) * base + 6 * c_plus + 2) * base
+    if c_plus < lo:  # ((c_plus, 1), (lo, -1), (hi, -1))
+        return ((6 * c_plus + 4) * base + 6 * lo + 2) * base + 6 * hi + 2
+    if c_plus < hi:  # ((lo, 1), (c_plus, -1), (hi, 1))
+        return ((6 * lo + 4) * base + 6 * c_plus + 2) * base + 6 * hi + 4
+    # ((lo, 1), (hi, 1), (c_plus, -1))
+    return ((6 * lo + 4) * base + 6 * hi + 4) * base + 6 * c_plus + 2
 
 
-def _relation_rows(mul: list[list[int]], conj_by: list[list[int]], second) -> set:
+def _decode_row(code: int, base: int) -> tuple:
+    """The normalized row of a code, as (column, coefficient) pairs."""
+    high, low = divmod(code, base * base)
+    mid, low = divmod(low, base)
+    if low:
+        return ((high // 6, high % 6 - 3), (mid // 6, mid % 6 - 3), (low // 6, low % 6 - 3))
+    if mid:
+        return ((high // 6, high % 6 - 3), (mid // 6, mid % 6 - 3))
+    return ((high // 6, high % 6 - 3),)
+
+
+def _relation_rows(mul: list[list[int]], conj_by: list[list[int]], second):
     """Distinct normalized rows of both relation families, for every
-    second variable c in ``second`` and every g, h in G."""
+    second variable c in ``second`` and every g, h in G, in descending
+    order.
+
+    The rows are gathered and sorted as one int each (see _encode_row),
+    so equal rows are neighbours, and each is decoded as it is yielded.
+    """
     ng = len(mul)
     rng = range(ng)
-    rows = set()
+    base = 6 * ng * ng
+    codes = []
     for c in second:
         act = conj_by[c]
         for g in rng:
@@ -108,9 +136,56 @@ def _relation_rows(mul: list[list[int]], conj_by: list[list[int]], second) -> se
                 # (g c) (x) h = (g^c (x) h^c) (c (x) h), then its mirror, every
                 # pair symbol swapped: the second family at h1 = c,
                 # h (x) (g c) = (h (x) c) (h^c (x) g^c).
-                rows.add(_normalized_row(gc * ng + h, gt * ng + ht, c * ng + h))
-                rows.add(_normalized_row(h * ng + gc, ht * ng + gt, h * ng + c))
-    return rows
+                codes.append(_encode_row(gc * ng + h, gt * ng + ht, c * ng + h, base))
+                codes.append(_encode_row(h * ng + gc, ht * ng + gt, h * ng + c, base))
+    codes.sort()
+    last = None
+    while codes:
+        code = codes.pop()
+        if code != last:
+            last = code
+            yield _decode_row(code, base)
+
+
+def _group_tables(p: GroupParams):
+    """mul, conj_by, the sorted indices of G' and o', by index
+    arithmetic on b^beta a^alpha, at index beta * m + alpha.
+
+    Right multiplication by b^beta2 sends a^alpha to a^(alpha r^beta2),
+    so row g of mul is, block by block, a rotated run of indices; h^c
+    keeps the b-exponent of h.  G' = <a^(r-1)> is the indices alpha < m
+    divisible by (m, r-1), and o'(g) is the least k with g^k in it.
+    """
+    m, n, r, s = p.m, p.n, p.r, p.s
+    rpow = [pow(r, beta, m) for beta in range(n)]
+    mul = []
+    conj_by = []
+    for beta1 in range(n):
+        for alpha1 in range(m):
+            row = []
+            for beta2 in range(n):
+                beta, shift = beta1 + beta2, alpha1 * rpow[beta2]
+                if beta >= n:
+                    beta, shift = beta - n, shift + s
+                shift %= m
+                off = beta * m
+                row += range(off + shift, off + m)
+                row += range(off, off + shift)
+            mul.append(row)
+            rc = rpow[beta1]
+            conj_by.append([
+                beta * m + (alpha * rc + alpha1 * (1 - rpow[beta])) % m
+                for beta in range(n)
+                for alpha in range(m)
+            ])
+    da = gcd(m, r - 1)
+    oprime = []
+    for g in range(m * n):
+        k, cur = 1, g
+        while cur >= m or cur % da:
+            k, cur = k + 1, mul[cur][g]
+        oprime.append(k)
+    return mul, conj_by, list(range(0, m, da)), oprime
 
 
 def tensor_exponent_bound(order: int) -> int:
@@ -174,6 +249,13 @@ def build_tensor_oracle(params: GroupParams) -> OracleModel:
     one then already hold their final, mostly unit, pivots, so few gcd
     steps leave earlier pivot rows to be reduced again.  Ascending
     order is somewhat slower, a shuffled order many times slower.
+
+    Storage is kept small per row.  Until inserted, a row is one int in
+    a flat list that is sorted in place and emptied as it is read (see
+    _relation_rows).  The lattice holds no row for a column still at its
+    seed M * e_j, and stores each pivot row in a dict sized to it.  The
+    group tables come from index arithmetic on b^beta a^alpha (see
+    _group_tables), without an Element per product.
     """
     ng = params.order
     if ng > GROUP_ORDER_LIMIT:
@@ -182,26 +264,24 @@ def build_tensor_oracle(params: GroupParams) -> OracleModel:
             f"limit {GROUP_ORDER_LIMIT}"
         )
     elems = metagrp.elements(params)
-    index = {e: i for i, e in enumerate(elems)}
-    mul = [[index[metagrp.mul(g, h, params)] for h in elems] for g in elems]
-    conj_by = [[index[metagrp.conj(h, c, params)] for h in elems] for c in elems]
-    second = (index[Element(0, 1)], index[Element(1, 0)])  # a, b
-    rows = _relation_rows(mul, conj_by, second)
+    mul, conj_by, derived_ids, oprime = _group_tables(params)
+    second = (1, params.m)  # a, b
     lattice = RowLattice(ng * ng, modulus=tensor_exponent_bound(ng))
-    for row in sorted(rows, reverse=True):
+    distinct = 0
+    for row in _relation_rows(mul, conj_by, second):
         lattice.insert(row)
-    derived = metagrp.derived_subgroup(params)
+        distinct += 1
     return OracleModel(
         params=params,
         elements=elems,
-        index=index,
+        index={e: i for i, e in enumerate(elems)},
         mul=mul,
         conj_by=conj_by,
         handle=_bounded_quotient(lattice),
         raw_rows=2 * len(second) * ng * ng,
-        distinct_rows=len(rows),
-        derived_ids=sorted(index[e] for e in derived),
-        oprime=[metagrp.coset_order(e, params, derived) for e in elems],
+        distinct_rows=distinct,
+        derived_ids=derived_ids,
+        oprime=oprime,
     )
 
 

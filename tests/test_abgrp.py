@@ -16,7 +16,7 @@ from tensq.abgrp import (
 )
 from tensq.errors import TensqError
 from tensq.presentations import tensor_descriptor, tensor_relators
-from support import FROZEN
+from support import FROZEN, pivot_values_hold
 
 
 def determinant(matrix) -> int:
@@ -387,3 +387,57 @@ def test_row_lattice_copy_is_independent():
     dup.insert({0: 1})
     assert dup.contains({0: 1})
     assert not lat.contains({0: 1})
+
+
+@pytest.mark.parametrize("modulus", [None, 360], ids=["exact", "modulus"])
+def test_pivot_values_follow_every_insert(modulus):
+    # Seeded random rows of even entries with a unit now and then, so
+    # that gcd steps shrink pivots, seeded columns take rows both through
+    # the gcd step and directly, and rows reduce to zero, while non-unit
+    # pivots remain.
+    rng = random.Random(20261020)
+    ncols = 8
+    coeffs = (-12, -8, -6, -4, -2, 2, 4, 6, 8, 12)
+    lat = RowLattice(ncols, modulus=modulus)
+    assert pivot_values_hold(lat)
+    for i in range(60):
+        cols = rng.sample(range(ncols), rng.randint(1, 4))
+        row = {c: rng.choice(coeffs) for c in cols}
+        if i % 7 == 0:
+            row[cols[0]] = rng.choice((-1, 1))
+        lat.insert(row)
+        assert pivot_values_hold(lat), i
+        if modulus is not None:
+            # Every stored entry, pivots included, stays in [0, M).
+            assert all(0 <= v < modulus for r in lat.pivots.values() for v in r.values()), i
+        if i == 30:
+            dup = lat.copy()
+            assert pivot_values_hold(dup)
+            before = list(lat.pivot_values)
+            for j in range(ncols):
+                dup.insert({j: 1})
+            assert pivot_values_hold(dup) and dup.pivot_values == [1] * ncols
+            assert pivot_values_hold(lat) and lat.pivot_values == before != dup.pivot_values
+    assert 1 in lat.pivot_values and max(lat.pivot_values) > 1
+    lat.clear_unit_columns()
+    assert pivot_values_hold(lat)
+    if modulus is not None:
+        assert len(lat.pivots) == ncols
+
+
+def test_seeded_columns_answer_order_before_they_are_written_out():
+    # Before clear_unit_columns a column still at its seed M * e_j has no
+    # row; order and contains read it as M * e_j all the same.
+    rng = random.Random(20261021)
+    for _ in range(30):
+        ncols = rng.randint(2, 6)
+        lat = RowLattice(ncols, modulus=36)
+        for _ in range(rng.randint(0, ncols)):
+            lat.insert({c: rng.randint(-9, 9) for c in rng.sample(range(ncols), 2 if ncols > 1 else 1)})
+        vectors = [{j: rng.randint(-40, 40) for j in range(ncols)} for _ in range(20)]
+        vectors += [{j: 36} for j in range(ncols)] + [{j: 1} for j in range(ncols)]
+        before = [lat.order(vec) for vec in vectors]
+        lat.clear_unit_columns()
+        assert len(lat.pivots) == ncols
+        assert before == [lat.order(vec) for vec in vectors]
+        assert all(lat.contains({j: 36}) for j in range(ncols))

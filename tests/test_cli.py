@@ -93,7 +93,7 @@ def test_validation_exit_code(monkeypatch, capsys):
 
 
 def test_resource_exit_code(capsys):
-    rc = main(["compute", "--m", "11", "--n", "20", "--r", "10", "--s", "0", "--oracle"])
+    rc = main(["compute", "--m", "11", "--n", "50", "--r", "10", "--s", "0", "--oracle"])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
 
@@ -679,6 +679,43 @@ def test_sealed_body_that_is_no_record_is_a_miss(oracle, tmp_path, monkeypatch, 
     built = []
     monkeypatch.setattr(cli, "build_run_record", lambda *args: built.append(args) or build(*args))
     for body in bodies:
+        for argv in (["compute", *SMALL, *flags], ["batch", *flags, "--manifest", str(manifest)]):
+            path.write_text(_seal_body(path.stem, body))
+            assert main(argv) == 0, (body, argv)
+            out = json.loads(capsys.readouterr().out)
+            if argv[0] == "batch":
+                assert out["status"] == "ok"
+                out = out["record"]
+            assert _body(path) == json.dumps(out, sort_keys=True)
+            del out["timings"]
+            assert out == true_record, (body, argv)
+            assert len(built) == 1, (body, argv)
+            built.clear()
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["plain", "oracle"])
+def test_sealed_record_of_another_tuple_is_a_miss(oracle, tmp_path, monkeypatch, capsys):
+    # A body sealed under this tuple's key is served only if its params
+    # block is this tuple's: a forged body that holds nothing but the
+    # oracle entry, and the true record of another tuple, are misses for
+    # compute and for batch.
+    flags = ["--oracle"] if oracle else []
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("TENSQ_CACHE_DIR", str(cache))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"tuples": [[3, 2, 2, 0]]}))
+    assert main(["compute", *SMALL, *flags]) == 0
+    true_record = json.loads(capsys.readouterr().out)
+    del true_record["timings"]
+    assert main(["compute", "--m", "7", "--n", "3", "--r", "2", "--s", "0", *flags]) == 0
+    other = json.loads(capsys.readouterr().out)
+    assert other["params"] != true_record["params"]
+    path = cache / f"{PINNED_KEYS[oracle]}.json"
+    forged = json.dumps({"oracle": {"match": True} if oracle else None})
+    build = cli.build_run_record
+    built = []
+    monkeypatch.setattr(cli, "build_run_record", lambda *args: built.append(args) or build(*args))
+    for body in (forged, json.dumps(other, sort_keys=True)):
         for argv in (["compute", *SMALL, *flags], ["batch", *flags, "--manifest", str(manifest)]):
             path.write_text(_seal_body(path.stem, body))
             assert main(argv) == 0, (body, argv)

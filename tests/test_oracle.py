@@ -11,7 +11,8 @@ from tensq import abgrp, metagrp, oracle
 from tensq.errors import FormulaInconsistencyError, ResourceLimitError, TensqError
 from tensq.metagrp import Element
 from tensq.oracle import (
-    _normalized_row,
+    _decode_row,
+    _encode_row,
     _relation_rows,
     build_tensor_oracle,
     exterior_oracle,
@@ -20,9 +21,12 @@ from tensq.oracle import (
     verify_identities,
 )
 from tensq.presentations import exterior_and_schur
-from support import enumerate_valid_tuples
+from support import enumerate_valid_tuples, pivot_values_hold
 
 DATA = Path(__file__).parent / "data"
+
+# The benchmark's oracle-crosscheck panel.
+ORACLE_PANEL = [(7, 3, 2, 0), (9, 3, 4, 0), (9, 3, 4, 3), (15, 2, 4, 10), (15, 2, 11, 3), (21, 2, 13, 7), (21, 2, 8, 6)]
 
 
 def family_rows(model):
@@ -32,18 +36,18 @@ def family_rows(model):
 
 
 @lru_cache(maxsize=None)
-def exact_reference(tup, descending=False):
-    """Every family row inserted in sorted order into a lattice without a
-    modulus, unit columns cleared: the oracle lattice built exactly, with
-    no exponent bound and no generating set.
+def exact_reference(tup):
+    """Every family row inserted in ascending order into a lattice without
+    a modulus, unit columns cleared: the oracle lattice built exactly,
+    with no exponent bound and no generating set.
 
-    Either order gives the same lattice, but not the same basis rows:
-    the exact path does not reduce its pivot rows.  Descending order
-    builds faster; the sublattice golden pins rows of the ascending one.
+    The exact path does not reduce its pivot rows, so another order gives
+    the same lattice but not the same basis rows; the sublattice golden
+    pins rows of this one.
     """
     model = build_tensor_oracle(metagrp.validate(*tup))
     lattice = abgrp.RowLattice(model.params.order ** 2)
-    for row in sorted(family_rows(model), reverse=descending):
+    for row in sorted(family_rows(model)):
         lattice.insert(row)
     lattice.clear_unit_columns()
     return lattice
@@ -105,21 +109,68 @@ def test_oracle_agrees_with_closed_delta(model_3220, model_9343):
         assert oracle_schur_order(model) == report.schur.order
 
 
+def normalized_row(c_plus, c_minus1, c_minus2):
+    """e[c_plus] - e[c_minus1] - e[c_minus2] as sorted (column, coefficient)
+    pairs, the first coefficient positive."""
+    acc = {}
+    for col, v in zip((c_plus, c_minus1, c_minus2), (1, -1, -1)):
+        acc[col] = acc.get(col, 0) + v
+    items = sorted((c, v) for c, v in acc.items() if v)
+    sign = 1 if items[0][1] > 0 else -1
+    return tuple((c, sign * v) for c, v in items)
+
+
 def test_normalized_row_is_the_sorted_row_with_positive_lead():
-    # Every order and coincidence pattern of the three columns.
-    for cols in itertools.product(range(4), repeat=3):
-        acc = {}
-        for col, v in zip(cols, (1, -1, -1)):
-            acc[col] = acc.get(col, 0) + v
-        items = sorted((c, v) for c, v in acc.items() if v)
-        sign = 1 if items[0][1] > 0 else -1
-        assert _normalized_row(*cols) == tuple((c, sign * v) for c, v in items), cols
+    # Every order and coincidence pattern of the three columns, each
+    # column at either end of the range a code must hold.
+    ncols = 16
+    for cols in itertools.product((0, 1, ncols - 2, ncols - 1), repeat=3):
+        code = _encode_row(*cols, 6 * ncols)
+        assert _decode_row(code, 6 * ncols) == normalized_row(*cols), cols
+
+
+def test_row_source_gives_the_distinct_rows_in_descending_order():
+    # Against a test-local reference: the set of normalized rows of both
+    # families for c in {a, b}, sorted as tuples.
+    for tup in ORACLE_PANEL:
+        model = build_tensor_oracle(metagrp.validate(*tup))
+        ng = model.params.order
+        second = (model.index[Element(0, 1)], model.index[Element(1, 0)])
+        mul, conj_by = model.mul, model.conj_by
+        reference = {
+            row
+            for c in second
+            for g in range(ng)
+            for h in range(ng)
+            for row in (
+                normalized_row(mul[g][c] * ng + h, conj_by[c][g] * ng + conj_by[c][h], c * ng + h),
+                normalized_row(h * ng + mul[g][c], conj_by[c][h] * ng + conj_by[c][g], h * ng + c),
+            )
+        }
+        rows = list(_relation_rows(mul, conj_by, second))
+        assert rows == sorted(reference, reverse=True), tup
+        assert model.distinct_rows == len(rows), tup
+
+
+def test_group_tables_match_the_element_arithmetic():
+    # mul, conj_by, o' and G' by index arithmetic against metagrp's
+    # products, conjugates and coset orders of Element objects.
+    for p in enumerate_valid_tuples(40, include_s_zero=True):
+        model = build_tensor_oracle(p)
+        elems = metagrp.elements(p)
+        index = {e: i for i, e in enumerate(elems)}
+        assert model.elements == elems and model.index == index
+        assert model.mul == [[index[metagrp.mul(g, h, p)] for h in elems] for g in elems]
+        assert model.conj_by == [[index[metagrp.conj(h, c, p)] for h in elems] for c in elems]
+        derived = metagrp.derived_subgroup(p)
+        assert model.derived_ids == sorted(index[e] for e in derived)
+        assert model.oprime == [metagrp.coset_order(e, p, derived) for e in elems]
 
 
 def test_group_order_limit():
-    assert metagrp.validate(11, 20, 10, 0).order > oracle.GROUP_ORDER_LIMIT
+    assert metagrp.validate(11, 50, 10, 0).order > oracle.GROUP_ORDER_LIMIT
     with pytest.raises(ResourceLimitError):
-        build_tensor_oracle(metagrp.validate(11, 20, 10, 0))
+        build_tensor_oracle(metagrp.validate(11, 50, 10, 0))
 
 
 def basis_digest(lattice):
@@ -158,6 +209,13 @@ def test_reduced_bases_match_their_digests():
         exterior_oracle(model)
         assert basis_digest(model.handle.lattice) == tensor_digest, tup
         assert basis_digest(model.ext_handle.lattice) == exterior_digest, tup
+
+
+def test_pivot_values_follow_the_oracle_and_exterior_bases(model_9343):
+    exterior_oracle(model_9343)
+    for lattice in (model_9343.handle.lattice, model_9343.ext_handle.lattice):
+        assert len(lattice.pivots) == lattice.ncols
+        assert pivot_values_hold(lattice)
 
 
 def test_reduced_basis_does_not_depend_on_insertion_order():
@@ -249,11 +307,17 @@ def test_generating_set_spans_every_family_row():
 
 
 def test_exponent_bound_seeds_lie_in_the_exact_lattice():
-    # M * e_j lies in the lattice of all rows, so seeding with M * Z^N
-    # leaves it unchanged.
+    # M * e_j lies in the lattice of the generating rows (c in {a, b}),
+    # built exactly, without a modulus.  That lattice lies inside the
+    # lattice of all rows, so seeding with M * Z^N leaves it unchanged.
     for p in enumerate_valid_tuples(30, include_s_zero=True):
-        exact = exact_reference((p.m, p.n, p.r, p.s), descending=True)
-        bound = oracle.tensor_exponent_bound(p.order)
+        model = build_tensor_oracle(p)
+        ng = p.order
+        second = (model.index[Element(0, 1)], model.index[Element(1, 0)])
+        exact = abgrp.RowLattice(ng * ng)
+        for row in _relation_rows(model.mul, model.conj_by, second):
+            exact.insert(row)
+        bound = oracle.tensor_exponent_bound(ng)
         assert all(exact.contains({j: bound}) for j in range(exact.ncols)), (p.m, p.n, p.r, p.s)
 
 
