@@ -37,7 +37,7 @@ directly and build no lattice.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, prod
 
 from .errors import TensqError
@@ -332,28 +332,26 @@ class RowLattice:
                         _axpy(row, -c, piv)
 
 
-@dataclass(frozen=True)
-class AbelianStructure:
+class AbelianStructure(namedtuple("AbelianStructure", "invariant_factors")):
     """Canonical invariant factors d1 | d2 | ... of a f.g. abelian group.
 
     Factors equal to 1 are dropped, 0 stands for a free summand, the
     trivial group is the empty tuple.
     """
 
-    invariant_factors: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, invariant_factors: tuple[int, ...]):
         prev = None
-        for f in self.invariant_factors:
+        for f in invariant_factors:
             if f == 1 or f < 0:
                 raise TensqError(f"invariant factor {f} is not canonical")
             if prev is not None and (
                 (prev == 0 and f != 0) or (prev != 0 and f != 0 and f % prev != 0)
             ):
-                raise TensqError(
-                    f"invariant factors {self.invariant_factors} break divisibility"
-                )
+                raise TensqError(f"invariant factors {invariant_factors} break divisibility")
             prev = f
+        return super().__new__(cls, invariant_factors)
 
     @property
     def order(self) -> int:
@@ -373,7 +371,6 @@ class AbelianStructure:
         return " x ".join("Z" if f == 0 else f"C{f}" for f in self.invariant_factors)
 
 
-@dataclass
 class QuotientHandle:
     """A quotient Z^lattice.ncols / L kept ready for order and membership queries.
 
@@ -381,9 +378,12 @@ class QuotientHandle:
     unit-pivot elimination.
     """
 
-    lattice: RowLattice
-    structure: AbelianStructure
-    core_columns: list[int]
+    __slots__ = ("lattice", "structure", "core_columns")
+
+    def __init__(self, lattice: RowLattice, structure: AbelianStructure, core_columns: list[int]):
+        self.lattice = lattice
+        self.structure = structure
+        self.core_columns = core_columns
 
 
 def smith_normal_form(rows) -> list[int]:

@@ -22,7 +22,9 @@ the layers it runs: --version, --help and usage errors load none;
 checking a tuple loads metagrp and numth; building a record adds
 presentations and abgrp, and --oracle adds the oracle; a batch served
 from the cache builds no record; verify loads every layer, fpgrp too.
-hashlib is imported only when TENSQ_CACHE_DIR is set.
+hashlib is imported only when TENSQ_CACHE_DIR is set.  No module
+imports dataclasses (which loads inspect) or typing: the value types
+are named tuples and __slots__ classes, cheap to define and to build.
 
 Exit codes: 0 success, 1 failed verification or batch rows, 2 invalid
 parameters or a path that cannot be read or written, 3 resource bound

@@ -17,8 +17,7 @@ left to right.
 from __future__ import annotations
 
 import re
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .errors import TensqError
 from .metagrp import GroupParams
@@ -115,13 +114,11 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(name="parsed", generators=tuple(names), relators=tuple(relators))
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(namedtuple("EnumerationResult", "order cosets_used")):
     """Outcome of one enumeration: order is the number of live cosets, the
     subgroup's index, or None when the table overflowed."""
 
-    order: int | None
-    cosets_used: int
+    __slots__ = ()
 
 
 class _TableOverflow(Exception):
@@ -269,14 +266,16 @@ def todd_coxeter(
     return EnumerationResult(order=ct.live, cosets_used=len(ct.table))
 
 
-@dataclass(frozen=True)
-class CertificationResult:
-    """Comparison of the enumerated nu(G) order against the closed form."""
+class CertificationResult(
+    namedtuple("CertificationResult", "status predicted enumerated cosets_used")
+):
+    """Comparison of the enumerated nu(G) order against the closed form.
 
-    status: str  # PASS, FAIL or INCONCLUSIVE
-    predicted: int
-    enumerated: int | None
-    cosets_used: int
+    status is PASS, FAIL or INCONCLUSIVE; enumerated is None unless the
+    table closed.
+    """
+
+    __slots__ = ()
 
 
 def certify_nu_order(params: GroupParams, max_cosets: int = DEFAULT_MAX_COSETS) -> CertificationResult:

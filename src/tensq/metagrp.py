@@ -25,8 +25,8 @@ fast means factoring phi(m), so it is not computed here.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 
@@ -40,14 +40,12 @@ DIGIT_LIMIT = 400
 _DIGIT_BOUND = 10**DIGIT_LIMIT
 
 
-@dataclass(frozen=True)
-class GroupParams:
-    """A validated parameter tuple (m, n, r, s)."""
+class GroupParams(namedtuple("GroupParams", "m n r s")):
+    """A validated parameter tuple (m, n, r, s) of ints.
 
-    m: int
-    n: int
-    r: int
-    s: int
+    It declares no ``__slots__``, so each instance has the dict that
+    caches ``inv``.
+    """
 
     @property
     def order(self) -> int:
@@ -59,12 +57,10 @@ class GroupParams:
         return derived_invariants(self)
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(namedtuple("Element", "beta alpha")):
     """Normal form b^beta * a^alpha of a group element."""
 
-    beta: int
-    alpha: int
+    __slots__ = ()
 
 
 def validate(m: int, n: int, r: int, s: int) -> GroupParams:
@@ -160,15 +156,13 @@ def power(g: Element, sigma: int, p: GroupParams) -> Element:
     return Element(beta, (p.s * q + g.alpha * e) % p.m)
 
 
-@dataclass(frozen=True)
-class DerivedInvariants:
-    """Closed-form invariants of the group; o(a) = m and |G| = mn are on GroupParams."""
+class DerivedInvariants(namedtuple("DerivedInvariants", "o_b t_derived oprime_a oprime_b k")):
+    """Closed-form invariants of the group; o(a) = m and |G| = mn are on GroupParams.
 
-    o_b: int
-    t_derived: int  # |G'| = m/(m, r-1)
-    oprime_a: int
-    oprime_b: int
-    k: int
+    t_derived is |G'| = m/(m, r-1).
+    """
+
+    __slots__ = ()
 
 
 def derived_invariants(p: GroupParams) -> DerivedInvariants:

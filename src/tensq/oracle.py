@@ -35,7 +35,7 @@ commutators of tensor symbols and triple commutators (its items (i),
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import gcd
 
 from . import metagrp, numth
@@ -53,22 +53,43 @@ from .presentations import upsilon_order_bounds
 GROUP_ORDER_LIMIT = 500
 
 
-@dataclass
 class OracleModel:
     """Indexed pair symbols, the reduced relation lattice, the sorted element
-    indices of G' (``derived_ids``) and o'(g) for every element (``oprime``)."""
+    indices of G' (``derived_ids``) and o'(g) for every element (``oprime``).
 
-    params: GroupParams
-    elements: list[Element]
-    index: dict[Element, int]
-    mul: list[list[int]]
-    conj_by: list[list[int]]
-    handle: QuotientHandle
-    raw_rows: int
-    distinct_rows: int
-    derived_ids: list[int]
-    oprime: list[int]
-    ext_handle: QuotientHandle | None = None
+    ``ext_handle``, the exterior-square quotient, is filled in by
+    :func:`exterior_oracle` on first use.
+    """
+
+    __slots__ = (
+        "params", "elements", "index", "mul", "conj_by", "handle",
+        "raw_rows", "distinct_rows", "derived_ids", "oprime", "ext_handle",
+    )
+
+    def __init__(
+        self,
+        params: GroupParams,
+        elements: list[Element],
+        index: dict[Element, int],
+        mul: list[list[int]],
+        conj_by: list[list[int]],
+        handle: QuotientHandle,
+        raw_rows: int,
+        distinct_rows: int,
+        derived_ids: list[int],
+        oprime: list[int],
+    ):
+        self.params = params
+        self.elements = elements
+        self.index = index
+        self.mul = mul
+        self.conj_by = conj_by
+        self.handle = handle
+        self.raw_rows = raw_rows
+        self.distinct_rows = distinct_rows
+        self.derived_ids = derived_ids
+        self.oprime = oprime
+        self.ext_handle: QuotientHandle | None = None
 
     def column(self, gi: int, hi: int) -> int:
         return gi * self.params.order + hi
@@ -307,23 +328,26 @@ def oracle_schur_order(model: OracleModel) -> int:
     return ext // t
 
 
-@dataclass
 class CheckResult:
     """One named family of instances, with the first few failures kept."""
 
-    name: str
-    instances: int
-    failed: int
-    examples: list[str] = field(default_factory=list)
+    __slots__ = ("name", "instances", "failed", "examples")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.instances = 0
+        self.failed = 0
+        self.examples: list[str] = []
 
     @property
     def passed(self) -> bool:
         return self.failed == 0
 
 
-@dataclass
-class SuiteReport:
-    checks: list[CheckResult]
+class SuiteReport(namedtuple("SuiteReport", "checks")):
+    """The CheckResult list of one suite."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -336,7 +360,7 @@ class SuiteReport:
 
 def _check(name: str, instances) -> CheckResult:
     """Count (ok, label) instances, keeping the first three failing labels."""
-    result = CheckResult(name=name, instances=0, failed=0)
+    result = CheckResult(name)
     for ok, label in instances:
         result.instances += 1
         if not ok:

@@ -24,7 +24,7 @@ so no closed form expands r**n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import gcd, lcm
 
@@ -39,21 +39,19 @@ NU_GENERATORS = ("x1", "y1", "x2", "y2", "u", "v", "w", "z")
 TENSOR_GENERATORS = ("u", "v", "w", "z")
 
 
-@dataclass(frozen=True)
-class Presentation:
-    """A finite presentation: generator names plus relator words."""
+class Presentation(namedtuple("Presentation", "name generators relators")):
+    """A finite presentation: a name, a tuple of generator names and a
+    tuple of relator words."""
 
-    name: str
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(self.relators):
-            raise TensqError(f"{self.name}: empty relator")
+    def __new__(cls, name: str, generators: tuple[str, ...], relators: tuple[Word, ...]):
+        if not all(relators):
+            raise TensqError(f"{name}: empty relator")
+        return super().__new__(cls, name, generators, relators)
 
 
-@dataclass(frozen=True)
-class TensorDescriptor:
+class TensorDescriptor(namedtuple("TensorDescriptor", "e_u e_v e_w e_z s n big_e")):
     """Exponent table of the tensor-square relation matrix.
 
     e_u, e_v, e_w, e_z are the generator order exponents; s, n and
@@ -61,24 +59,17 @@ class TensorDescriptor:
     r**(n-1) reduced into [1, lcm(e_u, e_z)].
     """
 
-    e_u: int
-    e_v: int
-    e_w: int
-    e_z: int
-    s: int
-    n: int
-    big_e: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SectionReport:
-    """The abelian sections attached to one parameter tuple."""
+class SectionReport(
+    namedtuple("SectionReport", "tensor exterior schur delta_order nu_order_predicted")
+):
+    """The abelian sections attached to one parameter tuple: the
+    AbelianStructure of the tensor square, the exterior square and the
+    Schur multiplier, and two orders."""
 
-    tensor: AbelianStructure
-    exterior: AbelianStructure
-    schur: AbelianStructure
-    delta_order: int
-    nu_order_predicted: int
+    __slots__ = ()
 
 
 def _word(*factors: tuple[int, int]) -> Word:

@@ -175,9 +175,14 @@ def test_structure_validation():
         AbelianStructure((4, 2))
     with pytest.raises(TensqError):
         AbelianStructure((0, 2))
+    with pytest.raises(TensqError):
+        AbelianStructure((1,))
     assert AbelianStructure((2, 4, 0)).order == 0
     assert AbelianStructure(()).order == 1
     assert str(AbelianStructure((6, 0))) == "C6 x Z"
+    assert AbelianStructure((3, 6)) == AbelianStructure((3, 6)) != AbelianStructure((18,))
+    with pytest.raises(AttributeError):
+        AbelianStructure((6,)).invariant_factors = (2,)
 
 
 def reduce(lattice, vec):

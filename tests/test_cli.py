@@ -49,6 +49,17 @@ def test_compute_golden_record(tmp_path, capsys):
     assert record == json.loads((DATA / "compute_9343.json").read_text())
 
 
+def test_record_holds_only_json_types():
+    # json encodes any tuple, a value type included, as a list without
+    # complaint, so the record is checked before it is encoded.
+    def walk(node):
+        assert type(node) in (dict, list, str, int, float, bool, type(None)), repr(node)
+        for child in node.values() if type(node) is dict else node if type(node) is list else ():
+            walk(child)
+
+    walk(cli.build_run_record(metagrp.validate(9, 3, 4, 3), True))
+
+
 def test_validation_exit_code(monkeypatch, capsys):
     assert main(["compute", "--m", "10", "--n", "2", "--r", "3", "--s", "0"]) == 2
     err = capsys.readouterr().err
@@ -966,6 +977,27 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, monkeypatch, capsy
     assert main(["batch", "--manifest", str(manifest)]) == 1
     capsys.readouterr()
     assert _loaded_modules(["batch", "--manifest", str(manifest)], cache) == GROUP_MODULES
+
+
+VERIFY_IMPORTS = """
+import sys
+from tensq import cli, fpgrp, oracle
+code = cli.main(["verify", "--m", "3", "--n", "2", "--r", "2", "--s", "0", "--suite", "all"])
+print(code, sorted(name for name in ("dataclasses", "inspect", "typing") if name in sys.modules))
+"""
+
+
+def test_verify_loads_neither_dataclasses_nor_inspect():
+    # dataclasses, which imports inspect, and typing each add milliseconds
+    # to the start-up of every process.  -S skips the site imports, which
+    # may load them on their own.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    env.pop("TENSQ_CACHE_DIR", None)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", VERIFY_IMPORTS], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_package_exports_resolve_on_first_access():

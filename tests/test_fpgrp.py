@@ -55,6 +55,8 @@ def test_enumeration_overflow_is_a_value():
     result = todd_coxeter(pres(("x",), (((0, 5),),)), max_cosets=2)
     assert result.order is None
     assert result.cosets_used == 2
+    with pytest.raises(AttributeError):
+        result.order = 5
 
 
 def test_parse_minimal():
@@ -158,6 +160,8 @@ def test_certify_small_group():
     assert result.predicted == 216
     assert result.enumerated == 216
     assert result.cosets_used == 122
+    with pytest.raises(AttributeError):
+        result.status = "FAIL"
 
 
 def test_trivial_subgroup_enumeration_of_small_nu():

@@ -186,6 +186,22 @@ def test_power_examples():
     assert elt_order(b, p) == 9
 
 
+def test_value_types_are_immutable_keys_and_cache_their_invariants():
+    p = metagrp.validate(3, 2, 2, 0)
+    assert p == metagrp.GroupParams(3, 2, 2, 0)
+    assert repr(p) == "GroupParams(m=3, n=2, r=2, s=0)"
+    assert p.inv is p.inv
+    for obj, field in ((p, "m"), (p.inv, "o_b"), (Element(1, 2), "beta")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 0)
+    index = {g: i for i, g in enumerate(metagrp.elements(p))}
+    assert index[Element(1, 0)] == 3
+    derived = metagrp.derived_subgroup(p)
+    assert type(derived) is frozenset
+    assert all(type(g) is Element for g in derived)
+    assert derived == {Element(0, 0), Element(0, 1), Element(0, 2)}
+
+
 def test_inverse_on_full_enumeration():
     p = metagrp.validate(9, 3, 4, 3)
     for g in metagrp.elements(p):

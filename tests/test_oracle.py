@@ -426,6 +426,8 @@ def test_bounds_suite_passes(model_3220, model_9343):
         names = [c.name for c in report.checks]
         assert "derived diagonal has order 1" in names
         assert any("odd o'(h)" in n for n in names)
+        with pytest.raises(AttributeError):
+            report.checks = []
 
 
 # Sublattice models: the exact reference keeps only the pivot rows of the

@@ -161,6 +161,18 @@ def test_presentation_text_rejects_empty_relator():
         Presentation(name="bad", generators=("x",), relators=(((0, 2),), ()))
 
 
+def test_presentation_values_are_immutable():
+    p = metagrp.validate(3, 2, 2, 0)
+    values = (
+        (nu_presentation(p), "relators"),
+        (tensor_descriptor(p), "big_e"),
+        (exterior_and_schur(p), "tensor"),
+    )
+    for obj, field in values:
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+
+
 def test_gap_export_shape():
     text = presentation_to_gap(tensor_presentation(metagrp.validate(3, 2, 2, 0)))
     assert text.startswith('F := FreeGroup( "u", "v", "w", "z" );;')
