@@ -184,12 +184,20 @@ def _cache_dir() -> str | None:
     return os.path.join(cache_dir, "") if cache_dir else None
 
 
+# A record holds fewer than 100 integers, each below 10^3600 (see
+# metagrp.DIGIT_LIMIT), so a cache file of one stays under 400 KB.
+CACHE_FILE_LIMIT = 1 << 20
+
+
 def _read_file(path: str) -> bytes:
     """The whole file at path, read through a raw descriptor: one read of
-    the size fstat gives, repeated only after a short read."""
+    the size fstat gives, repeated only after a short read.  A file over
+    CACHE_FILE_LIMIT bytes raises ValueError unread."""
     fd = os.open(path, os.O_RDONLY)
     try:
         size = os.fstat(fd).st_size
+        if size > CACHE_FILE_LIMIT:
+            raise ValueError(f"{path} is over {CACHE_FILE_LIMIT} bytes")
         data = os.read(fd, size)
         while len(data) < size:
             chunk = os.read(fd, size - len(data))
@@ -232,12 +240,12 @@ def _load_record(params: GroupParams, with_oracle: bool, cache_dir: str | None) 
     and it is a record of this tuple whose oracle entry is what the
     command reads (see _serves); the parsed record is returned with the
     body itself, which is never encoded again.  Any other file, missing,
-    truncated, edited, moved from another key's path, unsealed, an
-    indented body from an earlier version, or a sealed body that is no
-    record of this tuple, is a miss: the cache directory is created,
-    then the record is built, encoded once, and the file rewritten
-    atomically, through a temporary file and os.replace, so a reader
-    never sees a partial record.  A temporary file whose write or rename
+    over CACHE_FILE_LIMIT bytes, truncated, edited, moved from another
+    key's path, unsealed, an indented body from an earlier version, or a
+    sealed body that is no record of this tuple, is a miss: the cache
+    directory is created, then the record is built, encoded once, and
+    the file rewritten atomically, through a temporary file and
+    os.replace, so a reader never sees a partial record.  A temporary file whose write or rename
     fails is removed before the error propagates.
     """
     if cache_dir is None:

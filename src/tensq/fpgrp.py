@@ -111,7 +111,7 @@ def parse_presentation(text: str) -> Presentation:
         if not body.strip():
             continue
         relators.append(_parse_relator(body.rstrip(), lineno + 1, gen_index))
-    return Presentation(name="parsed", generators=tuple(names), relators=tuple(relators))
+    return Presentation(generators=tuple(names), relators=tuple(relators))
 
 
 class EnumerationResult(namedtuple("EnumerationResult", "order cosets_used")):

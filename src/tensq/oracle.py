@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from . import metagrp, numth
+from . import numth
 from .abgrp import (
     AbelianStructure,
     QuotientHandle,
@@ -47,30 +47,28 @@ from .abgrp import (
     quotient_from_lattice,
 )
 from .errors import FormulaInconsistencyError, ResourceLimitError
-from .metagrp import Element, GroupParams
+from .metagrp import GroupParams
 from .presentations import upsilon_order_bounds
 
 GROUP_ORDER_LIMIT = 500
 
 
 class OracleModel:
-    """Indexed pair symbols, the reduced relation lattice, the sorted element
-    indices of G' (``derived_ids``) and o'(g) for every element (``oprime``).
+    """The group tables of _group_tables, whose element indices number the
+    pair symbols, and the reduced relation lattice.
 
     ``ext_handle``, the exterior-square quotient, is filled in by
     :func:`exterior_oracle` on first use.
     """
 
     __slots__ = (
-        "params", "elements", "index", "mul", "conj_by", "handle",
+        "params", "mul", "conj_by", "handle",
         "raw_rows", "distinct_rows", "derived_ids", "oprime", "ext_handle",
     )
 
     def __init__(
         self,
         params: GroupParams,
-        elements: list[Element],
-        index: dict[Element, int],
         mul: list[list[int]],
         conj_by: list[list[int]],
         handle: QuotientHandle,
@@ -80,8 +78,6 @@ class OracleModel:
         oprime: list[int],
     ):
         self.params = params
-        self.elements = elements
-        self.index = index
         self.mul = mul
         self.conj_by = conj_by
         self.handle = handle
@@ -170,7 +166,9 @@ def _relation_rows(mul: list[list[int]], conj_by: list[list[int]], second):
 
 def _group_tables(p: GroupParams):
     """mul, conj_by, the sorted indices of G' and o', by index
-    arithmetic on b^beta a^alpha, at index beta * m + alpha.
+    arithmetic on b^beta a^alpha, at index beta * m + alpha: a is 1, b
+    is m and a^alpha is alpha.  The oracle numbers elements only this
+    way.
 
     Right multiplication by b^beta2 sends a^alpha to a^(alpha r^beta2),
     so row g of mul is, block by block, a rotated run of indices; h^c
@@ -274,9 +272,7 @@ def build_tensor_oracle(params: GroupParams) -> OracleModel:
     Storage is kept small per row.  Until inserted, a row is one int in
     a flat list that is sorted in place and emptied as it is read (see
     _relation_rows).  The lattice holds no row for a column still at its
-    seed M * e_j, and stores each pivot row in a dict sized to it.  The
-    group tables come from index arithmetic on b^beta a^alpha (see
-    _group_tables), without an Element per product.
+    seed M * e_j, and stores each pivot row in a dict sized to it.
     """
     ng = params.order
     if ng > GROUP_ORDER_LIMIT:
@@ -284,7 +280,6 @@ def build_tensor_oracle(params: GroupParams) -> OracleModel:
             f"oracle needs |G|^2 = {ng * ng} columns; |G| = {ng} exceeds the "
             f"limit {GROUP_ORDER_LIMIT}"
         )
-    elems = metagrp.elements(params)
     mul, conj_by, derived_ids, oprime = _group_tables(params)
     second = (1, params.m)  # a, b
     lattice = RowLattice(ng * ng, modulus=tensor_exponent_bound(ng))
@@ -294,8 +289,6 @@ def build_tensor_oracle(params: GroupParams) -> OracleModel:
         distinct += 1
     return OracleModel(
         params=params,
-        elements=elems,
-        index={e: i for i, e in enumerate(elems)},
         mul=mul,
         conj_by=conj_by,
         handle=_bounded_quotient(lattice),
@@ -408,20 +401,18 @@ def verify_identities(model: OracleModel) -> SuiteReport:
     def ext_member(coeffs: dict) -> bool:
         return ext_lattice.contains(reduced(coeffs))
 
-    index = model.index
     conj_by = model.conj_by
     mul = model.mul
-    elems = model.elements
-    a_i = index[Element(0, 1)]
-    b_i = index[Element(1, 0)]
+    a_i, b_i = 1, m
     col = model.column
     col_aa = col(a_i, a_i)
     col_ab = col(a_i, b_i)
     col_ba = col(b_i, a_i)
     col_bb = col(b_i, b_i)
     o_b = p.inv.o_b
-    pow_a = [index[Element(0, al)] for al in range(m)]
-    pow_b = [index[metagrp.power(Element(1, 0), be, p)] for be in range(o_b)]
+    pow_b = [0] * o_b
+    for be in range(1, o_b):
+        pow_b[be] = mul[pow_b[be - 1]][b_i]
 
     def binom2(x: int) -> int:
         x %= exp2
@@ -442,15 +433,15 @@ def verify_identities(model: OracleModel) -> SuiteReport:
     # (label, x, y, k_ab, k_aa), stating (x, y) = k_ab (a,b) + k_aa (r-1) (a,a).
     def shape_i():
         for al in range(m):
-            yield f"alpha={al}", a_i, conj_by[pow_a[al]][b_i], 1, al
+            yield f"alpha={al}", a_i, conj_by[al][b_i], 1, al
 
     def shape_ii():
         for al in range(m):
-            yield f"alpha={al}", pow_a[al], b_i, al, binom2(al)
+            yield f"alpha={al}", al, b_i, al, binom2(al)
 
     def shape_iii():
         for be in range(o_b):
-            yield f"beta={be}", pow_a[rb_m[be]], b_i, rb_e[be], binom2(rb_e2[be])
+            yield f"beta={be}", rb_m[be], b_i, rb_e[be], binom2(rb_e2[be])
 
     def shape_iv():
         for be in range(o_b):
@@ -461,7 +452,7 @@ def verify_identities(model: OracleModel) -> SuiteReport:
             for be in range(o_b):
                 yield (
                     f"alpha={al} beta={be}",
-                    pow_a[al * rb_m[be] % m],
+                    al * rb_m[be] % m,
                     b_i,
                     al * rb_e[be],
                     binom2(al * rb_e2[be]),
@@ -472,7 +463,7 @@ def verify_identities(model: OracleModel) -> SuiteReport:
             running = 0
             rp = 1 % exp2
             for be in range(o_b):
-                yield f"alpha={al} beta={be}", pow_a[al], pow_b[be], al * geom[be], running
+                yield f"alpha={al} beta={be}", al, pow_b[be], al * geom[be], running
                 running = (running + binom2(al * rp)) % exp
                 rp = rp * r % exp2
 
@@ -599,14 +590,13 @@ def verify_identities(model: OracleModel) -> SuiteReport:
         )
     )
 
-    derived_alphas = {elems[i].alpha for i in derived_ids}
+    # G' is the alpha < m divisible by o'(a) = (m, r-1), so the first
+    # element of the coset of g = beta m + alpha is beta m + alpha mod o'(a).
+    da = p.inv.oprime_a
 
     def diag_on_cosets():
-        reps = {}
         for g in range(ng):
-            e = elems[g]
-            key = (e.beta, min((e.alpha - d) % m for d in derived_alphas))
-            rep = reps.setdefault(key, g)
+            rep = g - g % m // da * da
             yield member(_vec((col(g, g), 1), (col(rep, rep), -1))), f"diagonal differs on coset of #{g}"
 
     checks.append(_check("diagonal constant on derived cosets", diag_on_cosets()))
@@ -644,10 +634,8 @@ def verify_bounds(model: OracleModel) -> SuiteReport:
     p = model.params
     bounds = upsilon_order_bounds(p)
     handle = model.handle
-    index = model.index
     col = model.column
-    a_i = index[Element(0, 1)]
-    b_i = index[Element(1, 0)]
+    a_i, b_i = 1, p.m
     checks = []
 
     for name, vec, key in [

@@ -39,16 +39,17 @@ NU_GENERATORS = ("x1", "y1", "x2", "y2", "u", "v", "w", "z")
 TENSOR_GENERATORS = ("u", "v", "w", "z")
 
 
-class Presentation(namedtuple("Presentation", "name generators relators")):
-    """A finite presentation: a name, a tuple of generator names and a
-    tuple of relator words."""
+class Presentation(namedtuple("Presentation", "generators relators")):
+    """A finite presentation: a tuple of generator names and a tuple of
+    relator words."""
 
     __slots__ = ()
 
-    def __new__(cls, name: str, generators: tuple[str, ...], relators: tuple[Word, ...]):
-        if not all(relators):
-            raise TensqError(f"{name}: empty relator")
-        return super().__new__(cls, name, generators, relators)
+    def __new__(cls, generators: tuple[str, ...], relators: tuple[Word, ...]):
+        for i, rel in enumerate(relators):
+            if not rel:
+                raise TensqError(f"relator {i} is empty")
+        return super().__new__(cls, generators, relators)
 
 
 class TensorDescriptor(namedtuple("TensorDescriptor", "e_u e_v e_w e_z s n big_e")):
@@ -224,11 +225,7 @@ def nu_presentation(params: GroupParams) -> Presentation:
         for g in range(8):
             if g != c:
                 relators.append(_word(*_comm(c, g)))
-    return Presentation(
-        name=f"nu(g({m},{n};{r},{s}))",
-        generators=NU_GENERATORS,
-        relators=tuple(relators),
-    )
+    return Presentation(generators=NU_GENERATORS, relators=tuple(relators))
 
 
 def tensor_presentation(params: GroupParams) -> Presentation:
@@ -236,11 +233,7 @@ def tensor_presentation(params: GroupParams) -> Presentation:
     gens = range(len(TENSOR_GENERATORS))
     relators = tensor_relators(tensor_descriptor(params), *gens)
     relators += [_comm(i, j) for i, j in combinations(gens, 2)]
-    return Presentation(
-        name=f"g({params.m},{params.n};{params.r},{params.s}) tensor square",
-        generators=TENSOR_GENERATORS,
-        relators=tuple(relators),
-    )
+    return Presentation(generators=TENSOR_GENERATORS, relators=tuple(relators))
 
 
 def presentation_to_text(pres: Presentation) -> str:

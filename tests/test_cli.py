@@ -741,6 +741,29 @@ def test_sealed_record_of_another_tuple_is_a_miss(oracle, tmp_path, monkeypatch,
             built.clear()
 
 
+def test_cache_file_over_the_limit_is_a_miss(tmp_path, monkeypatch, capsys):
+    # A sealed record padded with spaces, which json.loads skips, one byte
+    # past CACHE_FILE_LIMIT: it is not read, and the record is built once
+    # and the file rewritten in the canonical one-line form.
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("TENSQ_CACHE_DIR", str(cache))
+    assert main(["compute", *SMALL]) == 0
+    cold = capsys.readouterr().out
+    path = cache / f"{PINNED_KEYS[False]}.json"
+    canonical = path.read_bytes()
+    padding = cli.CACHE_FILE_LIMIT + 1 - len(canonical)
+    path.write_text(_seal_body(path.stem, _body(path) + " " * padding))
+    assert path.stat().st_size == cli.CACHE_FILE_LIMIT + 1
+    build = cli.build_run_record
+    built = []
+    monkeypatch.setattr(cli, "build_run_record", lambda *args: built.append(args) or build(*args))
+    assert main(["compute", *SMALL]) == 0
+    text = capsys.readouterr().out
+    assert _untimed(text) == _untimed(cold)
+    assert len(built) == 1
+    assert path.read_text() == _seal_body(path.stem, _one_line(text))
+
+
 @pytest.mark.parametrize("command", ["compute", "batch"])
 def test_directory_at_a_cache_file_path_exits_2(command, tmp_path, monkeypatch, capsys):
     cache = tmp_path / "cache"

@@ -24,7 +24,7 @@ DATA = Path(__file__).parent / "data"
 
 
 def pres(gens, relators):
-    return Presentation(name="t", generators=gens, relators=relators)
+    return Presentation(generators=gens, relators=relators)
 
 
 def test_enumeration_classics():
@@ -109,8 +109,7 @@ def test_round_trip_nu_and_tensor():
         for build in (nu_presentation, tensor_presentation):
             original = build(p)
             parsed = parse_presentation(presentation_to_text(original))
-            assert parsed.generators == original.generators, p
-            assert parsed.relators == original.relators, p
+            assert parsed == original, p
             assert all(abs(e) <= p.order for word in original.relators for _, e in word), p
 
     # Seeded character mutations of two emitted texts: each mutant either
@@ -142,7 +141,7 @@ def test_round_trip_nu_and_tensor():
             outcomes["rejected"] += 1
             continue
         again = parse_presentation(presentation_to_text(parsed))
-        assert (again.generators, again.relators) == (parsed.generators, parsed.relators), mutant
+        assert again == parsed, mutant
         outcomes["parsed"] += 1
     assert all(outcomes.values()), outcomes
 

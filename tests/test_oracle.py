@@ -9,7 +9,6 @@ import pytest
 
 from tensq import abgrp, metagrp, oracle
 from tensq.errors import FormulaInconsistencyError, ResourceLimitError, TensqError
-from tensq.metagrp import Element
 from tensq.oracle import (
     _decode_row,
     _encode_row,
@@ -54,14 +53,15 @@ def exact_reference(tup):
 
 
 def conjugation_permutation(model, c):
-    """Column permutation induced by (g, h) -> (g^c, h^c)."""
+    """Column permutation induced by (g, h) -> (g^c, h^c), c an element index."""
     ng = model.params.order
-    act_c = model.conj_by[model.index[c]]
+    act_c = model.conj_by[c]
     return [act_c[g] * ng + act_c[h] for g in range(ng) for h in range(ng)]
 
 
 def act(model, vec, c):
-    """Image of a dense coefficient vector under conjugation by c."""
+    """Image of a dense coefficient vector under conjugation by the element
+    of index c."""
     vec = list(vec)
     ncols = model.params.order**2
     if len(vec) != ncols:
@@ -135,7 +135,7 @@ def test_row_source_gives_the_distinct_rows_in_descending_order():
     for tup in ORACLE_PANEL:
         model = build_tensor_oracle(metagrp.validate(*tup))
         ng = model.params.order
-        second = (model.index[Element(0, 1)], model.index[Element(1, 0)])
+        second = (1, model.params.m)  # a, b
         mul, conj_by = model.mul, model.conj_by
         reference = {
             row
@@ -154,12 +154,14 @@ def test_row_source_gives_the_distinct_rows_in_descending_order():
 
 def test_group_tables_match_the_element_arithmetic():
     # mul, conj_by, o' and G' by index arithmetic against metagrp's
-    # products, conjugates and coset orders of Element objects.
+    # products, conjugates and coset orders of Element objects, element
+    # i of metagrp.elements being b^beta a^alpha at i = beta * m + alpha.
     for p in enumerate_valid_tuples(40, include_s_zero=True):
         model = build_tensor_oracle(p)
         elems = metagrp.elements(p)
+        assert [e.beta * p.m + e.alpha for e in elems] == list(range(p.order))
+        assert elems[1] == metagrp.Element(0, 1) and elems[p.m] == metagrp.Element(1, 0)
         index = {e: i for i, e in enumerate(elems)}
-        assert model.elements == elems and model.index == index
         assert model.mul == [[index[metagrp.mul(g, h, p)] for h in elems] for g in elems]
         assert model.conj_by == [[index[metagrp.conj(h, c, p)] for h in elems] for c in elems]
         derived = metagrp.derived_subgroup(p)
@@ -224,7 +226,7 @@ def test_reduced_basis_does_not_depend_on_insertion_order():
     for tup in ((7, 3, 2, 0), (9, 3, 4, 3)):
         model = build_tensor_oracle(metagrp.validate(*tup))
         ng = model.params.order
-        second = (model.index[Element(0, 1)], model.index[Element(1, 0)])
+        second = (1, model.params.m)  # a, b
         rows = sorted(_relation_rows(model.mul, model.conj_by, second))
         shuffled = list(rows)
         random.Random(20261018).shuffle(shuffled)
@@ -313,7 +315,7 @@ def test_exponent_bound_seeds_lie_in_the_exact_lattice():
     for p in enumerate_valid_tuples(30, include_s_zero=True):
         model = build_tensor_oracle(p)
         ng = p.order
-        second = (model.index[Element(0, 1)], model.index[Element(1, 0)])
+        second = (1, model.params.m)  # a, b
         exact = abgrp.RowLattice(ng * ng)
         for row in _relation_rows(model.mul, model.conj_by, second):
             exact.insert(row)
@@ -332,28 +334,27 @@ def test_exponent_bound_equal_to_the_exponent_raises(model_9343, monkeypatch):
 def test_act_on_basis_vector(model_3220):
     m = model_3220
     p = m.params
-    a = Element(0, 1)
-    b = Element(1, 0)
+    a, b = 1, p.m
     vec = [0] * 36
-    vec[m.column(m.index[a], m.index[b])] = 1
+    vec[m.column(a, b)] = 1
     out = act(m, vec, b)
     expected = [0] * 36
-    a_conj = Element(0, p.r % p.m)
-    expected[m.column(m.index[a_conj], m.index[b])] = 1
+    a_conj = p.r % p.m
+    expected[m.column(a_conj, b)] = 1
     assert out == expected
-    assert act(m, vec, Element(0, 0)) == vec
+    assert act(m, vec, 0) == vec
 
 
 def test_act_rejects_wrong_length(model_3220):
     with pytest.raises(TensqError):
-        act(model_3220, [0] * 7, Element(0, 0))
+        act(model_3220, [0] * 7, 0)
 
 
 def test_act_preserves_lattice_membership(model_3220):
     m = model_3220
     ncols = m.params.order**2
     rows = [dict(row) for row in m.handle.lattice.pivots.values()]
-    for c in m.elements:
+    for c in range(m.params.order):
         for row in rows:
             dense = [0] * ncols
             for col, val in row.items():
@@ -363,7 +364,7 @@ def test_act_preserves_lattice_membership(model_3220):
 
 
 def test_conjugation_permutation_is_bijective(model_3220):
-    for c in model_3220.elements:
+    for c in range(model_3220.params.order):
         perm = conjugation_permutation(model_3220, c)
         assert sorted(perm) == list(range(36))
 
@@ -399,13 +400,13 @@ def test_derived_diagonal_already_trivial(model_9343):
     m = model_9343
     p = m.params
     for d in metagrp.derived_subgroup(p):
-        di = m.index[d]
+        di = d.beta * p.m + d.alpha
         assert abgrp.lattice_member(m.handle, {m.column(di, di): 1})
 
 
 def test_diagonal_bb_order_divides_n(model_3220):
     m = model_3220
-    bi = m.index[Element(1, 0)]
+    bi = m.params.m
     assert 2 % abgrp.element_order(m.handle, {m.column(bi, bi): 1}) == 0
 
 

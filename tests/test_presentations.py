@@ -157,8 +157,8 @@ def test_presentation_text_golden():
 
 
 def test_presentation_text_rejects_empty_relator():
-    with pytest.raises(TensqError):
-        Presentation(name="bad", generators=("x",), relators=(((0, 2),), ()))
+    with pytest.raises(TensqError, match="relator 1 is empty"):
+        Presentation(generators=("x",), relators=(((0, 2),), ()))
 
 
 def test_presentation_values_are_immutable():
