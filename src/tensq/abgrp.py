@@ -24,9 +24,15 @@ lattice alone determines, so the basis ``clear_unit_columns`` leaves
 does not depend on the order rows were inserted in.  Finitely generated
 abelian groups are presented as Z^n modulo such a lattice; their
 canonical invariant factors come from the Smith normal form of the
-small core left after eliminating every unit pivot.  Every query against
-the lattice, membership and element order alike, is one walk down the
-echelon basis: ``RowLattice.order``.
+small core left after eliminating every unit pivot.
+
+A query against the lattice, membership or element order, is a walk
+down the echelon basis: ``RowLattice.order``.  Many queries against one
+lattice go through its :class:`CoreMap` instead, built once by
+:func:`core_map`: each column's image in the core, the columns with no
+unit pivot row, and the small lattice the core meets the lattice in.
+A vector's order is its image's order there, a walk over a few columns
+that never meets a unit pivot.
 
 :func:`smith_normal_form` is the module's one other elimination: a
 single pass of unimodular row and column gcd steps over a dense copy of
@@ -330,6 +336,151 @@ class RowLattice:
                     c = row.get(j)
                     if c:
                         _axpy(row, -c, piv)
+
+
+class CoreMap:
+    """Each column's image in the core of a lattice L, and the core
+    lattice C that L meets the core in; built by :func:`core_map`.
+
+    The core is the columns j with no unit pivot row, renumbered
+    0, 1, ... in ascending order.  ``images[j]`` is the image of e_j, a
+    tuple of (core index, coefficient) pairs: a core column's is itself,
+    a unit-pivot column's is minus its row's tail, each tail column taken
+    through its own image.  ``lattice`` is C, a RowLattice on the core
+    columns with L's modulus.
+
+    Why it is exact.  Write phi for the linear map sending e_j to its
+    image.  e_j - phi(e_j) lies in L for every j: at a core column it is
+    0, and at a unit-pivot column j with row e_j + t it is that row once
+    each tail column k > j is replaced by its image, which differs from
+    e_k by an element of L already.  So v = phi(v) mod L for every
+    vector v.  phi(L) is C: phi sends a unit-pivot row to 0, every other
+    pivot row to one of the images that span C, and a seed M * e_j into
+    M * Z^core, which C's modulus holds.  And phi is the identity on core
+    vectors, so L meets the core in exactly C.  Hence k * v lies in L
+    exactly when k * phi(v) lies in C: membership and order of v are
+    those of phi(v) in a lattice of a few columns, and the walk over
+    phi(v) meets no unit pivot.  The same phi serves L plus any further
+    rows (see ``extended``), since it still moves each vector by an
+    element of the larger lattice.
+    """
+
+    __slots__ = ("images", "lattice", "_steps")
+
+    def __init__(self, images: list[tuple], lattice: RowLattice):
+        self.images = images
+        self.lattice = lattice
+        # Per core column, its pivot (0 when it has none) and the rest of
+        # its pivot row: what RowLattice.order reads at that column.  C is
+        # not changed afterwards; ``extended`` builds on a copy.
+        pivots = lattice.pivots
+        self._steps = [
+            (p, tuple((i, v) for i, v in pivots[j].items() if i > j) if j in pivots else ())
+            for j, p in enumerate(lattice.pivot_values)
+        ]
+
+    def order(self, vec: dict, modulus: int | None = None) -> int:
+        """Least k >= 1 with k * vec in the lattice, 0 when there is none;
+        with a ``modulus``, of vec with each coefficient first reduced
+        into [0, modulus).
+
+        RowLattice.order's walk, over phi(vec) summed densely over the
+        core: at each core column in ascending order, scale the vector
+        until the pivot divides its entry, then clear the entry with the
+        pivot row, which touches only later columns.
+        """
+        w = [0] * len(self._steps)
+        images = self.images
+        for col, c in vec.items():
+            if modulus is not None:
+                c %= modulus
+            if c:
+                for i, v in images[col]:
+                    w[i] += c * v
+        k = 1
+        for j, (p, tail) in enumerate(self._steps):
+            c = w[j]
+            if not c:
+                continue
+            if not p:
+                return 0
+            if c % p:
+                scale = p // gcd(p, c)
+                k *= scale
+                c *= scale
+                for i in range(j + 1, len(w)):
+                    w[i] *= scale
+            if tail:
+                q = c // p
+                for i, v in tail:
+                    w[i] -= q * v
+        return k
+
+    def extended(self, columns) -> "CoreMap":
+        """The map of L plus the unit rows e_j, j in ``columns``: the same
+        images over C plus theirs."""
+        lattice = self.lattice.copy()
+        for j in columns:
+            lattice.insert(self.images[j])
+        return CoreMap(self.images, lattice)
+
+
+def core_map(lattice: RowLattice) -> CoreMap:
+    """The CoreMap of any lattice, with or without a modulus, with its
+    unit columns cleared or not, with free columns or none.
+
+    Images are computed once, in descending column order, so a unit
+    row's tail columns already have theirs.  With a modulus M they are
+    kept modulo M, which moves them by elements of M * Z^core, inside C;
+    once C is built each is reduced to its normal form, every entry in
+    [0, pivot of its column), as RowLattice keeps its own rows.  Equal
+    images are one tuple.  In a fully reduced basis, as the oracle's is,
+    a unit row's tail is the normal form of minus its column, so columns
+    equal in the quotient share one image, and there are no more
+    distinct images than the quotient has elements.
+    """
+    pivots = lattice.pivots
+    modulus = lattice.modulus
+    ncols = lattice.ncols
+    index = {}
+    for j in range(ncols):
+        row = pivots.get(j)
+        if row is None or row[j] != 1:
+            index[j] = len(index)
+    images: list = [None] * ncols
+    distinct: dict = {}
+    for j in range(ncols - 1, -1, -1):
+        if j in index:
+            img = {index[j]: 1}
+        else:
+            img = {}
+            for k, c in pivots[j].items():
+                if k != j:
+                    for i, v in images[k]:
+                        img[i] = img.get(i, 0) - c * v
+            if modulus is not None:
+                img = {i: v % modulus for i, v in img.items()}
+        key = tuple(sorted((i, v) for i, v in img.items() if v))
+        images[j] = distinct.setdefault(key, key)
+    core = RowLattice(len(index), modulus)
+    for j in reversed(index):
+        row = pivots.get(j)
+        if row is not None:
+            vec: dict = {}
+            for k, c in row.items():
+                for i, v in images[k]:
+                    vec[i] = vec.get(i, 0) + c * v
+            core.insert(vec)
+    if modulus is not None:
+        core.clear_unit_columns()
+        normal: dict = {}
+        for key in distinct:
+            img = dict(key)
+            core._reduce_tail(img, -1)
+            img = tuple(sorted(img.items()))
+            distinct[key] = normal.setdefault(img, img)
+        images = [distinct[img] for img in images]
+    return CoreMap(images, core)
 
 
 class AbelianStructure(namedtuple("AbelianStructure", "invariant_factors")):

@@ -14,8 +14,9 @@ one key hash, one read of the file through a raw descriptor, one seal
 hash and one parse.  The body is the record's one-line canonical JSON,
 the exact text a batch row carries, so a batch row is spliced from it
 without encoding the record again, and a rerun of compute prints the
-stored record re-indented, byte for byte as the first run printed it.  The --json path and the cache directory are
-checked before any record is built.
+stored record re-indented, byte for byte as the first run printed it.
+The --json path and the cache directory are checked before any record
+is built.
 
 Each layer is imported where it is first used, so a command loads only
 the layers it runs: --version, --help and usage errors load none;
@@ -245,8 +246,9 @@ def _load_record(params: GroupParams, with_oracle: bool, cache_dir: str | None) 
     sealed body that is no record of this tuple, is a miss: the cache
     directory is created, then the record is built, encoded once, and
     the file rewritten atomically, through a temporary file and
-    os.replace, so a reader never sees a partial record.  A temporary file whose write or rename
-    fails is removed before the error propagates.
+    os.replace, so a reader never sees a partial record.  A temporary
+    file whose write or rename fails is removed before the error
+    propagates.
     """
     if cache_dir is None:
         record = build_run_record(params, with_oracle)

@@ -30,7 +30,13 @@ symbols, the diagonal membership identities, and the centrality and
 symmetric-pair facts.  Only statements expressible as memberships in
 the pair-symbol lattice are checked; the conjugation lemma's rules for
 commutators of tensor symbols and triple commutators (its items (i),
-(ii), (iv) and (vi)) live outside this model and are omitted.
+(ii), (iv) and (vi)) live outside this model and are omitted.  The
+suites read every membership and order through the lattice's core map
+(abgrp.CoreMap), built once from the model's lattice at first use; the
+exterior square's memberships come from the same images, read in the
+core lattice with the diagonal symbols' images adjoined, so the suites
+never copy the lattice.  :func:`exterior_oracle` builds the exterior
+quotient itself, for the record's oracle block.
 """
 
 from __future__ import annotations
@@ -41,9 +47,10 @@ from math import gcd
 from . import numth
 from .abgrp import (
     AbelianStructure,
+    CoreMap,
     QuotientHandle,
     RowLattice,
-    element_order,
+    core_map,
     quotient_from_lattice,
 )
 from .errors import FormulaInconsistencyError, ResourceLimitError
@@ -58,12 +65,13 @@ class OracleModel:
     pair symbols, and the reduced relation lattice.
 
     ``ext_handle``, the exterior-square quotient, is filled in by
-    :func:`exterior_oracle` on first use.
+    :func:`exterior_oracle` on first use, and ``core_maps``, the CoreMaps
+    the suites read, by _core_maps.
     """
 
     __slots__ = (
         "params", "mul", "conj_by", "handle",
-        "raw_rows", "distinct_rows", "derived_ids", "oprime", "ext_handle",
+        "raw_rows", "distinct_rows", "derived_ids", "oprime", "ext_handle", "core_maps",
     )
 
     def __init__(
@@ -86,9 +94,7 @@ class OracleModel:
         self.derived_ids = derived_ids
         self.oprime = oprime
         self.ext_handle: QuotientHandle | None = None
-
-    def column(self, gi: int, hi: int) -> int:
-        return gi * self.params.order + hi
+        self.core_maps: tuple[CoreMap, CoreMap] | None = None
 
 
 def _encode_row(c_plus: int, c_minus1: int, c_minus2: int, base: int) -> int:
@@ -351,15 +357,19 @@ class SuiteReport(namedtuple("SuiteReport", "checks")):
         return sum(c.failed for c in self.checks)
 
 
-def _check(name: str, instances) -> CheckResult:
-    """Count (ok, label) instances, keeping the first three failing labels."""
+def _check(name: str, label: str, instances) -> CheckResult:
+    """Count (ok, args) instances, keeping the first three failing labels,
+    each label.format(*args); a passing instance formats none."""
     result = CheckResult(name)
-    for ok, label in instances:
-        result.instances += 1
+    count = failed = 0
+    for ok, args in instances:
+        count += 1
         if not ok:
-            result.failed += 1
-            if len(result.examples) < 3:
-                result.examples.append(label)
+            failed += 1
+            if failed <= 3:
+                result.examples.append(label.format(*args))
+    result.instances = count
+    result.failed = failed
     return result
 
 
@@ -369,6 +379,17 @@ def _vec(*terms) -> dict:
     for col, val in terms:
         coeffs[col] = coeffs.get(col, 0) + val
     return coeffs
+
+
+def _core_maps(model: OracleModel) -> tuple[CoreMap, CoreMap]:
+    """The CoreMaps of G (x) G and of G ^ G, the second with the diagonal
+    symbols (g, g) adjoined, built from the model's lattice at first use
+    and kept."""
+    if model.core_maps is None:
+        ng = model.params.order
+        tensor = core_map(model.handle.lattice)
+        model.core_maps = (tensor, tensor.extended(g * ng + g for g in range(ng)))
+    return model.core_maps
 
 
 NUMERALS = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x", "xi", "xii")
@@ -381,34 +402,40 @@ def verify_identities(model: OracleModel) -> SuiteReport:
     alpha in [0, o(a)), beta in [0, o(b)), the n-s relation in whichever
     branch s falls in, the diagonal membership identities, the
     expressible centrality facts, and the symmetric-pair facts.
+
+    Each instance is a sum of a few pair symbols, its coefficients
+    reduced modulo the exponent of G (x) G.  Membership in the lattice
+    is read through its CoreMap (see _core_maps): the instance becomes a
+    sum of the symbols' short core images, walked in a core lattice of a
+    few columns.  Membership in the exterior lattice, the lattice with
+    every diagonal symbol adjoined, is read through the same images in
+    the core lattice plus the diagonal symbols' images, so the large
+    lattice is never copied.
     """
     p = model.params
     m, n, r, s = p.m, p.n, p.r, p.s
     ng = p.order
-    lattice = model.handle.lattice
-    exterior_oracle(model)
-    ext_lattice = model.ext_handle.lattice
+    tensor, exterior = _core_maps(model)
+    order, ext_order = tensor.order, exterior.order
     exp = model.handle.structure.torsion_exponent
     exp2 = 2 * exp
     checks = []
 
-    def reduced(coeffs: dict) -> dict:
-        return {c: v % exp for c, v in coeffs.items() if v % exp}
-
     def member(coeffs: dict) -> bool:
-        return lattice.contains(reduced(coeffs))
+        return order(coeffs, exp) == 1
 
     def ext_member(coeffs: dict) -> bool:
-        return ext_lattice.contains(reduced(coeffs))
+        return ext_order(coeffs, exp) == 1
 
     conj_by = model.conj_by
     mul = model.mul
     a_i, b_i = 1, m
-    col = model.column
-    col_aa = col(a_i, a_i)
-    col_ab = col(a_i, b_i)
-    col_ba = col(b_i, a_i)
-    col_bb = col(b_i, b_i)
+    # The pair symbol (x, y) is column x * ng + y, so (x, x) is x * dg.
+    dg = ng + 1
+    col_aa = a_i * dg
+    col_ab = a_i * ng + b_i
+    col_ba = b_i * ng + a_i
+    col_bb = b_i * dg
     o_b = p.inv.o_b
     pow_b = [0] * o_b
     for be in range(1, o_b):
@@ -430,59 +457,67 @@ def verify_identities(model: OracleModel) -> SuiteReport:
         s1[be] = (s1[be - 1] + binom2(rb_e2[be - 1])) % exp if be > 1 else 0
 
     # Shapes of the power identities (i)-(vi).  Each instance is
-    # (label, x, y, k_ab, k_aa), stating (x, y) = k_ab (a,b) + k_aa (r-1) (a,a).
+    # (label args, x, y, k_ab, k_aa), stating
+    # (x, y) = k_ab (a,b) + k_aa (r-1) (a,a).
     def shape_i():
         for al in range(m):
-            yield f"alpha={al}", a_i, conj_by[al][b_i], 1, al
+            yield (al,), a_i, conj_by[al][b_i], 1, al
 
     def shape_ii():
         for al in range(m):
-            yield f"alpha={al}", al, b_i, al, binom2(al)
+            yield (al,), al, b_i, al, binom2(al)
 
     def shape_iii():
         for be in range(o_b):
-            yield f"beta={be}", rb_m[be], b_i, rb_e[be], binom2(rb_e2[be])
+            yield (be,), rb_m[be], b_i, rb_e[be], binom2(rb_e2[be])
 
     def shape_iv():
         for be in range(o_b):
-            yield f"beta={be}", a_i, pow_b[be], geom[be], s1[be]
+            yield (be,), a_i, pow_b[be], geom[be], s1[be]
 
     def shape_v():
         for al in range(m):
             for be in range(o_b):
-                yield (
-                    f"alpha={al} beta={be}",
-                    al * rb_m[be] % m,
-                    b_i,
-                    al * rb_e[be],
-                    binom2(al * rb_e2[be]),
-                )
+                yield (al, be), al * rb_m[be] % m, b_i, al * rb_e[be], binom2(al * rb_e2[be])
 
     def shape_vi():
         for al in range(m):
             running = 0
             rp = 1 % exp2
             for be in range(o_b):
-                yield f"alpha={al} beta={be}", al, pow_b[be], al * geom[be], running
+                yield (al, be), al, pow_b[be], al * geom[be], running
                 running = (running + binom2(al * rp)) % exp
                 rp = rp * r % exp2
 
     # Identities (vii)-(xii) mirror (i)-(vi): every pair symbol (x, y)
     # becomes (y, x), so (a,b) becomes (b,a) and r-1 becomes 1-r.
-    shapes = (shape_i, shape_ii, shape_iii, shape_iv, shape_v, shape_vi)
-    for numerals, symbol, col_mixed, twist in (
-        (NUMERALS[:6], col, col_ab, r - 1),
-        (NUMERALS[6:], lambda x, y: col(y, x), col_ba, 1 - r),
+    shapes = (
+        (shape_i, "alpha={}"),
+        (shape_ii, "alpha={}"),
+        (shape_iii, "beta={}"),
+        (shape_iv, "beta={}"),
+        (shape_v, "alpha={} beta={}"),
+        (shape_vi, "alpha={} beta={}"),
+    )
+    for numerals, mirrored, col_mixed, twist in (
+        (NUMERALS[:6], False, col_ab, r - 1),
+        (NUMERALS[6:], True, col_ba, 1 - r),
     ):
-        for numeral, shape in zip(numerals, shapes):
+        for numeral, (shape, label) in zip(numerals, shapes):
             instances = (
                 (
-                    member(_vec((symbol(x, y), 1), (col_mixed, -k_ab), (col_aa, -k_aa * twist))),
-                    f"({numeral}) {label}",
+                    member(
+                        _vec(
+                            (y * ng + x if mirrored else x * ng + y, 1),
+                            (col_mixed, -k_ab),
+                            (col_aa, -k_aa * twist),
+                        )
+                    ),
+                    args,
                 )
-                for label, x, y, k_ab, k_aa in shape()
+                for args, x, y, k_ab, k_aa in shape()
             )
-            checks.append(_check(f"power identity ({numeral})", instances))
+            checks.append(_check(f"power identity ({numeral})", f"({numeral}) {label}", instances))
 
     # The n-s relation, in whichever branch s falls in.
     if s % 2 == 1 or s % 4 == 0:
@@ -497,7 +532,7 @@ def verify_identities(model: OracleModel) -> SuiteReport:
             ({col_bb: n, col_ab: -s, col_aa: -(r - 1)}, "n(b,b) = s(a,b) + (r-1)(a,a)"),
             ({col_bb: n, col_ba: -s, col_aa: -(1 - r)}, "n(b,b) = s(b,a) + (1-r)(a,a)"),
         ]
-    checks.append(_check(f"n-s relation ({branch})", [(member(vec), lab) for vec, lab in rows]))
+    checks.append(_check(f"n-s relation ({branch})", "{}", [(member(vec), (lab,)) for vec, lab in rows]))
 
     # Diagonal membership identities, valid for every s.
     e_n = numth.geom_sum_mod(r, n, exp)
@@ -516,47 +551,44 @@ def verify_identities(model: OracleModel) -> SuiteReport:
     checks.append(
         _check(
             "diagonal membership",
-            [(member(vec), lab) for vec, lab in lattice_rows]
-            + [(ext_member(vec), lab) for vec, lab in diagonal_rows],
+            "{}",
+            [(member(vec), (lab,)) for vec, lab in lattice_rows]
+            + [(ext_member(vec), (lab,)) for vec, lab in diagonal_rows],
         )
     )
 
     # Centrality: conjugation by a commutator value fixes every symbol.
     # The commutator values are all of G', since every a^(k(r-1)) in G'
-    # equals [a^k, b].
+    # equals [a^k, b].  An instance whose two symbols coincide is the
+    # zero vector, a member.
+    def moved(conjugators, pairs):
+        for c in conjugators:
+            act = conj_by[c]
+            for g, h in pairs:
+                x, y = act[g] * ng + act[h], g * ng + h
+                yield x == y or member({x: 1, y: -1}), (c, g, h)
+
     derived_ids = model.derived_ids
     checks.append(
         _check(
             "centrality: commutator conjugation fixes all symbols",
-            (
-                (
-                    member(_vec((col(conj_by[c][g], conj_by[c][h]), 1), (col(g, h), -1))),
-                    f"conj by commutator #{c} moves ({g},{h})",
-                )
-                for c in derived_ids
-                for g in range(ng)
-                for h in range(ng)
-            ),
+            "conj by commutator #{} moves ({},{})",
+            moved(derived_ids, [(g, h) for g in range(ng) for h in range(ng)]),
         )
     )
     checks.append(
         _check(
             "centrality: diagonal symbols fixed by conjugation",
-            (
-                (
-                    member(_vec((col(conj_by[c][g], conj_by[c][g]), 1), (col(g, g), -1))),
-                    f"conj by #{c} moves diagonal ({g},{g})",
-                )
-                for c in range(ng)
-                for g in range(ng)
-            ),
+            "conj by #{} moves diagonal ({},{})",
+            moved(range(ng), [(g, g) for g in range(ng)]),
         )
     )
 
     checks.append(
         _check(
             "derived diagonal trivial",
-            ((member({col(g, g): 1}), f"(g,g) nontrivial for derived #{g}") for g in derived_ids),
+            "(g,g) nontrivial for derived #{}",
+            ((member({g * dg: 1}), (g,)) for g in derived_ids),
         )
     )
 
@@ -564,29 +596,25 @@ def verify_identities(model: OracleModel) -> SuiteReport:
     # not 2, to (g,g) when g = h.
     def sym_product_rule():
         for g in range(ng):
+            row = mul[g]
             for h in range(ng):
-                gh = mul[g][h]
-                ok1 = member(
-                    _vec((col(g, h), 1), (col(h, g), 1), (col(gh, gh), -1), (col(h, h), 1), (col(g, g), 1))
-                )
-                ok2 = ext_member({col(g, h): 1, col(h, g): 1})
-                yield ok1 and ok2, f"pair ({g},{h})"
+                gh, hg = g * ng + h, h * ng + g
+                ok = member(_vec((gh, 1), (hg, 1), (row[h] * dg, -1), (h * dg, 1), (g * dg, 1)))
+                yield ok and ext_member({gh: 1, hg: 1}), (g, h)
 
-    checks.append(_check("symmetric pair: product rule and diagonality", sym_product_rule()))
+    checks.append(_check("symmetric pair: product rule and diagonality", "pair ({},{})", sym_product_rule()))
     checks.append(
         _check(
             "symmetric pair: commutation (tautology in abelian model)",
-            [(member({}), "zero vector")],
+            "{}",
+            [(member({}), ("zero vector",))],
         )
     )
     checks.append(
         _check(
             "symmetric pair: trivial against derived elements",
-            (
-                (member({col(g, h): 1, col(h, g): 1}), f"derived pair ({g},{h})")
-                for h in derived_ids
-                for g in range(ng)
-            ),
+            "derived pair ({},{})",
+            ((member({g * ng + h: 1, h * ng + g: 1}), (g, h)) for h in derived_ids for g in range(ng)),
         )
     )
 
@@ -597,9 +625,11 @@ def verify_identities(model: OracleModel) -> SuiteReport:
     def diag_on_cosets():
         for g in range(ng):
             rep = g - g % m // da * da
-            yield member(_vec((col(g, g), 1), (col(rep, rep), -1))), f"diagonal differs on coset of #{g}"
+            yield rep == g or member({g * dg: 1, rep * dg: -1}), (g,)
 
-    checks.append(_check("diagonal constant on derived cosets", diag_on_cosets()))
+    checks.append(
+        _check("diagonal constant on derived cosets", "diagonal differs on coset of #{}", diag_on_cosets())
+    )
 
     oprime = model.oprime
 
@@ -607,22 +637,28 @@ def verify_identities(model: OracleModel) -> SuiteReport:
         for g in range(ng):
             for h in range(ng):
                 d = gcd(oprime[g], oprime[h])
-                yield member(_vec((col(g, h), d), (col(h, g), d))), f"gcd(o'({g}),o'({h}))*pair not trivial"
+                vec = {g * dg: 2 * d} if g == h else {g * ng + h: d, h * ng + g: d}
+                yield member(vec), (g, h)
 
-    checks.append(_check("symmetric pair: order divides gcd of coset orders", sym_order_bound()))
+    checks.append(
+        _check(
+            "symmetric pair: order divides gcd of coset orders",
+            "gcd(o'({}),o'({}))*pair not trivial",
+            sym_order_bound(),
+        )
+    )
     checks.append(
         _check(
             "diagonal order divides gcd(o'(h)^2, 2 o'(h))",
-            (
-                (member({col(h, h): gcd(oprime[h] ** 2, 2 * oprime[h])}), f"diagonal bound fails at #{h}")
-                for h in range(ng)
-            ),
+            "diagonal bound fails at #{}",
+            ((member({h * dg: gcd(oprime[h] ** 2, 2 * oprime[h])}), (h,)) for h in range(ng)),
         )
     )
     checks.append(
         _check(
             "diagonal order divides odd o'(h)",
-            ((member({col(h, h): oprime[h]}), f"odd bound fails at #{h}") for h in range(ng) if oprime[h] % 2),
+            "odd bound fails at #{}",
+            ((member({h * dg: oprime[h]}), (h,)) for h in range(ng) if oprime[h] % 2),
         )
     )
 
@@ -630,37 +666,38 @@ def verify_identities(model: OracleModel) -> SuiteReport:
 
 
 def verify_bounds(model: OracleModel) -> SuiteReport:
-    """Measure generator orders in the oracle against the proved bounds."""
+    """Measure generator orders in the oracle against the proved bounds,
+    each order read through the lattice's CoreMap (see _core_maps)."""
     p = model.params
     bounds = upsilon_order_bounds(p)
-    handle = model.handle
-    col = model.column
+    order_of = _core_maps(model)[0].order
+    ng = p.order
     a_i, b_i = 1, p.m
     checks = []
 
     for name, vec, key in [
-        ("order of (a,a) divides v-bound", {col(a_i, a_i): 1}, "v"),
-        ("order of (b,b) divides w-bound", {col(b_i, b_i): 1}, "w"),
-        ("order of (a,b) divides u-bound", {col(a_i, b_i): 1}, "u"),
-        ("order of (a,b)+(b,a) divides z-bound", {col(a_i, b_i): 1, col(b_i, a_i): 1}, "z"),
+        ("order of (a,a) divides v-bound", {a_i * ng + a_i: 1}, "v"),
+        ("order of (b,b) divides w-bound", {b_i * ng + b_i: 1}, "w"),
+        ("order of (a,b) divides u-bound", {a_i * ng + b_i: 1}, "u"),
+        ("order of (a,b)+(b,a) divides z-bound", {a_i * ng + b_i: 1, b_i * ng + a_i: 1}, "z"),
     ]:
-        order = element_order(handle, vec)
+        order = order_of(vec)
         bound = bounds[key]
         checks.append(
-            _check(name, [(order != 0 and bound % order == 0, f"measured order {order}, bound {bound}")])
+            _check(name, "measured order {}, bound {}", [(order != 0 and bound % order == 0, (order, bound))])
         )
 
     def odd_diagonal():
         for h, op in enumerate(model.oprime):
             if op % 2:
-                order = element_order(handle, {col(h, h): 1})
-                yield order != 0 and op % order == 0, f"element #{h}: order {order}, o' = {op}"
+                order = order_of({h * (ng + 1): 1})
+                yield order != 0 and op % order == 0, (h, order, op)
 
     def derived_diagonal():
         for h in model.derived_ids:
-            order = element_order(handle, {col(h, h): 1})
-            yield order == 1, f"element #{h}: order {order}"
+            order = order_of({h * (ng + 1): 1})
+            yield order == 1, (h, order)
 
-    checks.append(_check("diagonal order divides odd o'(h)", odd_diagonal()))
-    checks.append(_check("derived diagonal has order 1", derived_diagonal()))
+    checks.append(_check("diagonal order divides odd o'(h)", "element #{}: order {}, o' = {}", odd_diagonal()))
+    checks.append(_check("derived diagonal has order 1", "element #{}: order {}", derived_diagonal()))
     return SuiteReport(checks=checks)

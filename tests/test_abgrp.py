@@ -8,6 +8,7 @@ from tensq import metagrp
 from tensq.abgrp import (
     AbelianStructure,
     RowLattice,
+    core_map,
     element_order,
     lattice_member,
     quotient_from_lattice,
@@ -446,3 +447,67 @@ def test_seeded_columns_answer_order_before_they_are_written_out():
         assert len(lat.pivots) == ncols
         assert before == [lat.order(vec) for vec in vectors]
         assert all(lat.contains({j: 36}) for j in range(ncols))
+
+
+def random_lattice(rng, modulus):
+    """A seeded lattice of sparse rows whose entries are units now and
+    then, so that it has unit pivots, other pivots and, without a
+    modulus, columns no row reaches."""
+    ncols = rng.randint(2, 12)
+    lat = RowLattice(ncols, modulus=modulus)
+    for _ in range(rng.randint(0, ncols)):
+        cols = rng.sample(range(ncols), rng.randint(1, min(4, ncols)))
+        lat.insert({c: rng.choice((-1, 1, 1, 2, -3, 4, 6, 9)) for c in cols})
+    return lat
+
+
+@pytest.mark.parametrize("modulus", [None, 36, 360], ids=["exact", "mod36", "mod360"])
+@pytest.mark.parametrize("cleared", [False, True], ids=["uncleared", "cleared"])
+def test_core_map_order_is_the_walk_order(modulus, cleared):
+    # Through the core map, every unit vector and seeded random vector
+    # has the order RowLattice.order walks to, 0 for infinite order
+    # included; so has each with its coefficients reduced modulo 6, and
+    # each in the lattice extended by two unit rows.
+    rng = random.Random(20261022)
+    seen = set()
+    for _ in range(60):
+        lat = random_lattice(rng, modulus)
+        if cleared:
+            lat.clear_unit_columns()
+        cmap = core_map(lat)
+        ncols = lat.ncols
+        unit = {j for j, row in lat.pivots.items() if row[j] == 1}
+        assert cmap.lattice.ncols == ncols - len(unit)
+        assert all(cmap.images[j] == ((i, 1),) for i, j in enumerate(c for c in range(ncols) if c not in unit))
+        extra = rng.sample(range(ncols), 2)
+        bigger = lat.copy()
+        for j in extra:
+            bigger.insert({j: 1})
+        ext = cmap.extended(extra)
+        vectors = [{j: 1} for j in range(ncols)]
+        vectors += [{j: rng.randint(-40, 40) for j in rng.sample(range(ncols), rng.randint(1, ncols))} for _ in range(20)]
+        for vec in vectors:
+            order = lat.order(vec)
+            assert cmap.order(vec) == order, (lat.pivots, vec)
+            assert cmap.order(vec, 6) == lat.order({j: v % 6 for j, v in vec.items()}), (lat.pivots, vec)
+            assert ext.order(vec) == bigger.order(vec), (lat.pivots, extra, vec)
+            seen.add(min(order, 2))
+        seen.add(("unit", bool(unit)))
+        seen.add(("core", cmap.lattice.ncols > 0))
+    # Orders 0 (without a modulus), 1 and more than 1 all occur, and so do
+    # lattices with and without unit pivots and core columns.
+    assert seen >= {1, 2, ("unit", True), ("unit", False), ("core", True)}
+    assert (0 in seen) == (modulus is None)
+
+
+def test_core_map_images_are_in_normal_form():
+    # With a modulus each image has entries in [0, pivot of its column),
+    # and equal images are one tuple.
+    rng = random.Random(20261023)
+    for _ in range(40):
+        lat = random_lattice(rng, 72)
+        cmap = core_map(lat)
+        values = cmap.lattice.pivot_values
+        for img in cmap.images:
+            assert all(0 <= v < values[i] for i, v in img), img
+        assert len({id(img) for img in cmap.images}) == len(set(cmap.images))

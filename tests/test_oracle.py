@@ -248,39 +248,15 @@ def test_oracle_matches_closed_forms_past_order_45():
         assert oracle_schur_order(model) == report.schur.order, tup
 
 
-def core_table(lattice):
-    """Per column, the core vector its unit vector maps to: a unit pivot
-    column j maps to minus its reduced tail, a core column to itself.
-
-    A vector v and its image, the sum of v_j times the image of column j,
-    differ by v_j times the unit pivot row at each unit column j, and
-    every such row lies in the lattice; so k * v is in the lattice exactly
-    when k times the image is, and the walk over the image skips the unit
-    pivots.
-    """
-    return {
-        j: {k: -v for k, v in row.items() if k != j} if row[j] == 1 else {j: 1}
-        for j, row in lattice.pivots.items()
-    }
-
-
-def to_core(table, row):
-    """The image in the core of a row of (column, coefficient) pairs."""
-    vec = {}
-    for col, coeff in row:
-        for k, v in table[col].items():
-            vec[k] = vec.get(k, 0) + coeff * v
-    return vec
-
-
 def test_core_map_keeps_every_order(model_9343):
-    # The map against the plain walk: unit vectors, every family row and
-    # seeded random vectors, in the lattice and out of it, have the same
-    # order before and after the map.
+    # The library map against the plain walk: unit vectors, every family
+    # row and seeded random vectors, in the lattice and out of it, have
+    # the same order through the map.
     lattice = model_9343.handle.lattice
-    table = core_table(lattice)
+    cmap = abgrp.core_map(lattice)
     assert any(row[j] == 1 for j, row in lattice.pivots.items())
     assert any(row[j] > 1 for j, row in lattice.pivots.items())
+    assert cmap.lattice.ncols == len(model_9343.handle.core_columns)
     rng = random.Random(20261019)
     vectors = [((j, 1),) for j in range(lattice.ncols)] + list(family_rows(model_9343))
     vectors += [
@@ -292,7 +268,7 @@ def test_core_map_keeps_every_order(model_9343):
         for col, coeff in row:
             vec[col] = vec.get(col, 0) + coeff
         order = lattice.order(vec)
-        assert lattice.order(to_core(table, row)) == order, row
+        assert cmap.order(vec) == order, row
         orders.add(order)
     assert 1 in orders and len(orders) > 1
 
@@ -303,9 +279,8 @@ def test_generating_set_spans_every_family_row():
     # checks against the plain walk.
     for p in enumerate_valid_tuples(45, include_s_zero=True):
         model = build_tensor_oracle(p)
-        lattice = model.handle.lattice
-        table = core_table(lattice)
-        assert all(lattice.contains(to_core(table, row)) for row in family_rows(model)), (p.m, p.n, p.r, p.s)
+        order = abgrp.core_map(model.handle.lattice).order
+        assert all(order(dict(row)) == 1 for row in family_rows(model)), (p.m, p.n, p.r, p.s)
 
 
 def test_exponent_bound_seeds_lie_in_the_exact_lattice():
@@ -336,11 +311,11 @@ def test_act_on_basis_vector(model_3220):
     p = m.params
     a, b = 1, p.m
     vec = [0] * 36
-    vec[m.column(a, b)] = 1
+    vec[a * 6 + b] = 1
     out = act(m, vec, b)
     expected = [0] * 36
     a_conj = p.r % p.m
-    expected[m.column(a_conj, b)] = 1
+    expected[a_conj * 6 + b] = 1
     assert out == expected
     assert act(m, vec, 0) == vec
 
@@ -401,13 +376,13 @@ def test_derived_diagonal_already_trivial(model_9343):
     p = m.params
     for d in metagrp.derived_subgroup(p):
         di = d.beta * p.m + d.alpha
-        assert abgrp.lattice_member(m.handle, {m.column(di, di): 1})
+        assert abgrp.lattice_member(m.handle, {di * p.order + di: 1})
 
 
 def test_diagonal_bb_order_divides_n(model_3220):
     m = model_3220
     bi = m.params.m
-    assert 2 % abgrp.element_order(m.handle, {m.column(bi, bi): 1}) == 0
+    assert 2 % abgrp.element_order(m.handle, {bi * 6 + bi: 1}) == 0
 
 
 def test_identity_suite_passes(model_3220, model_9343):
@@ -465,3 +440,46 @@ def _failure_reports():
 def test_suite_failure_reports_match_golden():
     golden = json.loads((DATA / "verify_sublattice.json").read_text())
     assert _failure_reports() == golden
+
+
+def test_core_map_keeps_orders_on_the_sublattices():
+    # The suites read the failure panel's sublattices (no modulus,
+    # uncleared rows, free columns) through the map built at first use;
+    # unit vectors and seeded random vectors have the walk's orders,
+    # finite and infinite, with and without the suites' reduction of
+    # coefficients modulo the exponent.
+    rng = random.Random(20261024)
+    for tup in FAILURE_PANEL:
+        model = _sublattice_model(tup)
+        lattice = model.handle.lattice
+        exp = model.handle.structure.torsion_exponent
+        tensor, _ = oracle._core_maps(model)
+        assert model.core_maps[0] is tensor
+        vectors = [{j: 1} for j in range(lattice.ncols)]
+        vectors += [{rng.randrange(lattice.ncols): rng.randint(-5, 5) for _ in range(4)} for _ in range(300)]
+        infinite = set()
+        for vec in vectors:
+            order = lattice.order(vec)
+            assert tensor.order(vec) == order, (tup, vec)
+            assert tensor.order(vec, exp) == lattice.order({c: v % exp for c, v in vec.items()}), (tup, vec)
+            infinite.add(order == 0)
+        assert infinite == {True, False}, tup
+
+
+def test_exterior_membership_through_the_map_matches_the_exterior_lattice():
+    # The exterior map (core lattice plus the diagonal symbols' images)
+    # against exterior_oracle's copy of the whole lattice with every
+    # diagonal row inserted, on seeded random vectors and every symbol.
+    rng = random.Random(20261025)
+    for tup in ((9, 3, 4, 3), (15, 2, 4, 10)):
+        model = build_tensor_oracle(metagrp.validate(*tup))
+        exterior_oracle(model)
+        full = model.ext_handle.lattice
+        _, ext = oracle._core_maps(model)
+        vectors = [{j: 1} for j in range(full.ncols)]
+        vectors += [{rng.randrange(full.ncols): rng.randint(-5, 5) for _ in range(3)} for _ in range(500)]
+        members = set()
+        for vec in vectors:
+            assert ext.order(vec) == full.order(vec), (tup, vec)
+            members.add(ext.order(vec) == 1)
+        assert members == {True, False}, tup
