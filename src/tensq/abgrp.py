@@ -2,37 +2,32 @@
 
 Everything here works on plain Python ints; no floating point is used
 anywhere.  There is one representation: a row or vector is a sparse
-{column: coefficient} dict, from the eight tensor relations to the
-large relation matrices of the tensor-square oracle, and into the Smith
-normal form.
+{column: coefficient} dict, or its (column, coefficient) pairs, from
+the eight tensor relations to the large relation matrices of the
+tensor-square oracle, and into the Smith normal form.
 
 The central object is :class:`RowLattice`, an integer row lattice kept
 as an echelon basis (one basis row per pivot column, pivot = leftmost
 nonzero entry, kept positive), built by ``RowLattice.insert``.  A
 lattice given a modulus M that the quotient's exponent divides starts
-from M * Z^n and keeps every basis entry below M (Domich, Kannan and
+from M * Z^n and keeps every entry in [0, M) (Domich, Kannan and
 Trotter's bound for the Hermite normal form); without one, entries are
-never reduced.  Its pivot rows are kept reduced lazily: a row is brought
-back to reduced form, every entry right of its pivot in [0, pivot of
-that column), only just before it is next used, and is stored so.
-Almost every pivot is a unit, and a reduced row is zero under every
-unit pivot, so the rows in use stay short and a redundant row costs a
-short walk (the unit pivots are eliminated cheaply and a small core is
-left, as in Havas, Holt and Rees's strategy).  For a fixed column order
-the fully reduced echelon basis is the Hermite normal form, which the
-lattice alone determines, so the basis ``clear_unit_columns`` leaves
-does not depend on the order rows were inserted in.  Finitely generated
-abelian groups are presented as Z^n modulo such a lattice; their
-canonical invariant factors come from the Smith normal form of the
-small core left after eliminating every unit pivot.
+never reduced.  For a fixed column order the fully reduced echelon
+basis is the Hermite normal form, which the lattice alone determines,
+so the basis ``clear_unit_columns`` leaves does not depend on the order
+rows were inserted in.  Finitely generated abelian groups are presented
+as Z^n modulo such a lattice; their canonical invariant factors come
+from the Smith normal form of the core left after eliminating every
+unit pivot.
 
 A query against the lattice, membership or element order, is a walk
-down the echelon basis: ``RowLattice.order``.  Many queries against one
-lattice go through its :class:`CoreMap` instead, built once by
-:func:`core_map`: each column's image in the core, the columns with no
-unit pivot row, and the small lattice the core meets the lattice in.
-A vector's order is its image's order there, a walk over a few columns
-that never meets a unit pivot.
+down the echelon basis: ``RowLattice.order``.  A lattice given by many
+sparse rows with mostly unit entries, as the oracle's are, is never
+built on all its columns: :func:`peel` eliminates the unit entries
+first, giving nearly every column its image in a core of a few free
+columns, and reduces only the lattice the other rows span there.  The
+result, a :class:`CoreMap`, answers every query: a vector's order is
+its image's order in that core lattice, a walk over a few columns.
 
 :func:`smith_normal_form` is the module's one other elimination: a
 single pass of unimodular row and column gcd steps over a dense copy of
@@ -43,6 +38,7 @@ directly and build no lattice.
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import namedtuple
 from math import gcd, prod
 
@@ -62,11 +58,11 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _columns_after(row: dict, j: int) -> list[int]:
-    """Heap of row's columns right of column j."""
-    heap = [k for k in row if k > j]
-    heapq.heapify(heap)
-    return heap
+def _reduced(row: dict, c: int, modulus) -> dict:
+    """c * row, each entry reduced modulo the modulus when there is one."""
+    if modulus is None:
+        return {k: c * v for k, v in row.items()}
+    return {k: c * v % modulus for k, v in row.items() if c * v % modulus}
 
 
 def _axpy(target: dict, c: int, source: dict) -> None:
@@ -96,14 +92,10 @@ class RowLattice:
     seeded column, 0 at a column with no pivot, else the first entry of
     its row in ``pivots``.
 
-    Every pivot row is lazily reduced: when stored, its entries right of
-    the pivot lie in [0, pivot of their column).  A gcd step at a later
-    column shrinks that pivot and can leave an earlier row unreduced;
-    such a row is reduced again, in place, just before it is next
-    subtracted.  Pivots only shrink, so every basis entry stays below M.
-    ``clear_unit_columns`` reduces every row, which gives the Hermite
-    normal form: unique for the lattice, so the same for every insertion
-    order.  Without a modulus entries are never reduced.
+    With a modulus every stored entry is kept in [0, M): M * e_j lies in
+    the lattice, so reducing an entry modulo M leaves the lattice as it
+    is.  ``clear_unit_columns`` reduces every row, which gives the
+    Hermite normal form.  Without a modulus entries are never reduced.
     """
 
     __slots__ = ("ncols", "pivots", "pivot_values", "modulus")
@@ -120,81 +112,22 @@ class RowLattice:
         dup.pivot_values = list(self.pivot_values)
         return dup
 
-    def _is_reduced(self, row: dict, j: int) -> bool:
-        """Whether every entry of row right of column j lies in
-        [0, pivot of its column)."""
-        values = self.pivot_values
-        for k, v in row.items():
-            if k > j and not 0 <= v < values[k]:
-                return False
-        return True
-
-    def _reduce_tail(self, row: dict, j: int) -> None:
-        """Reduce row's entries right of column j modulo the pivots there.
-
-        Needs a pivot at every such column, as a lattice with a modulus
-        has; afterwards each entry lies in [0, pivot of its column).  At
-        a seeded column that is the entry modulo M.  A pivot row that is
-        not reduced itself is reduced the same way, in place, just
-        before it is subtracted, so it is short when used and stays
-        reduced for later use.  An explicit stack of frames does this
-        without recursion; a frame's ``ready`` column is the one whose
-        pivot row its child frame has just reduced.
-        """
-        pivots = self.pivots
-        values = self.pivot_values
-        frames = [[row, _columns_after(row, j), None]]
-        while frames:
-            frame = frames[-1]
-            row, heap, ready = frame
-            while heap:
-                k = heap[0]
-                q = row.get(k, 0) // values[k]
-                if q:
-                    piv = pivots.get(k)
-                    if piv is not None and k != ready and not self._is_reduced(piv, k):
-                        frame[2] = k
-                        frames.append([piv, _columns_after(piv, k), None])
-                        break
-                heapq.heappop(heap)
-                if not q:
-                    continue
-                if piv is None:
-                    v = row[k] - q * values[k]
-                    if v:
-                        row[k] = v
-                    else:
-                        del row[k]
-                    continue
-                for col in piv:
-                    if col not in row:
-                        heapq.heappush(heap, col)
-                _axpy(row, -q, piv)
-            else:
-                frames.pop()
-
     def insert(self, row) -> None:
-        """Add a row (dict or iterable of (col, coeff)) to the lattice.
-
-        Zero coefficients are dropped.  With a modulus a pivot row left
-        unreduced by a later gcd step is reduced just before it is
-        subtracted.
-        """
+        """Add a row (dict or iterable of (col, coeff)) to the lattice;
+        zero coefficients are dropped."""
         vec = dict(row)
         for v in vec.values():
             if not isinstance(v, int):
                 raise TensqError("lattice rows must have integer entries")
-        if 0 in vec.values():
-            vec = {k: v for k, v in vec.items() if v}
+        modulus = self.modulus
+        if modulus is not None:
+            vec = {k: v % modulus for k, v in vec.items()}
+        vec = {k: v for k, v in vec.items() if v}
         pending = [vec]
         pivots = self.pivots
         values = self.pivot_values
-        modulus = self.modulus
         while pending:
             vec = pending.pop()
-            # Columns are consumed in ascending order; reductions only
-            # touch columns >= the current one, so a heap of candidate
-            # columns avoids rescanning the whole support each step.
             heap = list(vec)
             heapq.heapify(heap)
             while heap:
@@ -206,51 +139,31 @@ class RowLattice:
                 if piv is None:
                     p = values[j]
                     if not p or c == 1 or c == -1:
-                        # A free column takes vec as its pivot row.  So
-                        # does a seeded one when c is a unit: the gcd
-                        # step against M * e_j is then the identity, and
-                        # what it leaves is 0 modulo M.
+                        # A free column takes vec as its pivot row; so does a
+                        # seeded one at a unit c, the gcd step being trivial.
                         if c < 0:
-                            vec = {k: -v for k, v in vec.items()}
-                        if p:
-                            self._reduce_tail(vec, j)
-                        # A fresh dict sized to the row: vec's table may
-                        # be sized for entries the walk has since deleted.
-                        pivots[j] = {k: v for k, v in vec.items()}
+                            vec = _reduced(vec, -1, modulus)
+                        pivots[j] = vec
                         values[j] = abs(c)
                         break
                     piv = {j: p}
                 else:
                     p = piv[j]
-                    if modulus is not None:
-                        # Inline form of self._is_reduced(piv, j): most
-                        # pivot rows are already reduced, and this runs
-                        # per column.
-                        for k, v in piv.items():
-                            if k > j and not 0 <= v < values[k]:
-                                self._reduce_tail(piv, j)
-                                break
                 if c % p:
                     g, x, y = _xgcd(p, c)
                     new = {}
                     _axpy(new, x, piv)
                     _axpy(new, y, vec)
-                    if modulus is not None:
-                        self._reduce_tail(new, j)
+                    new = _reduced(new, 1, modulus)
                     pivots[j] = new
                     values[j] = g
                     rem = dict(piv)
                     _axpy(rem, -(p // g), new)
-                    if modulus is not None:
-                        # The lattice holds M * Z^ncols, so only the
-                        # residues of rem modulo M matter.
-                        rem = {k: v % modulus for k, v in rem.items() if v % modulus}
+                    rem = _reduced(rem, 1, modulus)
                     if rem:
                         pending.append(rem)
                     if not x:
-                        # new is y * vec plus later pivot rows, with
-                        # y * c = g, so vec - (c / g) * new is a sum of
-                        # later pivot rows: nothing of vec is left.
+                        # new = y * vec with y * c = g: nothing of vec is left.
                         break
                     piv = new
                     p = g
@@ -258,6 +171,8 @@ class RowLattice:
                 for col, v in piv.items():
                     cur = vec.get(col)
                     nv = (cur or 0) - q * v
+                    if modulus is not None:
+                        nv %= modulus
                     if nv:
                         if cur is None and col > j:
                             heapq.heappush(heap, col)
@@ -307,26 +222,30 @@ class RowLattice:
         """Eliminate every column whose pivot is 1 from all other rows.
 
         Leaves the lattice unchanged as a set; afterwards a unit-pivot
-        row is the only row touching its pivot column, so row and
-        column can be dropped when reading off the quotient.
-
-        With a modulus every column has a pivot, so reducing each row's
-        tail modulo the later pivots, last row first, does it: a reduced
-        row has 0 under every unit pivot, and the rows it is reduced by
-        are reduced already, so every entry stays below the modulus.  A
-        column still at its seed gets its row M * e_j written out, which
-        is already reduced, so ``pivots`` then holds the whole basis.
+        row is the only row touching its pivot column.  With a modulus
+        each row's tail is reduced by the later rows, last row first, so
+        each reduces by rows already reduced, and every column still at
+        its seed gets its row M * e_j written out: ``pivots`` then holds
+        the Hermite normal form.
         """
         if self.modulus is not None:
             pivots = self.pivots
+            values = self.pivot_values
             for j in range(self.ncols - 1, -1, -1):
-                piv = pivots.get(j)
-                if piv is None:
+                row = pivots.get(j)
+                if row is None:
                     pivots[j] = {j: self.modulus}
-                else:
-                    self._reduce_tail(piv, j)
-                    # Stored afresh, sized to what the reduction left.
-                    pivots[j] = {k: v for k, v in piv.items()}
+                    continue
+                heap = [k for k in row if k > j]
+                heapq.heapify(heap)
+                while heap:
+                    k = heapq.heappop(heap)
+                    q = row.get(k, 0) // values[k]
+                    if q:
+                        for col in pivots[k]:
+                            if col not in row:
+                                heapq.heappush(heap, col)
+                        _axpy(row, -q, pivots[k])
             return
         unit_cols = sorted(j for j, row in self.pivots.items() if row[j] == 1)
         for j in unit_cols:
@@ -338,31 +257,51 @@ class RowLattice:
                         _axpy(row, -c, piv)
 
 
+def _walk_steps(lattice: RowLattice) -> list:
+    """Per column of an echelon lattice, its pivot (0 when it has none)
+    and the rest of its pivot row: what RowLattice.order reads there."""
+    pivots = lattice.pivots
+    return [
+        (p, tuple((i, v) for i, v in pivots[j].items() if i > j) if j in pivots else ())
+        for j, p in enumerate(lattice.pivot_values)
+    ]
+
+
+def _reduce_dense(w: list, steps: list) -> None:
+    """Bring each entry of a dense vector with a pivot p into [0, p) with
+    its pivot row, in ascending order: 0 exactly for a lattice vector."""
+    for j, (p, tail) in enumerate(steps):
+        c = w[j]
+        if p and not 0 <= c < p:
+            q = c // p
+            w[j] = c - q * p
+            for i, v in tail:
+                w[i] -= q * v
+
+
 class CoreMap:
     """Each column's image in the core of a lattice L, and the core
-    lattice C that L meets the core in; built by :func:`core_map`.
+    lattice C that L meets the core in; built by :func:`peel`.
 
-    The core is the columns j with no unit pivot row, renumbered
-    0, 1, ... in ascending order.  ``images[j]`` is the image of e_j, a
-    tuple of (core index, coefficient) pairs: a core column's is itself,
-    a unit-pivot column's is minus its row's tail, each tail column taken
-    through its own image.  ``lattice`` is C, a RowLattice on the core
-    columns with L's modulus.
+    The core is the free columns :func:`peel` chose, renumbered 0, 1, ...
+    in the order it chose them.  ``images[j]`` is the image of e_j, a
+    tuple of (core index, coefficient) pairs in normal form: a free
+    column's is itself, a peeled column's is read off the row that
+    peeled it.  ``lattice`` is C, a RowLattice on the core columns with
+    L's modulus.
 
     Why it is exact.  Write phi for the linear map sending e_j to its
-    image.  e_j - phi(e_j) lies in L for every j: at a core column it is
-    0, and at a unit-pivot column j with row e_j + t it is that row once
-    each tail column k > j is replaced by its image, which differs from
-    e_k by an element of L already.  So v = phi(v) mod L for every
-    vector v.  phi(L) is C: phi sends a unit-pivot row to 0, every other
-    pivot row to one of the images that span C, and a seed M * e_j into
-    M * Z^core, which C's modulus holds.  And phi is the identity on core
-    vectors, so L meets the core in exactly C.  Hence k * v lies in L
-    exactly when k * phi(v) lies in C: membership and order of v are
-    those of phi(v) in a lattice of a few columns, and the walk over
-    phi(v) meets no unit pivot.  The same phi serves L plus any further
-    rows (see ``extended``), since it still moves each vector by an
-    element of the larger lattice.
+    image.  e_j - phi(e_j) lies in L for every j: at a free column it is
+    0, and a column j peeled by a row u e_j + t of L, u = +-1, has image
+    -u phi(t), every column of t having its image already, so
+    e_j - phi(e_j) = u (u e_j + t) - u (t - phi(t)) is in L; reducing
+    an image by C moves it inside C.  So v = phi(v) mod L for every v.
+    phi(L) is C: phi sends a row that peeled a column to 0, every other
+    row to one of the images that span C, and M * e_j into M * Z^core,
+    inside C.  C lies in L, since phi(r) = r - (r - phi(r)), and phi is
+    the identity on the core, so L meets the core in exactly C.  Hence
+    k * v lies in L exactly when k * phi(v) lies in C.  The same phi
+    serves L plus any further rows (see ``extended``).
     """
 
     __slots__ = ("images", "lattice", "_steps")
@@ -370,14 +309,9 @@ class CoreMap:
     def __init__(self, images: list[tuple], lattice: RowLattice):
         self.images = images
         self.lattice = lattice
-        # Per core column, its pivot (0 when it has none) and the rest of
-        # its pivot row: what RowLattice.order reads at that column.  C is
-        # not changed afterwards; ``extended`` builds on a copy.
-        pivots = lattice.pivots
-        self._steps = [
-            (p, tuple((i, v) for i, v in pivots[j].items() if i > j) if j in pivots else ())
-            for j, p in enumerate(lattice.pivot_values)
-        ]
+        # The walk reads C's echelon rows as they are now; reducing them
+        # later leaves C the same lattice.
+        self._steps = _walk_steps(lattice)
 
     def order(self, vec: dict, modulus: int | None = None) -> int:
         """Least k >= 1 with k * vec in the lattice, 0 when there is none;
@@ -418,69 +352,135 @@ class CoreMap:
 
     def extended(self, columns) -> "CoreMap":
         """The map of L plus the unit rows e_j, j in ``columns``: the same
-        images over C plus theirs."""
+        images over C plus theirs, each distinct image inserted once."""
         lattice = self.lattice.copy()
-        for j in columns:
-            lattice.insert(self.images[j])
+        for img in dict.fromkeys(self.images[j] for j in columns):
+            lattice.insert(img)
         return CoreMap(self.images, lattice)
 
 
-def core_map(lattice: RowLattice) -> CoreMap:
-    """The CoreMap of any lattice, with or without a modulus, with its
-    unit columns cleared or not, with free columns or none.
+def peel(rows, ncols: int, modulus: int | None = None) -> CoreMap:
+    """The CoreMap of the lattice L spanned by ``rows`` on ncols columns,
+    plus M * Z^ncols given a ``modulus`` M: unit entries are eliminated
+    first and only the small core left is reduced (structured
+    elimination: LaMacchia and Odlyzko, CRYPTO '90; Havas, Holt and
+    Rees, Linear Algebra Appl. 192 (1993)).
 
-    Images are computed once, in descending column order, so a unit
-    row's tail columns already have theirs.  With a modulus M they are
-    kept modulo M, which moves them by elements of M * Z^core, inside C;
-    once C is built each is reduced to its normal form, every entry in
-    [0, pivot of its column), as RowLattice keeps its own rows.  Equal
-    images are one tuple.  In a fully reduced basis, as the oracle's is,
-    a unit row's tail is the normal form of minus its column, so columns
-    equal in the quotient share one image, and there are no more
-    distinct images than the quotient has elements.
+    ``rows`` is a sequence, read by index and more than once, of
+    iterables of (column, coefficient) pairs, as ``dict.items()`` gives.
+
+    A row whose one column without an image has coefficient u = +-1
+    peels it: that column's image is -u times the image of the rest of
+    the row.  When no row can, the least column without an image becomes
+    the next free column, its own image; C gains it as a last column,
+    seeded with M.  Rows are read in the given order, then as their
+    columns gain images: each waits on two columns without one (on its
+    last, when that is not a unit) through two watch slots, linked per
+    column in flat arrays.  A row that peels nothing is a relation: its
+    image, reduced by C so far, is inserted into C unless that leaves 0.
+    Every image is kept reduced by C, so below M; at the end each is
+    brought to its normal form by C with its unit columns cleared,
+    unique with a modulus, and equal images are one tuple.
     """
-    pivots = lattice.pivots
-    modulus = lattice.modulus
-    ncols = lattice.ncols
-    index = {}
-    for j in range(ncols):
-        row = pivots.get(j)
-        if row is None or row[j] != 1:
-            index[j] = len(index)
+    nrows = len(rows)
     images: list = [None] * ncols
-    distinct: dict = {}
-    for j in range(ncols - 1, -1, -1):
-        if j in index:
-            img = {index[j]: 1}
+    # Row r waits through slots 2r and 2r + 1: head[j] is the first slot
+    # waiting on column j, link[s] the next slot on the same column, and
+    # watched[s] the column slot s was last put on; 32-bit entries.
+    head = array("i", [-1]) * ncols
+    link = array("i", [-1]) * (2 * nrows)
+    watched = array("i", [-1]) * (2 * nrows)
+    done = bytearray(nrows)
+    core = RowLattice(0, modulus)
+    steps: list = []
+    woken: list = []
+
+    def watch(s: int, j: int) -> None:
+        link[s] = head[j]
+        head[j] = s
+        watched[s] = j
+
+    normal: dict = {}
+    nxt = cursor = 0
+    while True:
+        if woken:
+            s = woken.pop()
+            r = s >> 1
+            if done[r]:
+                continue
+            other = watched[s ^ 1]
+        elif nxt < nrows:
+            r, s, other = nxt, 2 * nxt, -1
+            nxt += 1
         else:
-            img = {}
-            for k, c in pivots[j].items():
-                if k != j:
-                    for i, v in images[k]:
-                        img[i] = img.get(i, 0) - c * v
-            if modulus is not None:
-                img = {i: v % modulus for i, v in img.items()}
-        key = tuple(sorted((i, v) for i, v in img.items() if v))
-        images[j] = distinct.setdefault(key, key)
-    core = RowLattice(len(index), modulus)
-    for j in reversed(index):
-        row = pivots.get(j)
-        if row is not None:
-            vec: dict = {}
-            for k, c in row.items():
-                for i, v in images[k]:
-                    vec[i] = vec.get(i, 0) + c * v
-            core.insert(vec)
-    if modulus is not None:
-        core.clear_unit_columns()
-        normal: dict = {}
-        for key in distinct:
-            img = dict(key)
-            core._reduce_tail(img, -1)
-            img = tuple(sorted(img.items()))
-            distinct[key] = normal.setdefault(img, img)
-        images = [distinct[img] for img in images]
-    return CoreMap(images, core)
+            while cursor < ncols and images[cursor] is not None:
+                cursor += 1
+            if cursor == ncols:
+                break
+            r, col = -1, cursor
+            core.ncols += 1
+            core.pivot_values.append(modulus or 0)
+            steps.append((modulus or 0, ()))
+            w = [0] * len(steps)
+            w[-1] = 1
+        if r >= 0:
+            row = rows[r]
+            first = second = -1
+            for j, c in row:
+                if c and images[j] is None:
+                    if first < 0:
+                        first, coef = j, c
+                    else:
+                        second = j
+                        break
+            if second >= 0:
+                if other < 0:
+                    watch(s, first)
+                    watch(s ^ 1, second)
+                else:
+                    # The other slot still waits on a column, perhaps one
+                    # that has just gained its image; this one takes another.
+                    watch(s, first if first != other else second)
+                continue
+            if first >= 0 and coef != 1 and coef != -1:
+                if other != first:
+                    watch(s, first)
+                continue
+            done[r] = 1
+            sign = -coef if first >= 0 else 1
+            w = [0] * len(steps)
+            for j, c in row:
+                if c and j != first:
+                    c *= sign
+                    for i, v in images[j]:
+                        w[i] += c * v
+            _reduce_dense(w, steps)
+            if first < 0:
+                if any(w):
+                    core.insert({i: v for i, v in enumerate(w) if v})
+                    steps = _walk_steps(core)
+                continue
+            col = first
+        key = tuple((i, v) for i, v in enumerate(w) if v)
+        images[col] = normal.setdefault(key, key)
+        s = head[col]
+        head[col] = -1
+        while s >= 0:
+            woken.append(s)
+            s = link[s]
+    # C may have grown since an image was reduced: reduce each distinct
+    # image again, by C with its unit columns cleared.
+    core.clear_unit_columns()
+    steps = _walk_steps(core)
+    final: dict = {}
+    for key in normal:
+        w = [0] * len(steps)
+        for i, v in key:
+            w[i] = v
+        _reduce_dense(w, steps)
+        img = tuple((i, v) for i, v in enumerate(w) if v)
+        normal[key] = final.setdefault(img, img)
+    return CoreMap([normal[img] for img in images], core)
 
 
 class AbelianStructure(namedtuple("AbelianStructure", "invariant_factors")):

@@ -18,10 +18,18 @@ orders, identity checks) is a question about this lattice.
 Two proved reductions keep the build small and exact.  Rows are
 generated only for second variables g1 in {a, b}, the generators,
 4|G|^2 rows instead of 2|G|^3, which span the same lattice.  And the
-lattice is seeded with M * Z^(|G|^2) for M = 2|G|^2, a multiple of the
-exponent of G (x) G (the modulus method of Domich, Kannan and Trotter
-for Hermite normal forms), so no coefficient exceeds M while the
-quotient is unchanged.
+lattice is taken plus M * Z^(|G|^2) for M = 2|G|^2, a multiple of the
+exponent of G (x) G (the modulus method of Domich, Kannan and Trotter),
+so every coefficient is kept below M while the quotient is unchanged.
+
+The |G|^2-column lattice is never reduced as a whole.  The paper's
+claim is that four symbols, a (x) b, a (x) a, b (x) b and b (x) a,
+generate G (x) G, and the rows bear it out: abgrp.peel gives every
+other pair symbol its image from a row with a unit entry (on every
+tuple with |G| <= 100 the free columns it is left with are exactly
+those four) and reduces only the lattice the remaining rows span on
+them.  The result is an abgrp.CoreMap: each symbol's image in the core
+and the core lattice.
 
 The verification suites re-check, instance by instance, the statements
 the closed forms were derived from: the twelve power identities, the
@@ -31,12 +39,10 @@ symmetric-pair facts.  Only statements expressible as memberships in
 the pair-symbol lattice are checked; the conjugation lemma's rules for
 commutators of tensor symbols and triple commutators (its items (i),
 (ii), (iv) and (vi)) live outside this model and are omitted.  The
-suites read every membership and order through the lattice's core map
-(abgrp.CoreMap), built once from the model's lattice at first use; the
-exterior square's memberships come from the same images, read in the
-core lattice with the diagonal symbols' images adjoined, so the suites
-never copy the lattice.  :func:`exterior_oracle` builds the exterior
-quotient itself, for the record's oracle block.
+suites read every membership and order through the build's core map;
+the exterior square's come from the same images, read in the core
+lattice with the diagonal symbols' images adjoined, which is also the
+lattice :func:`exterior_oracle` reads the exterior quotient off.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from .abgrp import (
     CoreMap,
     QuotientHandle,
     RowLattice,
-    core_map,
+    peel,
     quotient_from_lattice,
 )
 from .errors import FormulaInconsistencyError, ResourceLimitError
@@ -62,16 +68,17 @@ GROUP_ORDER_LIMIT = 500
 
 class OracleModel:
     """The group tables of _group_tables, whose element indices number the
-    pair symbols, and the reduced relation lattice.
+    pair symbols, the relation lattice's CoreMap and the quotient read
+    off its core lattice.
 
-    ``ext_handle``, the exterior-square quotient, is filled in by
-    :func:`exterior_oracle` on first use, and ``core_maps``, the CoreMaps
-    the suites read, by _core_maps.
+    ``ext_map``, the CoreMap of the exterior square, and ``ext_handle``,
+    its quotient, are filled in on first use (see _exterior_map and
+    :func:`exterior_oracle`).
     """
 
     __slots__ = (
-        "params", "mul", "conj_by", "handle",
-        "raw_rows", "distinct_rows", "derived_ids", "oprime", "ext_handle", "core_maps",
+        "params", "mul", "conj_by", "core_map", "handle",
+        "raw_rows", "distinct_rows", "derived_ids", "oprime", "ext_map", "ext_handle",
     )
 
     def __init__(
@@ -79,6 +86,7 @@ class OracleModel:
         params: GroupParams,
         mul: list[list[int]],
         conj_by: list[list[int]],
+        core_map: CoreMap,
         handle: QuotientHandle,
         raw_rows: int,
         distinct_rows: int,
@@ -88,13 +96,14 @@ class OracleModel:
         self.params = params
         self.mul = mul
         self.conj_by = conj_by
+        self.core_map = core_map
         self.handle = handle
         self.raw_rows = raw_rows
         self.distinct_rows = distinct_rows
         self.derived_ids = derived_ids
         self.oprime = oprime
+        self.ext_map: CoreMap | None = None
         self.ext_handle: QuotientHandle | None = None
-        self.core_maps: tuple[CoreMap, CoreMap] | None = None
 
 
 def _encode_row(c_plus: int, c_minus1: int, c_minus2: int, base: int) -> int:
@@ -137,13 +146,30 @@ def _decode_row(code: int, base: int) -> tuple:
     return ((high // 6, high % 6 - 3),)
 
 
-def _relation_rows(mul: list[list[int]], conj_by: list[list[int]], second):
+class _Rows:
+    """A sequence of normalized rows kept as one int code each (see
+    _encode_row) and decoded as read."""
+
+    __slots__ = ("codes", "base")
+
+    def __init__(self, codes: list[int], base: int):
+        self.codes = codes
+        self.base = base
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i: int) -> tuple:
+        return _decode_row(self.codes[i], self.base)
+
+
+def _relation_rows(mul: list[list[int]], conj_by: list[list[int]], second) -> _Rows:
     """Distinct normalized rows of both relation families, for every
     second variable c in ``second`` and every g, h in G, in descending
     order.
 
-    The rows are gathered and sorted as one int each (see _encode_row),
-    so equal rows are neighbours, and each is decoded as it is yielded.
+    The rows are gathered and sorted as one int each, so equal rows are
+    neighbours, and the duplicates are dropped in place.
     """
     ng = len(mul)
     rng = range(ng)
@@ -161,13 +187,14 @@ def _relation_rows(mul: list[list[int]], conj_by: list[list[int]], second):
                 # h (x) (g c) = (h (x) c) (h^c (x) g^c).
                 codes.append(_encode_row(gc * ng + h, gt * ng + ht, c * ng + h, base))
                 codes.append(_encode_row(h * ng + gc, ht * ng + gt, h * ng + c, base))
-    codes.sort()
-    last = None
-    while codes:
-        code = codes.pop()
-        if code != last:
-            last = code
-            yield _decode_row(code, base)
+    codes.sort(reverse=True)
+    kept = 0
+    for code in codes:
+        if not kept or code != codes[kept - 1]:
+            codes[kept] = code
+            kept += 1
+    del codes[kept:]
+    return _Rows(codes, base)
 
 
 def _group_tables(p: GroupParams):
@@ -246,9 +273,10 @@ def _bounded_quotient(lattice: RowLattice) -> QuotientHandle:
 
 
 def build_tensor_oracle(params: GroupParams) -> OracleModel:
-    """Build and reduce the defining relation lattice of G (x) G.
+    """The CoreMap of the defining relation lattice of G (x) G, and the
+    quotient read off its core lattice.
 
-    The lattice is seeded with M * Z^(|G|^2), M = tensor_exponent_bound,
+    The lattice is taken plus M * Z^(|G|^2), M = tensor_exponent_bound,
     which leaves it unchanged and keeps every coefficient below M.
 
     Rows are generated only for second variables c in S = {a, b}, the
@@ -268,17 +296,10 @@ def build_tensor_oracle(params: GroupParams) -> OracleModel:
     pair symbol swapped.  Hence 2|G|^2 rows and their mirrors
     span the lattice of all 2|G|^3 rows.
 
-    The reduced basis is the lattice's Hermite normal form, the same for
-    every insertion order.  The distinct normalized rows are inserted in
-    descending order for speed: most columns right of a row's leading
-    one then already hold their final, mostly unit, pivots, so few gcd
-    steps leave earlier pivot rows to be reduced again.  Ascending
-    order is somewhat slower, a shuffled order many times slower.
-
-    Storage is kept small per row.  Until inserted, a row is one int in
-    a flat list that is sorted in place and emptied as it is read (see
-    _relation_rows).  The lattice holds no row for a column still at its
-    seed M * e_j, and stores each pivot row in a dict sized to it.
+    The distinct rows go to abgrp.peel, which reduces only the lattice
+    they leave on its few free columns; each row waits there as one int
+    code (see _relation_rows), decoded when read.  The quotient is that
+    core lattice's, checked against M by _bounded_quotient.
     """
     ng = params.order
     if ng > GROUP_ORDER_LIMIT:
@@ -288,31 +309,35 @@ def build_tensor_oracle(params: GroupParams) -> OracleModel:
         )
     mul, conj_by, derived_ids, oprime = _group_tables(params)
     second = (1, params.m)  # a, b
-    lattice = RowLattice(ng * ng, modulus=tensor_exponent_bound(ng))
-    distinct = 0
-    for row in _relation_rows(mul, conj_by, second):
-        lattice.insert(row)
-        distinct += 1
+    rows = _relation_rows(mul, conj_by, second)
+    core_map = peel(rows, ng * ng, tensor_exponent_bound(ng))
     return OracleModel(
         params=params,
         mul=mul,
         conj_by=conj_by,
-        handle=_bounded_quotient(lattice),
+        core_map=core_map,
+        handle=_bounded_quotient(core_map.lattice),
         raw_rows=2 * len(second) * ng * ng,
-        distinct_rows=distinct,
+        distinct_rows=len(rows),
         derived_ids=derived_ids,
         oprime=oprime,
     )
 
 
-def exterior_oracle(model: OracleModel) -> AbelianStructure:
-    """Quotient by the diagonal: adjoin a row x[(g,g)] = 0 for every g."""
-    if model.ext_handle is None:
-        lat = model.handle.lattice.copy()
+def _exterior_map(model: OracleModel) -> CoreMap:
+    """The CoreMap of G ^ G: the tensor map's, with every diagonal symbol
+    (g, g) adjoined to its core lattice; built at first use and kept."""
+    if model.ext_map is None:
         ng = model.params.order
-        for g in range(ng):
-            lat.insert({g * ng + g: 1})
-        model.ext_handle = _bounded_quotient(lat)
+        model.ext_map = model.core_map.extended(g * ng + g for g in range(ng))
+    return model.ext_map
+
+
+def exterior_oracle(model: OracleModel) -> AbelianStructure:
+    """G ^ G, the quotient by the diagonal, read off the exterior map's
+    core lattice (see _exterior_map)."""
+    if model.ext_handle is None:
+        model.ext_handle = _bounded_quotient(_exterior_map(model).lattice)
     return model.ext_handle.structure
 
 
@@ -381,17 +406,6 @@ def _vec(*terms) -> dict:
     return coeffs
 
 
-def _core_maps(model: OracleModel) -> tuple[CoreMap, CoreMap]:
-    """The CoreMaps of G (x) G and of G ^ G, the second with the diagonal
-    symbols (g, g) adjoined, built from the model's lattice at first use
-    and kept."""
-    if model.core_maps is None:
-        ng = model.params.order
-        tensor = core_map(model.handle.lattice)
-        model.core_maps = (tensor, tensor.extended(g * ng + g for g in range(ng)))
-    return model.core_maps
-
-
 NUMERALS = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x", "xi", "xii")
 
 
@@ -405,18 +419,16 @@ def verify_identities(model: OracleModel) -> SuiteReport:
 
     Each instance is a sum of a few pair symbols, its coefficients
     reduced modulo the exponent of G (x) G.  Membership in the lattice
-    is read through its CoreMap (see _core_maps): the instance becomes a
-    sum of the symbols' short core images, walked in a core lattice of a
-    few columns.  Membership in the exterior lattice, the lattice with
-    every diagonal symbol adjoined, is read through the same images in
-    the core lattice plus the diagonal symbols' images, so the large
-    lattice is never copied.
+    is read through the model's CoreMap: the instance becomes a sum of
+    the symbols' short core images, walked in a core lattice of a few
+    columns.  Membership in the exterior lattice, the lattice with every
+    diagonal symbol adjoined, is read through the same images in the
+    core lattice plus the diagonal symbols' images (see _exterior_map).
     """
     p = model.params
     m, n, r, s = p.m, p.n, p.r, p.s
     ng = p.order
-    tensor, exterior = _core_maps(model)
-    order, ext_order = tensor.order, exterior.order
+    order, ext_order = model.core_map.order, _exterior_map(model).order
     exp = model.handle.structure.torsion_exponent
     exp2 = 2 * exp
     checks = []
@@ -667,10 +679,10 @@ def verify_identities(model: OracleModel) -> SuiteReport:
 
 def verify_bounds(model: OracleModel) -> SuiteReport:
     """Measure generator orders in the oracle against the proved bounds,
-    each order read through the lattice's CoreMap (see _core_maps)."""
+    each order read through the model's CoreMap."""
     p = model.params
     bounds = upsilon_order_bounds(p)
-    order_of = _core_maps(model)[0].order
+    order_of = model.core_map.order
     ng = p.order
     a_i, b_i = 1, p.m
     checks = []

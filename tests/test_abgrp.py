@@ -8,9 +8,9 @@ from tensq import metagrp
 from tensq.abgrp import (
     AbelianStructure,
     RowLattice,
-    core_map,
     element_order,
     lattice_member,
+    peel,
     quotient_from_lattice,
     quotient_structure,
     smith_normal_form,
@@ -461,24 +461,30 @@ def random_lattice(rng, modulus):
     return lat
 
 
+def lattice_map(lat):
+    """The CoreMap of a RowLattice, peeled from its pivot rows (with a
+    modulus, the seeds M * e_j are the modulus's own)."""
+    return peel([row.items() for row in lat.pivots.values()], lat.ncols, lat.modulus)
+
+
 @pytest.mark.parametrize("modulus", [None, 36, 360], ids=["exact", "mod36", "mod360"])
 @pytest.mark.parametrize("cleared", [False, True], ids=["uncleared", "cleared"])
 def test_core_map_order_is_the_walk_order(modulus, cleared):
-    # Through the core map, every unit vector and seeded random vector
-    # has the order RowLattice.order walks to, 0 for infinite order
-    # included; so has each with its coefficients reduced modulo 6, and
-    # each in the lattice extended by two unit rows.
+    # Through the core map peeled from a lattice's pivot rows, every unit
+    # vector and seeded random vector has the order RowLattice.order
+    # walks to, 0 for infinite order included; so has each with its
+    # coefficients reduced modulo 6, and each in the lattice extended by
+    # two unit rows.
     rng = random.Random(20261022)
     seen = set()
     for _ in range(60):
         lat = random_lattice(rng, modulus)
         if cleared:
             lat.clear_unit_columns()
-        cmap = core_map(lat)
+        cmap = lattice_map(lat)
         ncols = lat.ncols
         unit = {j for j, row in lat.pivots.items() if row[j] == 1}
-        assert cmap.lattice.ncols == ncols - len(unit)
-        assert all(cmap.images[j] == ((i, 1),) for i, j in enumerate(c for c in range(ncols) if c not in unit))
+        assert len(cmap.images) == ncols
         extra = rng.sample(range(ncols), 2)
         bigger = lat.copy()
         for j in extra:
@@ -506,8 +512,51 @@ def test_core_map_images_are_in_normal_form():
     rng = random.Random(20261023)
     for _ in range(40):
         lat = random_lattice(rng, 72)
-        cmap = core_map(lat)
+        cmap = lattice_map(lat)
         values = cmap.lattice.pivot_values
         for img in cmap.images:
             assert all(0 <= v < values[i] for i, v in img), img
         assert len({id(img) for img in cmap.images}) == len(set(cmap.images))
+
+
+@pytest.mark.parametrize("modulus", [None, 60], ids=["exact", "mod60"])
+def test_peel_keeps_every_order_of_random_row_sets(modulus):
+    # Seeded sparse row sets, not echelon: units, coefficients +-2 and
+    # larger, rows of non-units only (which never peel), rows repeated
+    # and zero entries.  Through the peeled map every unit vector and
+    # random vector has the order RowLattice's walk gives in the lattice
+    # of the same rows, with and without reducing its coefficients
+    # modulo 6; images are in normal form and equal images one tuple.
+    rng = random.Random(20261026)
+    seen = set()
+    for _ in range(80):
+        ncols = rng.randint(1, 14)
+        rows = []
+        for _ in range(rng.randint(0, 2 * ncols)):
+            cols = rng.sample(range(ncols), rng.randint(1, min(4, ncols)))
+            coeffs = (2, -2, 4, 6) if rng.random() < 0.2 else (-1, 1, 1, 2, -2, 3, 0)
+            rows.append({c: rng.choice(coeffs) for c in cols})
+        if rows and rng.random() < 0.3:
+            rows.append(rows[0])
+        lat = RowLattice(ncols, modulus)
+        for row in rows:
+            lat.insert(row)
+        cmap = peel([row.items() for row in rows], ncols, modulus)
+        vectors = [{j: 1} for j in range(ncols)]
+        vectors += [{j: rng.randint(-30, 30) for j in rng.sample(range(ncols), rng.randint(1, ncols))} for _ in range(20)]
+        for vec in vectors:
+            order = lat.order(vec)
+            assert cmap.order(vec) == order, (rows, vec)
+            assert cmap.order(vec, 6) == lat.order({j: v % 6 for j, v in vec.items()}), (rows, vec)
+            seen.add(min(order, 2))
+        if modulus is not None:
+            values = cmap.lattice.pivot_values
+            assert all(0 <= v < values[i] for img in cmap.images for i, v in img)
+        assert len({id(img) for img in cmap.images}) == len(set(cmap.images))
+        assert quotient_from_lattice(cmap.lattice).structure == quotient_from_lattice(lat).structure
+        seen.add(("free", min(cmap.lattice.ncols, 2)))
+        seen.add(("stuck", any(all(v not in (1, -1) for v in row.values()) for row in rows)))
+    # Orders 1 and more than 1 occur, 0 only without a modulus; cores of
+    # no, one and several columns occur, and so do rows with no unit.
+    assert seen >= {1, 2, ("free", 0), ("free", 1), ("free", 2), ("stuck", True)}
+    assert (0 in seen) == (modulus is None)

@@ -35,6 +35,27 @@ def family_rows(model):
 
 
 @lru_cache(maxsize=None)
+def reference_lattices(tup):
+    """The relation lattice of G (x) G on all |G|^2 columns, and that of
+    G ^ G: the generating rows (c in {a, b}) inserted into a RowLattice
+    with the oracle's modulus, unit columns cleared, then a copy with
+    every diagonal symbol (g, g) adjoined.  Both are Hermite normal
+    forms, so they do not depend on insertion order; the oracle itself
+    never builds them, and its map is checked against them."""
+    model = build_tensor_oracle(metagrp.validate(*tup))
+    ng = model.params.order
+    tensor = abgrp.RowLattice(ng * ng, modulus=oracle.tensor_exponent_bound(ng))
+    for row in _relation_rows(model.mul, model.conj_by, (1, model.params.m)):
+        tensor.insert(row)
+    tensor.clear_unit_columns()
+    exterior = tensor.copy()
+    for g in range(ng):
+        exterior.insert({g * ng + g: 1})
+    exterior.clear_unit_columns()
+    return tensor, exterior
+
+
+@lru_cache(maxsize=None)
 def exact_reference(tup):
     """Every family row inserted in ascending order into a lattice without
     a modulus, unit columns cleared: the oracle lattice built exactly,
@@ -85,7 +106,7 @@ def model_9343():
 def test_oracle_3220(model_3220):
     m = model_3220
     assert m.params.order == 6
-    assert m.handle.lattice.ncols == 36
+    assert len(m.core_map.images) == 36
     assert m.raw_rows == 144
     assert m.distinct_rows == 131
     assert m.handle.structure.invariant_factors == (6,)
@@ -207,21 +228,23 @@ BASIS_DIGESTS = {
 
 def test_reduced_bases_match_their_digests():
     for tup, (tensor_digest, exterior_digest) in BASIS_DIGESTS.items():
-        model = build_tensor_oracle(metagrp.validate(*tup))
-        exterior_oracle(model)
-        assert basis_digest(model.handle.lattice) == tensor_digest, tup
-        assert basis_digest(model.ext_handle.lattice) == exterior_digest, tup
+        tensor, exterior = reference_lattices(tup)
+        assert basis_digest(tensor) == tensor_digest, tup
+        assert basis_digest(exterior) == exterior_digest, tup
 
 
 def test_pivot_values_follow_the_oracle_and_exterior_bases(model_9343):
+    # The reference bases on all |G|^2 columns, and the core lattices
+    # the oracle reads its two quotients off.
     exterior_oracle(model_9343)
-    for lattice in (model_9343.handle.lattice, model_9343.ext_handle.lattice):
+    lattices = reference_lattices((9, 3, 4, 3)) + (model_9343.handle.lattice, model_9343.ext_handle.lattice)
+    for lattice in lattices:
         assert len(lattice.pivots) == lattice.ncols
         assert pivot_values_hold(lattice)
 
 
 def test_reduced_basis_does_not_depend_on_insertion_order():
-    # The oracle inserts its rows in descending order; ascending and
+    # The reference inserts the rows in descending order; ascending and
     # shuffled orders must reach the same Hermite normal form.
     for tup in ((7, 3, 2, 0), (9, 3, 4, 3)):
         model = build_tensor_oracle(metagrp.validate(*tup))
@@ -230,12 +253,12 @@ def test_reduced_basis_does_not_depend_on_insertion_order():
         rows = sorted(_relation_rows(model.mul, model.conj_by, second))
         shuffled = list(rows)
         random.Random(20261018).shuffle(shuffled)
-        for order in (rows, rows[::-1], shuffled):
+        for order in (rows, shuffled):
             lattice = abgrp.RowLattice(ng * ng, modulus=oracle.tensor_exponent_bound(ng))
             for row in order:
                 lattice.insert(row)
             lattice.clear_unit_columns()
-            assert lattice.pivots == model.handle.lattice.pivots, tup
+            assert lattice.pivots == reference_lattices(tup)[0].pivots, tup
 
 
 def test_oracle_matches_closed_forms_past_order_45():
@@ -249,14 +272,14 @@ def test_oracle_matches_closed_forms_past_order_45():
 
 
 def test_core_map_keeps_every_order(model_9343):
-    # The library map against the plain walk: unit vectors, every family
-    # row and seeded random vectors, in the lattice and out of it, have
-    # the same order through the map.
-    lattice = model_9343.handle.lattice
-    cmap = abgrp.core_map(lattice)
+    # The model's map against the plain walk in the reference lattice:
+    # unit vectors, every family row and seeded random vectors, in the
+    # lattice and out of it, have the same order through the map.
+    lattice = reference_lattices((9, 3, 4, 3))[0]
+    cmap = model_9343.core_map
     assert any(row[j] == 1 for j, row in lattice.pivots.items())
     assert any(row[j] > 1 for j, row in lattice.pivots.items())
-    assert cmap.lattice.ncols == len(model_9343.handle.core_columns)
+    assert cmap.lattice is model_9343.handle.lattice
     rng = random.Random(20261019)
     vectors = [((j, 1),) for j in range(lattice.ncols)] + list(family_rows(model_9343))
     vectors += [
@@ -275,11 +298,12 @@ def test_core_map_keeps_every_order(model_9343):
 
 def test_generating_set_spans_every_family_row():
     # Rows for c in {a, b} span the rows of every c in G; each row is
-    # read through the core map, which test_core_map_keeps_every_order
-    # checks against the plain walk.
+    # read through the model's own map, which
+    # test_oracle_map_agrees_with_the_reference_lattices checks against
+    # the plain walk.
     for p in enumerate_valid_tuples(45, include_s_zero=True):
         model = build_tensor_oracle(p)
-        order = abgrp.core_map(model.handle.lattice).order
+        order = model.core_map.order
         assert all(order(dict(row)) == 1 for row in family_rows(model)), (p.m, p.n, p.r, p.s)
 
 
@@ -326,16 +350,18 @@ def test_act_rejects_wrong_length(model_3220):
 
 
 def test_act_preserves_lattice_membership(model_3220):
+    # The reference basis rows, conjugated, are members through the
+    # model's map.
     m = model_3220
     ncols = m.params.order**2
-    rows = [dict(row) for row in m.handle.lattice.pivots.values()]
+    rows = [dict(row) for row in reference_lattices((3, 2, 2, 0))[0].pivots.values()]
     for c in range(m.params.order):
         for row in rows:
             dense = [0] * ncols
             for col, val in row.items():
                 dense[col] = val
             image = act(m, dense, c)
-            assert abgrp.lattice_member(m.handle, {col: v for col, v in enumerate(image) if v})
+            assert m.core_map.order({col: v for col, v in enumerate(image) if v}) == 1
 
 
 def test_conjugation_permutation_is_bijective(model_3220):
@@ -353,7 +379,7 @@ def test_relabel_invariance(model_3220):
     sigma = list(range(ng))
     rng.shuffle(sigma)
     lat = abgrp.RowLattice(ng * ng)
-    for row in m.handle.lattice.pivots.values():
+    for row in reference_lattices((3, 2, 2, 0))[0].pivots.values():
         lat.insert(
             {sigma[c // ng] * ng + sigma[c % ng]: v for c, v in row.items()}
         )
@@ -363,12 +389,14 @@ def test_relabel_invariance(model_3220):
 
 def test_transposition_maps_the_lattice_to_itself(model_9343):
     # The second relation family is the first with every pair symbol
-    # (g, h) swapped to (h, g), so swapping maps the lattice onto itself.
+    # (g, h) swapped to (h, g), so swapping maps the lattice onto itself:
+    # each reference basis row, swapped, is a member through the map.
     for model in (build_tensor_oracle(metagrp.validate(7, 3, 2, 0)), model_9343):
         ng = model.params.order
-        for row in model.handle.lattice.pivots.values():
+        p = model.params
+        for row in reference_lattices((p.m, p.n, p.r, p.s))[0].pivots.values():
             swapped = {(c % ng) * ng + c // ng: v for c, v in row.items()}
-            assert model.handle.lattice.contains(swapped)
+            assert model.core_map.order(swapped) == 1
 
 
 def test_derived_diagonal_already_trivial(model_9343):
@@ -376,13 +404,13 @@ def test_derived_diagonal_already_trivial(model_9343):
     p = m.params
     for d in metagrp.derived_subgroup(p):
         di = d.beta * p.m + d.alpha
-        assert abgrp.lattice_member(m.handle, {di * p.order + di: 1})
+        assert m.core_map.order({di * p.order + di: 1}) == 1
 
 
 def test_diagonal_bb_order_divides_n(model_3220):
     m = model_3220
     bi = m.params.m
-    assert 2 % abgrp.element_order(m.handle, {bi * 6 + bi: 1}) == 0
+    assert 2 % m.core_map.order({bi * 6 + bi: 1}) == 0
 
 
 def test_identity_suite_passes(model_3220, model_9343):
@@ -415,19 +443,21 @@ FAILURE_PANEL = [(9, 3, 4, 3), (7, 3, 2, 0), (15, 2, 4, 10)]
 
 
 def _sublattice_model(tup):
+    """The oracle model of tup with its map peeled from the kept rows
+    alone (no modulus), and those rows as a RowLattice basis."""
     model = build_tensor_oracle(metagrp.validate(*tup))
     lat = exact_reference(tup)
     sub = abgrp.RowLattice(lat.ncols)
     keep = sorted(lat.pivots)[: len(lat.pivots) // 2]
     sub.pivots = {j: dict(lat.pivots[j]) for j in keep}
-    model.handle.lattice = sub
-    return model
+    model.core_map = abgrp.peel([row.items() for row in sub.pivots.values()], sub.ncols)
+    return model, sub
 
 
 def _failure_reports():
     out = {}
     for tup in FAILURE_PANEL:
-        model = _sublattice_model(tup)
+        model, _ = _sublattice_model(tup)
         out[",".join(map(str, tup))] = {
             suite.__name__: [
                 [c.name, c.instances, c.failed, c.examples] for c in suite(model).checks
@@ -444,17 +474,15 @@ def test_suite_failure_reports_match_golden():
 
 def test_core_map_keeps_orders_on_the_sublattices():
     # The suites read the failure panel's sublattices (no modulus,
-    # uncleared rows, free columns) through the map built at first use;
-    # unit vectors and seeded random vectors have the walk's orders,
-    # finite and infinite, with and without the suites' reduction of
-    # coefficients modulo the exponent.
+    # uncleared rows, free columns) through the map peeled from their
+    # rows; unit vectors and seeded random vectors have the walk's
+    # orders, finite and infinite, with and without the suites'
+    # reduction of coefficients modulo the exponent.
     rng = random.Random(20261024)
     for tup in FAILURE_PANEL:
-        model = _sublattice_model(tup)
-        lattice = model.handle.lattice
+        model, lattice = _sublattice_model(tup)
         exp = model.handle.structure.torsion_exponent
-        tensor, _ = oracle._core_maps(model)
-        assert model.core_maps[0] is tensor
+        tensor = model.core_map
         vectors = [{j: 1} for j in range(lattice.ncols)]
         vectors += [{rng.randrange(lattice.ncols): rng.randint(-5, 5) for _ in range(4)} for _ in range(300)]
         infinite = set()
@@ -468,14 +496,14 @@ def test_core_map_keeps_orders_on_the_sublattices():
 
 def test_exterior_membership_through_the_map_matches_the_exterior_lattice():
     # The exterior map (core lattice plus the diagonal symbols' images)
-    # against exterior_oracle's copy of the whole lattice with every
-    # diagonal row inserted, on seeded random vectors and every symbol.
+    # against the reference exterior lattice, the whole lattice with
+    # every diagonal row inserted, on seeded random vectors and every
+    # symbol.
     rng = random.Random(20261025)
     for tup in ((9, 3, 4, 3), (15, 2, 4, 10)):
         model = build_tensor_oracle(metagrp.validate(*tup))
-        exterior_oracle(model)
-        full = model.ext_handle.lattice
-        _, ext = oracle._core_maps(model)
+        full = reference_lattices(tup)[1]
+        ext = oracle._exterior_map(model)
         vectors = [{j: 1} for j in range(full.ncols)]
         vectors += [{rng.randrange(full.ncols): rng.randint(-5, 5) for _ in range(3)} for _ in range(500)]
         members = set()
@@ -483,3 +511,26 @@ def test_exterior_membership_through_the_map_matches_the_exterior_lattice():
             assert ext.order(vec) == full.order(vec), (tup, vec)
             members.add(ext.order(vec) == 1)
         assert members == {True, False}, tup
+
+
+def test_oracle_map_agrees_with_the_reference_lattices():
+    # On the oracle panel the peel leaves four free columns, the number
+    # of the paper's symbols u, v, w and z.  Through the model's tensor
+    # and exterior maps, every unit vector and 500 seeded random vectors
+    # have the order the plain walk gives in the reference lattices on
+    # all |G|^2 columns, and the quotients are those of the references.
+    rng = random.Random(20261027)
+    for tup in ORACLE_PANEL:
+        model = build_tensor_oracle(metagrp.validate(*tup))
+        assert model.core_map.lattice.ncols == 4, tup
+        tensor, exterior = reference_lattices(tup)
+        ncols = tensor.ncols
+        vectors = [{j: 1} for j in range(ncols)]
+        vectors += [{rng.randrange(ncols): rng.randint(-9, 9) for _ in range(4)} for _ in range(500)]
+        maps = ((model.core_map, tensor), (oracle._exterior_map(model), exterior))
+        for cmap, lattice in maps:
+            orders = [lattice.order(vec) for vec in vectors]
+            assert [cmap.order(vec) for vec in vectors] == orders, tup
+            assert 1 in orders and max(orders) > 1, tup
+        assert model.handle.structure == abgrp.quotient_from_lattice(tensor.copy()).structure, tup
+        assert exterior_oracle(model) == abgrp.quotient_from_lattice(exterior.copy()).structure, tup
