@@ -352,16 +352,10 @@ def oracle_schur_order(model: OracleModel) -> int:
     return ext // t
 
 
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "name instances failed examples")):
     """One named family of instances, with the first few failures kept."""
 
-    __slots__ = ("name", "instances", "failed", "examples")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.instances = 0
-        self.failed = 0
-        self.examples: list[str] = []
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -385,17 +379,15 @@ class SuiteReport(namedtuple("SuiteReport", "checks")):
 def _check(name: str, label: str, instances) -> CheckResult:
     """Count (ok, args) instances, keeping the first three failing labels,
     each label.format(*args); a passing instance formats none."""
-    result = CheckResult(name)
     count = failed = 0
+    examples = []
     for ok, args in instances:
         count += 1
         if not ok:
             failed += 1
             if failed <= 3:
-                result.examples.append(label.format(*args))
-    result.instances = count
-    result.failed = failed
-    return result
+                examples.append(label.format(*args))
+    return CheckResult(name, count, failed, examples)
 
 
 def _vec(*terms) -> dict:

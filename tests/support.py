@@ -1,6 +1,5 @@
 """Names only the tests use: the identity element, the validated tuple
-list, the frozen panel of closed-form structures and the check of a
-lattice's flat pivot-value list."""
+list and the frozen panel of closed-form structures."""
 
 from tensq import metagrp
 
@@ -24,12 +23,3 @@ FROZEN = {
 def enumerate_valid_tuples(max_order: int, include_s_zero: bool = False) -> list[metagrp.GroupParams]:
     """The tuples of metagrp.iter_valid_tuples, validated, as a list."""
     return [metagrp.validate(*t) for t in metagrp.iter_valid_tuples(max_order, include_s_zero)]
-
-
-def pivot_values_hold(lattice) -> bool:
-    """Whether the flat pivot-value list matches the pivot rows: a row's
-    first entry, else M at a seeded column or 0 at a free one."""
-    return all(
-        lattice.pivot_values[j] == (lattice.pivots[j][j] if j in lattice.pivots else lattice.modulus or 0)
-        for j in range(lattice.ncols)
-    )

@@ -17,7 +17,7 @@ from tensq.abgrp import (
 )
 from tensq.errors import TensqError
 from tensq.presentations import tensor_descriptor, tensor_relators
-from support import FROZEN, pivot_values_hold
+from support import FROZEN
 
 
 def determinant(matrix) -> int:
@@ -396,44 +396,48 @@ def test_row_lattice_copy_is_independent():
 
 
 @pytest.mark.parametrize("modulus", [None, 360], ids=["exact", "modulus"])
-def test_pivot_values_follow_every_insert(modulus):
+def test_rows_stay_reduced_and_whole_through_every_insert(modulus):
     # Seeded random rows of even entries with a unit now and then, so
-    # that gcd steps shrink pivots, seeded columns take rows both through
-    # the gcd step and directly, and rows reduce to zero, while non-unit
-    # pivots remain.
+    # that gcd steps shrink pivots, seed rows M * e_j are replaced both by
+    # a unit and by a gcd step, and rows reduce to zero, while non-unit
+    # pivots remain.  With a modulus every column holds a row throughout.
     rng = random.Random(20261020)
     ncols = 8
     coeffs = (-12, -8, -6, -4, -2, 2, 4, 6, 8, 12)
+    whole = modulus is not None
     lat = RowLattice(ncols, modulus=modulus)
-    assert pivot_values_hold(lat)
+    assert len(lat.pivots) == (ncols if whole else 0)
     for i in range(60):
         cols = rng.sample(range(ncols), rng.randint(1, 4))
         row = {c: rng.choice(coeffs) for c in cols}
         if i % 7 == 0:
             row[cols[0]] = rng.choice((-1, 1))
         lat.insert(row)
-        assert pivot_values_hold(lat), i
-        if modulus is not None:
-            # Every stored entry, pivots included, stays in [0, M).
-            assert all(0 <= v < modulus for r in lat.pivots.values() for v in r.values()), i
+        if whole:
+            assert len(lat.pivots) == ncols, i
+            # Every entry of a row other than a seed M * e_j, pivots
+            # included, stays in [0, M).
+            assert all(
+                r == {j: modulus} or all(0 <= v < modulus for v in r.values()) for j, r in lat.pivots.items()
+            ), i
         if i == 30:
             dup = lat.copy()
-            assert pivot_values_hold(dup)
-            before = list(lat.pivot_values)
+            assert dup.pivots == lat.pivots
+            before = {j: dict(r) for j, r in lat.pivots.items()}
             for j in range(ncols):
                 dup.insert({j: 1})
-            assert pivot_values_hold(dup) and dup.pivot_values == [1] * ncols
-            assert pivot_values_hold(lat) and lat.pivot_values == before != dup.pivot_values
-    assert 1 in lat.pivot_values and max(lat.pivot_values) > 1
+            assert [dup.pivots[j][j] for j in range(ncols)] == [1] * ncols
+            assert lat.pivots == before != dup.pivots
+    diagonal = [r[j] for j, r in lat.pivots.items()]
+    assert 1 in diagonal and max(diagonal) > 1
     lat.clear_unit_columns()
-    assert pivot_values_hold(lat)
-    if modulus is not None:
+    if whole:
         assert len(lat.pivots) == ncols
 
 
-def test_seeded_columns_answer_order_before_they_are_written_out():
-    # Before clear_unit_columns a column still at its seed M * e_j has no
-    # row; order and contains read it as M * e_j all the same.
+def test_clearing_unit_columns_keeps_every_order():
+    # clear_unit_columns leaves the lattice as it is: every order is the
+    # same before and after, and every M * e_j stays in it.
     rng = random.Random(20261021)
     for _ in range(30):
         ncols = rng.randint(2, 6)
@@ -513,9 +517,9 @@ def test_core_map_images_are_in_normal_form():
     for _ in range(40):
         lat = random_lattice(rng, 72)
         cmap = lattice_map(lat)
-        values = cmap.lattice.pivot_values
+        pivots = cmap.lattice.pivots
         for img in cmap.images:
-            assert all(0 <= v < values[i] for i, v in img), img
+            assert all(0 <= v < pivots[i][i] for i, v in img), img
         assert len({id(img) for img in cmap.images}) == len(set(cmap.images))
 
 
@@ -550,8 +554,8 @@ def test_peel_keeps_every_order_of_random_row_sets(modulus):
             assert cmap.order(vec, 6) == lat.order({j: v % 6 for j, v in vec.items()}), (rows, vec)
             seen.add(min(order, 2))
         if modulus is not None:
-            values = cmap.lattice.pivot_values
-            assert all(0 <= v < values[i] for img in cmap.images for i, v in img)
+            pivots = cmap.lattice.pivots
+            assert all(0 <= v < pivots[i][i] for img in cmap.images for i, v in img)
         assert len({id(img) for img in cmap.images}) == len(set(cmap.images))
         assert quotient_from_lattice(cmap.lattice).structure == quotient_from_lattice(lat).structure
         seen.add(("free", min(cmap.lattice.ncols, 2)))

@@ -20,7 +20,7 @@ from tensq.oracle import (
     verify_identities,
 )
 from tensq.presentations import exterior_and_schur
-from support import enumerate_valid_tuples, pivot_values_hold
+from support import enumerate_valid_tuples
 
 DATA = Path(__file__).parent / "data"
 
@@ -233,14 +233,15 @@ def test_reduced_bases_match_their_digests():
         assert basis_digest(exterior) == exterior_digest, tup
 
 
-def test_pivot_values_follow_the_oracle_and_exterior_bases(model_9343):
+def test_oracle_and_exterior_bases_hold_a_row_per_column(model_9343):
     # The reference bases on all |G|^2 columns, and the core lattices
-    # the oracle reads its two quotients off.
+    # the oracle reads its two quotients off, each with a modulus: every
+    # column holds the one row whose pivot it is.
     exterior_oracle(model_9343)
     lattices = reference_lattices((9, 3, 4, 3)) + (model_9343.handle.lattice, model_9343.ext_handle.lattice)
     for lattice in lattices:
-        assert len(lattice.pivots) == lattice.ncols
-        assert pivot_values_hold(lattice)
+        assert sorted(lattice.pivots) == list(range(lattice.ncols))
+        assert all(min(row) == j and row[j] > 0 for j, row in lattice.pivots.items())
 
 
 def test_reduced_basis_does_not_depend_on_insertion_order():
@@ -303,6 +304,8 @@ def test_generating_set_spans_every_family_row():
     # the plain walk.
     for p in enumerate_valid_tuples(45, include_s_zero=True):
         model = build_tensor_oracle(p)
+        # The peel leaves the paper's four symbols as the core.
+        assert model.core_map.lattice.ncols == 4, (p.m, p.n, p.r, p.s)
         order = model.core_map.order
         assert all(order(dict(row)) == 1 for row in family_rows(model)), (p.m, p.n, p.r, p.s)
 
