@@ -3,8 +3,8 @@
 Everything here works on plain Python ints; no floating point is used
 anywhere.  There is one representation: a row or vector is a sparse
 {column: coefficient} dict, or its (column, coefficient) pairs, from
-the eight tensor relations to the large relation matrices of the
-tensor-square oracle, and into the Smith normal form.
+the eight tensor relations to the core lattice of the tensor-square
+oracle, and into the Smith normal form.
 
 The central object is :class:`RowLattice`, an integer row lattice kept
 as an echelon basis (one basis row per pivot column, pivot = leftmost
@@ -22,12 +22,12 @@ the core left after eliminating every unit pivot.
 
 A query against the lattice, membership or element order, is a walk
 down the echelon basis: ``RowLattice.order``.  A lattice given by many
-sparse rows with mostly unit entries, as the oracle's are, is never
-built on all its columns: :func:`peel` eliminates the unit entries
-first, giving nearly every column its image in a core of a few free
-columns, and reduces only the lattice the other rows span there.  The
-result, a :class:`CoreMap`, answers every query: a vector's order is
-its image's order in that core lattice, a walk over a few columns.
+sparse rows with mostly unit entries, as the oracle's are, need not be
+built on all its columns: the oracle peels the unit entries first,
+giving nearly every column its image in a core of a few free columns,
+and reduces only the lattice the other rows span there.  The result, a
+:class:`CoreMap`, answers every query: a vector's order is its image's
+order in that core lattice, a walk over a few columns.
 
 :func:`smith_normal_form` is the module's one other elimination: a
 single pass of unimodular row and column gcd steps over a dense copy of
@@ -38,7 +38,6 @@ directly and build no lattice.
 from __future__ import annotations
 
 import heapq
-from array import array
 from collections import namedtuple
 from math import gcd, prod
 
@@ -266,25 +265,29 @@ def _reduce_dense(w: list, steps: list) -> None:
 
 class CoreMap:
     """Each column's image in the core of a lattice L, and the core
-    lattice C that L meets the core in; built by :func:`peel`.
+    lattice C that L meets the core in; the oracle builds one by peeling
+    its relation rows (oracle._stream_core_map).
 
-    The core is the free columns :func:`peel` chose, renumbered 0, 1, ...
-    in the order it chose them.  ``images[j]`` is the image of e_j, a
-    tuple of (core index, coefficient) pairs in normal form: a free
-    column's is itself, a peeled column's is read off the row that
-    peeled it.  ``lattice`` is C, a RowLattice on the core columns with
-    L's modulus.
+    The core is a few free columns, renumbered 0, 1, ... in the order
+    they were freed.  ``images[j]`` is the image of e_j, a tuple of
+    (core index, coefficient) pairs in normal form: a free column's is
+    itself, any other column's is read off one row of L with a unit
+    coefficient there.  ``lattice`` is C, a RowLattice on the core
+    columns with L's modulus.
 
-    Why it is exact.  Write phi for the linear map sending e_j to its
-    image.  e_j - phi(e_j) lies in L for every j: at a free column it is
-    0, and a column j peeled by a row u e_j + t of L, u = +-1, has image
-    -u phi(t), every column of t having its image already, so
-    e_j - phi(e_j) = u (u e_j + t) - u (t - phi(t)) is in L; reducing
-    an image by C moves it inside C.  So v = phi(v) mod L for every v.
-    phi(L) is C: phi sends a row that peeled a column to 0, every other
-    row to one of the images that span C, and M * e_j into M * Z^core,
-    inside C.  C lies in L, since phi(r) = r - (r - phi(r)), and phi is
-    the identity on the core, so L meets the core in exactly C.  Hence
+    Why it is exact.  The build keeps two rules: every image but a free
+    column's comes from one row u e_j + t of L, u = +-1, every column of
+    t having its image already, and every other row of L's generating
+    set is read as a relation once, its image reduced by C and inserted
+    into C.  Write phi for the linear map sending e_j to its image.
+    e_j - phi(e_j) lies in L for every j: at a free column it is 0, and
+    a column j given its image by u e_j + t has image -u phi(t), so
+    e_j - phi(e_j) = u (u e_j + t) - u (t - phi(t)) is in L; reducing an
+    image by C moves it inside C.  So v = phi(v) mod L for every v.
+    phi(L) is C: phi sends a row that gave a column its image, and every
+    row read as a relation, into C, and M * e_j into M * Z^core, inside
+    C.  C lies in L, since phi(r) = r - (r - phi(r)), and phi is the
+    identity on the core, so L meets the core in exactly C.  Hence
     k * v lies in L exactly when k * phi(v) lies in C.  The same phi
     serves L plus any further rows (see ``extended``).
     """
@@ -342,137 +345,6 @@ class CoreMap:
         for img in dict.fromkeys(self.images[j] for j in columns):
             lattice.insert(img)
         return CoreMap(self.images, lattice)
-
-
-def peel(rows, ncols: int, modulus: int | None = None) -> CoreMap:
-    """The CoreMap of the lattice L spanned by ``rows`` on ncols columns,
-    plus M * Z^ncols given a ``modulus`` M: unit entries are eliminated
-    first and only the small core left is reduced (structured
-    elimination: LaMacchia and Odlyzko, CRYPTO '90; Havas, Holt and
-    Rees, Linear Algebra Appl. 192 (1993)).
-
-    ``rows`` is a sequence, read by index and more than once, of
-    iterables of (column, coefficient) pairs, as ``dict.items()`` gives.
-
-    A row whose one column without an image has coefficient u = +-1
-    peels it: that column's image is -u times the image of the rest of
-    the row.  When no row can, the least column without an image becomes
-    the next free column, its own image; C gains it as a last column,
-    with its row M * e_j given a modulus.  Rows are read in the given
-    order, then as their columns gain images: each waits on two columns
-    without one (on its last, when that is not a unit) through two watch
-    slots, linked per column in flat arrays.  A row that peels nothing is
-    a relation: its image, reduced by C so far, is inserted into C unless
-    that leaves 0.
-    Every image is kept reduced by C, so below M; at the end each is
-    brought to its normal form by C with its unit columns cleared,
-    unique with a modulus, and equal images are one tuple.
-
-    The core is not minimal in general.  On the pivot rows of an
-    echelon basis the least column without an image is often a unit
-    pivot whose tail has none yet, so more columns can be freed than the
-    basis has non-unit pivots, in 133 of 300 random bases modulo 360
-    with their unit columns cleared (the tests' ``random_lattice``,
-    seed 0).  Exactness does not depend on how many columns are free.
-    """
-    nrows = len(rows)
-    images: list = [None] * ncols
-    # Row r waits through slots 2r and 2r + 1: head[j] is the first slot
-    # waiting on column j, link[s] the next slot on the same column, and
-    # watched[s] the column slot s was last put on; 32-bit entries.
-    head = array("i", [-1]) * ncols
-    link = array("i", [-1]) * (2 * nrows)
-    watched = array("i", [-1]) * (2 * nrows)
-    done = bytearray(nrows)
-    core = RowLattice(0, modulus)
-    steps: list = []
-    woken: list = []
-
-    def watch(s: int, j: int) -> None:
-        link[s] = head[j]
-        head[j] = s
-        watched[s] = j
-
-    normal: dict = {}
-    nxt = cursor = 0
-    while True:
-        if woken:
-            s = woken.pop()
-            r = s >> 1
-            if done[r]:
-                continue
-            other = watched[s ^ 1]
-        elif nxt < nrows:
-            r, s, other = nxt, 2 * nxt, -1
-            nxt += 1
-        else:
-            while cursor < ncols and images[cursor] is not None:
-                cursor += 1
-            if cursor == ncols:
-                break
-            r, col = -1, cursor
-            core.add_column()
-            steps = _walk_steps(core)
-            w = [0] * len(steps)
-            w[-1] = 1
-        if r >= 0:
-            row = rows[r]
-            first = second = -1
-            for j, c in row:
-                if c and images[j] is None:
-                    if first < 0:
-                        first, coef = j, c
-                    else:
-                        second = j
-                        break
-            if second >= 0:
-                if other < 0:
-                    watch(s, first)
-                    watch(s ^ 1, second)
-                else:
-                    # The other slot still waits on a column, perhaps one
-                    # that has just gained its image; this one takes another.
-                    watch(s, first if first != other else second)
-                continue
-            if first >= 0 and coef != 1 and coef != -1:
-                if other != first:
-                    watch(s, first)
-                continue
-            done[r] = 1
-            sign = -coef if first >= 0 else 1
-            w = [0] * len(steps)
-            for j, c in row:
-                if c and j != first:
-                    c *= sign
-                    for i, v in images[j]:
-                        w[i] += c * v
-            _reduce_dense(w, steps)
-            if first < 0:
-                if any(w):
-                    core.insert({i: v for i, v in enumerate(w) if v})
-                    steps = _walk_steps(core)
-                continue
-            col = first
-        key = tuple((i, v) for i, v in enumerate(w) if v)
-        images[col] = normal.setdefault(key, key)
-        s = head[col]
-        head[col] = -1
-        while s >= 0:
-            woken.append(s)
-            s = link[s]
-    # C may have grown since an image was reduced: reduce each distinct
-    # image again, by C with its unit columns cleared.
-    core.clear_unit_columns()
-    steps = _walk_steps(core)
-    final: dict = {}
-    for key in normal:
-        w = [0] * len(steps)
-        for i, v in key:
-            w[i] = v
-        _reduce_dense(w, steps)
-        img = tuple((i, v) for i, v in enumerate(w) if v)
-        normal[key] = final.setdefault(img, img)
-    return CoreMap([normal[img] for img in images], core)
 
 
 class AbelianStructure(namedtuple("AbelianStructure", "invariant_factors")):

