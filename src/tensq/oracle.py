@@ -25,14 +25,16 @@ so every coefficient is kept below M while the quotient is unchanged.
 The |G|^2-column lattice is never built, and no row is stored.  The
 paper's claim is that four symbols, a (x) b, a (x) a, b (x) b and
 b (x) a, generate G (x) G, and the rows bear it out.  The build streams
-them from the group tables: each time a pair symbol gains its image,
-the rows it sits in are recomputed, and a row with one symbol left
-without an image and a unit coefficient there gives it its image (on
-every tuple with |G| <= 100 the free columns left are exactly those
-four).  Every image comes from one such row, and every other row is
-read once, as a relation, in the lattice they span on the free
-columns.  The result is an abgrp.CoreMap: each symbol's image in the
-core and the core lattice.
+them from four O(|G|) maps of the elements per generator c, x -> xc,
+xc^-1, x^c and x^(c^-1): each time a pair symbol gains its image, the
+rows with it as first or second symbol are recomputed, and a row with
+one symbol left without an image and a unit coefficient there gives it
+its image (on every tuple with |G| <= 100 the free columns left are
+exactly those four).  Every image comes from one such row, and every
+other row is read once, as a relation, in the lattice they span on the
+free columns.  The result is an abgrp.CoreMap: each symbol's image in
+the core and the core lattice.  The |G|^2 group tables are built only
+when a suite first reads them.
 
 The verification suites re-check, instance by instance, the statements
 the closed forms were derived from: the twelve power identities, the
@@ -68,93 +70,109 @@ from .errors import FormulaInconsistencyError, ResourceLimitError
 from .metagrp import GroupParams
 from .presentations import upsilon_order_bounds
 
-GROUP_ORDER_LIMIT = 500
+GROUP_ORDER_LIMIT = 1000
+# Relations _stream_core_map keeps as read, by image numbers: up to 13 MB.
+READ_MEMO = 1 << 17
 
 
 class OracleModel:
-    """The group tables of _group_tables, whose element indices number the
-    pair symbols, the relation lattice's CoreMap and the quotient read
-    off its core lattice.
+    """The relation lattice's CoreMap and the quotient read off its core
+    lattice.
 
-    ``ext_map``, the CoreMap of the exterior square, and ``ext_handle``,
-    its quotient, are filled in on first use (see _exterior_map and
-    :func:`exterior_oracle`).
+    The group tables of _group_tables, whose element indices number the
+    pair symbols (``mul``, ``conj_by``, ``derived_ids`` and ``oprime``),
+    are |G|^2 and only the suites read them, so they are built at the
+    first read and kept.  ``ext_map``, the CoreMap of the exterior
+    square, and ``ext_handle``, its quotient, are filled in on first use
+    (see _exterior_map and :func:`exterior_oracle`).
     """
 
     __slots__ = (
-        "params", "mul", "conj_by", "core_map", "handle",
-        "raw_rows", "distinct_rows", "derived_ids", "oprime", "ext_map", "ext_handle",
+        "params", "core_map", "handle", "raw_rows", "distinct_rows", "ext_map", "ext_handle", "_tables",
     )
 
     def __init__(
-        self,
-        params: GroupParams,
-        mul: list[list[int]],
-        conj_by: list[list[int]],
-        core_map: CoreMap,
-        handle: QuotientHandle,
-        raw_rows: int,
-        distinct_rows: int,
-        derived_ids: list[int],
-        oprime: list[int],
+        self, params: GroupParams, core_map: CoreMap, handle: QuotientHandle, raw_rows: int, distinct_rows: int
     ):
         self.params = params
-        self.mul = mul
-        self.conj_by = conj_by
         self.core_map = core_map
         self.handle = handle
         self.raw_rows = raw_rows
         self.distinct_rows = distinct_rows
-        self.derived_ids = derived_ids
-        self.oprime = oprime
         self.ext_map: CoreMap | None = None
         self.ext_handle: QuotientHandle | None = None
+        self._tables = None
+
+    def tables(self) -> tuple:
+        """mul, conj_by, derived_ids and oprime, built at the first call."""
+        if self._tables is None:
+            self._tables = _group_tables(self.params)
+        return self._tables
+
+    mul = property(lambda self: self.tables()[0])
+    conj_by = property(lambda self: self.tables()[1])
+    derived_ids = property(lambda self: self.tables()[2])
+    oprime = property(lambda self: self.tables()[3])
 
 
-def _stream_core_map(
-    mul: list[list[int]], conj_by: list[list[int]], second, modulus: int
-) -> tuple[CoreMap, int]:
+def _stream_core_map(tables, modulus: int) -> tuple[CoreMap, int]:
     """The CoreMap of the lattice the rows of both relation families span,
-    for second variables c in ``second``, plus M * Z^(|G|^2) for M =
+    for the second variables c of ``tables``, plus M * Z^(|G|^2) for M =
     ``modulus``, and the number of distinct rows; no row is stored.
 
-    Write [x, y] for the column of the pair symbol (x, y), R(g, c, h) =
-    [gc, h] - [g^c, h^c] - [c, h] for a row of the first family, and
-    F(g, c, h) for its mirror, every pair symbol swapped.
+    ``tables`` holds a tuple (c, x -> xc, x -> xc^-1, x -> x^c,
+    x -> x^(c^-1)) for each c, the four maps as lists over the element
+    indices (see _generator_tables).  Write [x, y] for the column of the
+    pair symbol (x, y), R(g, c, h) = [gc, h] - [g^c, h^c] - [c, h] for a
+    row of the first family, and F(g, c, h) for its mirror, every pair
+    symbol swapped; a row's first two columns are the first two terms.
 
     A column gains its image in one of three ways.  Every (1, y) and
     (y, 1) starts with image 0, from the unit rows R(1, c, h) =
     -[1, h^c] and their mirrors.  A row whose one column without an
     image has coefficient u = +-1 gives it the image -u times the image
-    of the rest of the row.  When no row can, the least column without
-    an image becomes the next free column, its own image, and the core
-    lattice C gains it as a last column with its row M * e_j.
+    of the rest of the row, and is kept as that column's source.  When
+    no row can, the least column without an image becomes the next free
+    column, its own image, and the core lattice C gains it as a last
+    column with its row M * e_j.
 
-    When a column (x, y) gains its image, the rows it sits in are
-    recomputed from the group tables and peeled or read on the spot:
-    for each c, R(x c^-1, c, y) (as its first column) and
-    R(x^(c^-1), c, y^(c^-1)) (as its second), the same two places in
-    the mirror family, and, when x = c (or y = c in the mirror), the |G|
-    rows with (x, y) as their third column.  So every row is met at the
-    event of each of its columns, and so as soon as it has one column
-    left without an image.  A row with none left is a relation: it
-    is read once, at the event of the last of its columns to gain an
-    image, through the first place that column holds in it, and not at
-    all when it is the row that gave that column its image.  Reading it
-    sums its columns' images densely, reduces the sum by C, and inserts
-    it into C unless that leaves 0.  Images are reduced by C as they are
-    made, so kept below M; at the end each is brought to its normal form
-    by C with its unit columns cleared, and equal images are one tuple.
+    When a column (x, y) gains its image, the rows with it as first or
+    second column are recomputed from the tables and peeled or read on
+    the spot: for each c, R(x c^-1, c, y) and R(x^(c^-1), c, y^(c^-1)),
+    and the same two places in the mirror family.  A row with every
+    column imaged is a relation: it is read at the event of whichever of
+    its first two columns gained its image later, and not at all when
+    it is the source of one of its three columns.  Reading it sums its
+    columns' images densely, reduces the sum by C, and inserts it into C
+    unless that leaves 0.  Each distinct image is kept once and numbered,
+    and a relation whose columns' image numbers match those of one read
+    before is counted but not summed: its sum is in C already, as C only
+    grows.  Up to READ_MEMO triples are kept; on groups with few
+    distinct images the repeats are most of the reads, and a triple met
+    past that count is summed and not kept.  Images are reduced by C as they are made, so kept below M;
+    at the end each is brought to its normal form by C with its unit
+    columns cleared, and equal images are one tuple.
 
-    The distinct rows are counted without storing one.  Two rows whose
-    normalized forms are equal are equal, since each row's coefficients
-    sum to -1.  The first column of R(g, c, h) is never its second,
-    since gc = g^c would force c = 1; it is its third exactly when
-    g = 1, which leaves the unit row -[1, h^c].  Every other row has two
-    or three entries: +1 at its first column, and -1 at each of the
-    other two, or -2 where they coincide.  Rows with two or three
-    entries never repeat (c and c' are in ``second``, a subset of
-    {a, b}):
+    Every row but a unit row is peeled or read exactly once, so the
+    images and C account for every row.  The first column of R(g, c, h)
+    is never its second, since gc = g^c would force c = 1; it is its
+    third exactly when g = 1, the unit row.  A row peels at most once,
+    since it is then left with no column without an image.  Let L be
+    the one of its first two columns that gained its image later and E
+    the other.  Every column gains an image and has its event, and at
+    L's event both have theirs.  If the third column t has none there, t
+    is neither of them and has coefficient -1, so the row peels it.
+    Otherwise the row is complete and is read there unless it peeled a
+    column.  At E's event, early or late, it is not read, since E gained
+    its image before L.
+
+    The distinct rows are counted without storing one: each row as it
+    peels or is read, and the unit rows by their columns, kept in a set.
+    Two rows whose normalized forms are equal are equal, since each
+    row's coefficients sum to -1.  Every row but a unit row has two or
+    three entries: +1 at its first column, and -1 at each of the other
+    two, or -2 where they coincide.  Rows with two or three entries
+    never repeat (c and c' are in ``tables``, a subset of {a, b}):
 
     - R(g, c, h) = R(g', c', h'): the first columns give gc = g'c' and
       h = h'.  If [c, h] = [c', h'], then c = c' and g = g', one row.
@@ -168,71 +186,54 @@ def _stream_core_map(
       If [c, h] = [h', c'], then gc = c, so g = 1 and R is a unit row.
       Otherwise [g^c, h^c] = [h', c'], so g^c = gc and c = 1.
 
-    So the distinct rows are all the rows with two or three entries,
-    each counted once as it peels a column or is read, plus the
-    distinct unit rows, whose columns are kept in a set: the (1, y) and
-    (y, 1), at most 2|G|.
+    The 2k|G| unit rows of k second variables are the 2|G| - 1 rows
+    -[1, y] and -[y, 1], and the other 2k|G|^2 - 2k|G| rows never
+    repeat, so the count is 2k|G|^2 - 2(k - 1)|G| - 1: 4|G|^2 - 2|G| - 1
+    for {a, b}.  A row read twice, or neither read nor peeled, moves it.
     """
-    ng = len(mul)
+    ng = len(tables[0][1])
     ncols = ng * ng
-    images: list = [None] * ncols
+    images = array("i", [-1]) * ncols
     stamp = array("i", [-1]) * ncols
-    tables = []
-    for ci, c in enumerate(second):
-        cinv = mul[c].index(0)
-        tables.append((
-            c, conj_by[c], conj_by[cinv],
-            [row[c] for row in mul], [row[cinv] for row in mul],
-            2 * ci * ncols, (2 * ci + 1) * ncols,
-        ))
+    source = array("i", [-1]) * ncols
+    keyed = [(*t, 2 * i * ncols, (2 * i + 1) * ncols) for i, t in enumerate(tables)]
 
     def rows_at(col: int):
-        """(p, q, t, key) of each row e_p - e_q - e_t that column col sits
-        in, once, through the first place col holds in it; key numbers
-        the row by its family, c, g and h."""
+        """(p, q, t, key) of each row e_p - e_q - e_t with column col first
+        or second; key numbers the row by its family, c, g and h."""
         x, y = divmod(col, ng)
-        for c, act, unact, right, unright, first, mirror in tables:
+        for c, right, unright, act, unact, first, mirror in keyed:
             # R(g, c, h) = [gc, h] - [g^c, h^c] - [c, h]
             g = unright[x]
             yield col, act[g] * ng + act[y], c * ng + y, first + g * ng + y
             g, h = unact[x], unact[y]
-            p = right[g] * ng + h
-            if p != col:
-                yield p, col, c * ng + h, first + g * ng + h
-            if x == c:
-                ay = act[y]
-                for g in range(ng):
-                    p, q = right[g] * ng + y, act[g] * ng + ay
-                    if p != col and q != col:
-                        yield p, q, col, first + g * ng + y
+            yield right[g] * ng + h, col, c * ng + h, first + g * ng + h
             # its mirror, [h, gc] - [h^c, g^c] - [h, c]
             g = unright[y]
             yield col, act[x] * ng + act[g], x * ng + c, mirror + g * ng + x
             g, h = unact[y], unact[x]
-            p = h * ng + right[g]
-            if p != col:
-                yield p, col, h * ng + c, mirror + g * ng + h
-            if y == c:
-                ax = act[x]
-                for g in range(ng):
-                    p, q = x * ng + right[g], ax * ng + act[g]
-                    if p != col and q != col:
-                        yield p, q, col, mirror + g * ng + x
+            yield h * ng + right[g], col, h * ng + c, mirror + g * ng + h
 
     core = RowLattice(0, modulus)
     steps: list = []
-    normal: dict = {}
-    events: list = []
+    numbers: dict = {}
+    vectors: list = []
+    events = array("i")
     clock = 0
 
-    def give(col: int, img: tuple, source: int) -> None:
-        """Give col its image, stamped with the order it came in, and
-        queue its event; source is the key of the row it came from."""
+    def give(col: int, img: tuple, key: int) -> None:
+        """Give col its image, by its number in vectors, stamped with the
+        order it came in, and queue its event; key is its source row's,
+        or -1."""
         nonlocal clock
-        images[col] = normal.setdefault(img, img)
+        k = numbers.setdefault(img, len(vectors))
+        if k == len(vectors):
+            vectors.append(img)
+        images[col] = k
         stamp[col] = clock
+        source[col] = key
         clock += 1
-        events.append((col, source))
+        events.append(col)
 
     for y in range(ng):
         for col in (y, y * ng):
@@ -240,6 +241,7 @@ def _stream_core_map(
                 give(col, (), -1)
     multi = cursor = 0
     units = set()
+    read = set()
     while True:
         if not events:
             while cursor < ncols and stamp[cursor] >= 0:
@@ -249,25 +251,32 @@ def _stream_core_map(
             core.add_column()
             steps = _walk_steps(core)
             give(cursor, ((len(steps) - 1, 1),), -1)
-        col, source = events.pop()
+        col = events.pop()
         last = stamp[col]
         for p, q, t, key in rows_at(col):
             if p == t:
-                # g = 1: the unit row -[q], whose image is 0; read at q's event.
+                # g = 1: the unit row -[q], whose image is 0.
                 if q == col:
                     units.add(q)
                 continue
             sp, sq, st = stamp[p], stamp[q], stamp[t]
             if sp >= 0 and sq >= 0 and st >= 0:
-                if key == source or sp > last or sq > last or st > last:
+                if sp > last or sq > last or key in (source[p], source[q], source[t]):
                     continue
                 multi += 1
+                ip, iq, it = images[p], images[q], images[t]
+                # Image numbers are below ncols, one per image given at most.
+                triple = (ip * ncols + iq) * ncols + it
+                if triple in read:
+                    continue
+                if len(read) < READ_MEMO:
+                    read.add(triple)
                 w = [0] * len(steps)
-                for i, v in images[p]:
+                for i, v in vectors[ip]:
                     w[i] += v
-                for i, v in images[q]:
+                for i, v in vectors[iq]:
                     w[i] -= v
-                for i, v in images[t]:
+                for i, v in vectors[it]:
                     w[i] -= v
                 _reduce_dense(w, steps)
                 if any(w):
@@ -281,16 +290,16 @@ def _stream_core_map(
                     continue
                 u, a, b, sign = p, q, t, 1
             elif sq < 0:
-                if st < 0 or q == t:
+                if st < 0:
                     continue
                 u, a, b, sign = q, p, t, -1
             else:
                 u, a, b, sign = t, p, q, -1
             multi += 1
             w = [0] * len(steps)
-            for i, v in images[a]:
+            for i, v in vectors[images[a]]:
                 w[i] += v
-            for i, v in images[b]:
+            for i, v in vectors[images[b]]:
                 w[i] += sign * v
             _reduce_dense(w, steps)
             give(u, tuple((i, v) for i, v in enumerate(w) if v), key)
@@ -299,14 +308,38 @@ def _stream_core_map(
     core.clear_unit_columns()
     steps = _walk_steps(core)
     final: dict = {}
-    for img in normal:
+    for k, img in enumerate(vectors):
         w = [0] * len(steps)
         for i, v in img:
             w[i] = v
         _reduce_dense(w, steps)
         reduced = tuple((i, v) for i, v in enumerate(w) if v)
-        normal[img] = final.setdefault(reduced, reduced)
-    return CoreMap([normal[img] for img in images], core), multi + len(units)
+        vectors[k] = final.setdefault(reduced, reduced)
+    return CoreMap([vectors[k] for k in images], core), multi + len(units)
+
+
+def _generator_tables(p: GroupParams) -> list:
+    """(c, x -> xc, x -> xc^-1, x -> x^c, x -> x^(c^-1)) for c = a and
+    c = b, each map a list over the element indices, by the index
+    arithmetic of _group_tables: O(|G|), where its tables are |G|^2.
+
+    b^beta a^alpha times a is b^beta a^(alpha+1), and times b is
+    b^(beta+1) a^(alpha r), with b^n = a^s.  Conjugation keeps beta and
+    sends alpha to alpha + 1 - r^beta under a, to alpha r under b.
+    """
+    m, n, r, s = p.m, p.n, p.r, p.s
+    elems = [divmod(x, m) for x in range(m * n)]
+    right_a = [beta * m + (alpha + 1) % m for beta, alpha in elems]
+    act_a = [beta * m + (alpha + 1 - pow(r, beta, m)) % m for beta, alpha in elems]
+    right_b = [(beta + 1) % n * m + (alpha * r + (beta == n - 1) * s) % m for beta, alpha in elems]
+    act_b = [beta * m + alpha * r % m for beta, alpha in elems]
+    tables = []
+    for c, right, act in ((1, right_a, act_a), (m, right_b, act_b)):
+        unright, unact = [0] * len(elems), [0] * len(elems)
+        for x in range(len(elems)):
+            unright[right[x]] = unact[act[x]] = x
+        tables.append((c, right, unright, act, unact))
+    return tables
 
 
 def _group_tables(p: GroupParams):
@@ -419,19 +452,14 @@ def build_tensor_oracle(params: GroupParams) -> OracleModel:
             f"oracle needs |G|^2 = {ng * ng} columns; |G| = {ng} exceeds the "
             f"limit {GROUP_ORDER_LIMIT}"
         )
-    mul, conj_by, derived_ids, oprime = _group_tables(params)
-    second = (1, params.m)  # a, b
-    core_map, distinct_rows = _stream_core_map(mul, conj_by, second, tensor_exponent_bound(ng))
+    tables = _generator_tables(params)
+    core_map, distinct_rows = _stream_core_map(tables, tensor_exponent_bound(ng))
     return OracleModel(
         params=params,
-        mul=mul,
-        conj_by=conj_by,
         core_map=core_map,
         handle=_bounded_quotient(core_map.lattice),
-        raw_rows=2 * len(second) * ng * ng,
+        raw_rows=2 * len(tables) * ng * ng,
         distinct_rows=distinct_rows,
-        derived_ids=derived_ids,
-        oprime=oprime,
     )
 
 

@@ -104,7 +104,7 @@ def test_validation_exit_code(monkeypatch, capsys):
 
 
 def test_resource_exit_code(capsys):
-    rc = main(["compute", "--m", "11", "--n", "50", "--r", "10", "--s", "0", "--oracle"])
+    rc = main(["compute", "--m", "11", "--n", "100", "--r", "10", "--s", "0", "--oracle"])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tensq import abgrp, metagrp, oracle
+from tensq import abgrp, cli, metagrp, oracle
 from tensq.errors import FormulaInconsistencyError, ResourceLimitError, TensqError
 from tensq.oracle import (
     build_tensor_oracle,
@@ -188,10 +188,42 @@ def test_group_tables_match_the_element_arithmetic():
         assert model.oprime == [metagrp.coset_order(e, p, derived) for e in elems]
 
 
+def test_generator_tables_match_the_group_tables():
+    # The build's O(|G|) maps x -> xc, xc^-1, x^c, x^(c^-1) for c = a, b
+    # against the columns c and c^-1 of the |G|^2 mul and the rows c and
+    # c^-1 of conj_by.
+    for p in enumerate_valid_tuples(100, include_s_zero=True):
+        mul, conj_by, _, _ = oracle._group_tables(p)
+        expected = []
+        for c in (1, p.m):
+            cinv = mul[c].index(0)
+            expected.append((c, [row[c] for row in mul], [row[cinv] for row in mul], conj_by[c], conj_by[cinv]))
+        assert oracle._generator_tables(p) == expected, (p.m, p.n, p.r, p.s)
+
+
+def test_record_path_builds_no_group_table(monkeypatch):
+    # compute --oracle reads the build, the quotients and the Schur order,
+    # none of which needs a |G|^2 group table; the suites build the
+    # tables once, at their first read.
+    def refuse(params):
+        raise AssertionError("a |G|^2 group table was built")
+
+    golden = json.loads((DATA / "compute_9343.json").read_text())
+    p = metagrp.validate(9, 3, 4, 3)
+    group_tables = oracle._group_tables
+    monkeypatch.setattr(oracle, "_group_tables", refuse)
+    assert cli.build_run_record(p, True)["oracle"] == golden["oracle"]
+    model = build_tensor_oracle(p)
+    calls = []
+    monkeypatch.setattr(oracle, "_group_tables", lambda params: calls.append(params) or group_tables(params))
+    assert verify_identities(model).passed and verify_bounds(model).passed
+    assert calls == [p]
+
+
 def test_group_order_limit():
-    assert metagrp.validate(11, 50, 10, 0).order > oracle.GROUP_ORDER_LIMIT
+    assert metagrp.validate(11, 100, 10, 0).order > oracle.GROUP_ORDER_LIMIT
     with pytest.raises(ResourceLimitError):
-        build_tensor_oracle(metagrp.validate(11, 50, 10, 0))
+        build_tensor_oracle(metagrp.validate(11, 100, 10, 0))
 
 
 def basis_digest(lattice):
@@ -264,7 +296,9 @@ def test_oracle_matches_closed_forms_past_order_45():
     for tup in ((9, 6, 4, 3), (27, 3, 10, 9)):
         model = build_tensor_oracle(metagrp.validate(*tup))
         report = exterior_and_schur(model.params)
-        assert model.params.order > 45
+        ng = model.params.order
+        assert ng > 45
+        assert model.distinct_rows == 4 * ng * ng - 2 * ng - 1, tup
         assert model.handle.structure == report.tensor, tup
         assert exterior_oracle(model) == report.exterior, tup
         assert oracle_schur_order(model) == report.schur.order, tup
@@ -304,11 +338,13 @@ def small_models():
 
 def test_distinct_rows_count_the_reference_rows():
     # The streamed build counts the distinct rows without storing one;
-    # the reference stores, sorts and deduplicates them.
+    # the reference stores, sorts and deduplicates them.  Both are
+    # 4|G|^2 - 2|G| - 1, and a row the build read twice, or neither read
+    # nor peeled, would move the build's count.
     for model in small_models():
         p = model.params
         rows = _relation_rows(model.mul, model.conj_by, (1, p.m))
-        assert model.distinct_rows == len(rows), (p.m, p.n, p.r, p.s)
+        assert model.distinct_rows == len(rows) == 4 * p.order**2 - 2 * p.order - 1, (p.m, p.n, p.r, p.s)
 
 
 def test_streamed_map_is_exact_on_the_rows_of_one_generator():
@@ -321,8 +357,9 @@ def test_streamed_map_is_exact_on_the_rows_of_one_generator():
         ng = p.order
         mul, conj_by, _, _ = oracle._group_tables(p)
         bound = oracle.tensor_exponent_bound(ng)
-        for second in ((1,), (p.m,)):
-            cmap, distinct_rows = oracle._stream_core_map(mul, conj_by, second, bound)
+        for gen in oracle._generator_tables(p):
+            second = gen[:1]
+            cmap, distinct_rows = oracle._stream_core_map((gen,), bound)
             rows = _relation_rows(mul, conj_by, second)
             lattice = abgrp.RowLattice(ng * ng, bound)
             for row in rows:
