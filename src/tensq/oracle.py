@@ -71,8 +71,6 @@ from .metagrp import GroupParams
 from .presentations import upsilon_order_bounds
 
 GROUP_ORDER_LIMIT = 1000
-# Relations _stream_core_map keeps as read, by image numbers: up to 13 MB.
-READ_MEMO = 1 << 17
 
 
 class OracleModel:
@@ -144,14 +142,9 @@ def _stream_core_map(tables, modulus: int) -> tuple[CoreMap, int]:
     its first two columns gained its image later, and not at all when
     it is the source of one of its three columns.  Reading it sums its
     columns' images densely, reduces the sum by C, and inserts it into C
-    unless that leaves 0.  Each distinct image is kept once and numbered,
-    and a relation whose columns' image numbers match those of one read
-    before is counted but not summed: its sum is in C already, as C only
-    grows.  Up to READ_MEMO triples are kept; on groups with few
-    distinct images the repeats are most of the reads, and a triple met
-    past that count is summed and not kept.  Images are reduced by C as they are made, so kept below M;
-    at the end each is brought to its normal form by C with its unit
-    columns cleared, and equal images are one tuple.
+    unless that leaves 0.  Images are reduced by C as they are made, so
+    kept below M; at the end each is brought to its normal form by C
+    with its unit columns cleared, and equal images are one tuple.
 
     Every row but a unit row is peeled or read exactly once, so the
     images and C account for every row.  The first column of R(g, c, h)
@@ -193,7 +186,7 @@ def _stream_core_map(tables, modulus: int) -> tuple[CoreMap, int]:
     """
     ng = len(tables[0][1])
     ncols = ng * ng
-    images = array("i", [-1]) * ncols
+    images: list = [None] * ncols
     stamp = array("i", [-1]) * ncols
     source = array("i", [-1]) * ncols
     keyed = [(*t, 2 * i * ncols, (2 * i + 1) * ncols) for i, t in enumerate(tables)]
@@ -216,20 +209,15 @@ def _stream_core_map(tables, modulus: int) -> tuple[CoreMap, int]:
 
     core = RowLattice(0, modulus)
     steps: list = []
-    numbers: dict = {}
-    vectors: list = []
+    normal: dict = {}
     events = array("i")
     clock = 0
 
     def give(col: int, img: tuple, key: int) -> None:
-        """Give col its image, by its number in vectors, stamped with the
-        order it came in, and queue its event; key is its source row's,
-        or -1."""
+        """Give col its image, stamped with the order it came in, and
+        queue its event; key is its source row's, or -1."""
         nonlocal clock
-        k = numbers.setdefault(img, len(vectors))
-        if k == len(vectors):
-            vectors.append(img)
-        images[col] = k
+        images[col] = normal.setdefault(img, img)
         stamp[col] = clock
         source[col] = key
         clock += 1
@@ -241,7 +229,6 @@ def _stream_core_map(tables, modulus: int) -> tuple[CoreMap, int]:
                 give(col, (), -1)
     multi = cursor = 0
     units = set()
-    read = set()
     while True:
         if not events:
             while cursor < ncols and stamp[cursor] >= 0:
@@ -264,19 +251,12 @@ def _stream_core_map(tables, modulus: int) -> tuple[CoreMap, int]:
                 if sp > last or sq > last or key in (source[p], source[q], source[t]):
                     continue
                 multi += 1
-                ip, iq, it = images[p], images[q], images[t]
-                # Image numbers are below ncols, one per image given at most.
-                triple = (ip * ncols + iq) * ncols + it
-                if triple in read:
-                    continue
-                if len(read) < READ_MEMO:
-                    read.add(triple)
                 w = [0] * len(steps)
-                for i, v in vectors[ip]:
+                for i, v in images[p]:
                     w[i] += v
-                for i, v in vectors[iq]:
+                for i, v in images[q]:
                     w[i] -= v
-                for i, v in vectors[it]:
+                for i, v in images[t]:
                     w[i] -= v
                 _reduce_dense(w, steps)
                 if any(w):
@@ -297,9 +277,9 @@ def _stream_core_map(tables, modulus: int) -> tuple[CoreMap, int]:
                 u, a, b, sign = t, p, q, -1
             multi += 1
             w = [0] * len(steps)
-            for i, v in vectors[images[a]]:
+            for i, v in images[a]:
                 w[i] += v
-            for i, v in vectors[images[b]]:
+            for i, v in images[b]:
                 w[i] += sign * v
             _reduce_dense(w, steps)
             give(u, tuple((i, v) for i, v in enumerate(w) if v), key)
@@ -308,14 +288,14 @@ def _stream_core_map(tables, modulus: int) -> tuple[CoreMap, int]:
     core.clear_unit_columns()
     steps = _walk_steps(core)
     final: dict = {}
-    for k, img in enumerate(vectors):
+    for img in normal:
         w = [0] * len(steps)
         for i, v in img:
             w[i] = v
         _reduce_dense(w, steps)
         reduced = tuple((i, v) for i, v in enumerate(w) if v)
-        vectors[k] = final.setdefault(reduced, reduced)
-    return CoreMap([vectors[k] for k in images], core), multi + len(units)
+        normal[img] = final.setdefault(reduced, reduced)
+    return CoreMap([normal[img] for img in images], core), multi + len(units)
 
 
 def _generator_tables(p: GroupParams) -> list:
