@@ -22,7 +22,9 @@ Each layer is imported where it is first used, so a command loads only
 the layers it runs: --version, --help and usage errors load none;
 checking a tuple loads metagrp and numth; building a record adds
 presentations and abgrp, and --oracle adds the oracle; a batch served
-from the cache builds no record; verify loads every layer, fpgrp too.
+from the cache builds no record; verify loads the oracle only for an
+oracle suite and fpgrp only for the nu suite, so --suite all loads
+every layer.
 hashlib is imported only when TENSQ_CACHE_DIR is set.  No module
 imports dataclasses (which loads inspect) or typing: the value types
 are named tuples and __slots__ classes, cheap to define and to build.
@@ -313,20 +315,21 @@ def _print_suite(report) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import fpgrp, oracle
-
     params = _params(args)
-    max_cosets = fpgrp.DEFAULT_MAX_COSETS if args.max_cosets is None else args.max_cosets
     failures = 0
     inconclusive = False
-    model = None
     if args.suite in ("identities", "bounds", "all"):
+        from . import oracle
+
         model = oracle.build_tensor_oracle(params)
-    if args.suite in ("identities", "all"):
-        failures += _print_suite(oracle.verify_identities(model))
-    if args.suite in ("bounds", "all"):
-        failures += _print_suite(oracle.verify_bounds(model))
+        if args.suite in ("identities", "all"):
+            failures += _print_suite(oracle.verify_identities(model))
+        if args.suite in ("bounds", "all"):
+            failures += _print_suite(oracle.verify_bounds(model))
     if args.suite in ("nu", "all"):
+        from . import fpgrp
+
+        max_cosets = fpgrp.DEFAULT_MAX_COSETS if args.max_cosets is None else args.max_cosets
         cert = fpgrp.certify_nu_order(params, max_cosets=max_cosets)
         if cert.status == "INCONCLUSIVE":
             inconclusive = True

@@ -1,17 +1,24 @@
 """Finite presentations: text parsing and Todd-Coxeter enumeration.
 
 The enumerator is the standard relator-based HLT strategy over a
-subgroup H given by generating words: each of them is first scanned and
-filled at coset 0 (the coset H itself), then every live coset is scanned
-against every relator, scans fill in missing table entries, and
-collisions are resolved with a union-find coincidence queue.  When the
-table closes, the number of live cosets is the index [G:H], which is
-the group order when H is trivial.  Running out of table space is an
-ordinary outcome, reported in the result rather than raised.
+subgroup H given by generating words (Holt, Eick and O'Brien,
+*Handbook of Computational Group Theory*, 2005, ch. 5): each of them
+is first scanned and filled at coset 0 (the coset H itself), then
+every live coset is scanned against every relator, scans fill in
+missing table entries, and collisions are resolved with a union-find
+coincidence queue.  When the table closes, the number of live cosets is
+the index [G:H], which is the group order when H is trivial.  Running
+out of table space is an ordinary outcome, reported in the result
+rather than raised.
 
-The run is deterministic: relators are scanned in the order listed,
-cosets are numbered in creation order, and the fill pass walks columns
-left to right.
+The relators are normalized once: empty ones and repeats up to
+inversion and cyclic rotation are dropped (nu(G) lists [v, w] and
+[w, v]), and the rest are scanned shortest first, ties in the order
+listed, since short relators deduce entries sooner and so fewer
+cosets are defined.  The run is deterministic: cosets are numbered in
+creation order, and the fill pass walks columns left to right.  A dead
+coset's row is freed once its entries have moved, so memory follows
+the live cosets.
 """
 
 from __future__ import annotations
@@ -130,13 +137,16 @@ class CosetTable:
 
     Columns come in pairs: column 2g is the action of generator g,
     column 2g+1 of its inverse.  -1 marks an undefined entry.  Dead
-    cosets are tracked through the union-find array ``p``.
+    cosets are tracked through the union-find array ``p``, and a dead
+    coset's row is freed, set to None, once ``coincidence`` has moved
+    its entries, so the table holds rows for the live cosets and the
+    dead ones still queued.  ``live`` counts the live cosets.
     """
 
     def __init__(self, ngens: int, max_cosets: int):
         self.ncols = 2 * ngens
         self.max_cosets = max_cosets
-        self.table: list[list[int]] = [[-1] * self.ncols]
+        self.table: list[list[int] | None] = [[-1] * self.ncols]
         self.p = [0]
         self.queue: deque[int] = deque()
         self.live = 1
@@ -170,7 +180,26 @@ class CosetTable:
             self.live -= 1
 
     def coincidence(self, alpha: int, beta: int) -> None:
+        """Merge alpha and beta and every coincidence that follows (the
+        COINCIDENCE routine of Holt-Eick-O'Brien, ch. 5), freeing each
+        dead row.
+
+        Freeing is safe.  Entries are written in pairs, table[a][x] = b
+        with its back-pointer table[b][x ^ 1] = a, into two undefined
+        slots, and both a and b live: by ``define``, by a scan's
+        deduction and by the last branch below, between representatives.
+        The one other write, table[delta][x ^ 1] = -1, clears the
+        back-pointer of an entry of the dead row being processed.  So
+        every entry that points to gamma, in a row not yet freed, is the
+        back-pointer of an entry of gamma's row, and processing gamma
+        clears each of them; none is written later, gamma being dead.
+        Every dead coset is queued once and processed before this method
+        returns, so afterwards no entry points to a dead coset, and
+        reads, which follow entries from a live coset, never reach a
+        freed row.
+        """
         table = self.table
+        rep = self.rep
         self.merge(alpha, beta)
         while self.queue:
             gamma = self.queue.popleft()
@@ -180,8 +209,8 @@ class CosetTable:
                 if delta == -1:
                     continue
                 table[delta][x ^ 1] = -1
-                mu = self.rep(gamma)
-                nu = self.rep(delta)
+                mu = rep(gamma)
+                nu = rep(delta)
                 if table[mu][x] != -1:
                     self.merge(nu, table[mu][x])
                 elif table[nu][x ^ 1] != -1:
@@ -189,38 +218,7 @@ class CosetTable:
                 else:
                     table[mu][x] = nu
                     table[nu][x ^ 1] = mu
-
-    def scan_and_fill(self, alpha: int, letters: list[int]) -> None:
-        table = self.table
-        f = alpha
-        i = 0
-        b = alpha
-        j = len(letters) - 1
-        while True:
-            while i <= j:
-                nxt = table[f][letters[i]]
-                if nxt == -1:
-                    break
-                f = nxt
-                i += 1
-            if i > j:
-                if f != b:
-                    self.coincidence(f, b)
-                return
-            while j >= i:
-                nxt = table[b][letters[j] ^ 1]
-                if nxt == -1:
-                    break
-                b = nxt
-                j -= 1
-            if j < i:
-                self.coincidence(f, b)
-                return
-            if j == i:
-                table[f][letters[i]] = b
-                table[b][letters[i] ^ 1] = f
-                return
-            self.define(f, letters[i])
+            table[gamma] = None
 
 
 def _letters(word: Word) -> list[int]:
@@ -229,6 +227,32 @@ def _letters(word: Word) -> list[int]:
         col = 2 * gen if exp > 0 else 2 * gen + 1
         out.extend([col] * abs(exp))
     return out
+
+
+def _normalized_relators(relators: tuple[Word, ...]) -> list[list[int]]:
+    """The relators as letters, shortest first, ties in listed order.
+
+    An empty relator is dropped, and so is one that repeats an earlier
+    one up to inversion and cyclic rotation: both have the same normal
+    closure, so the group is unchanged.  A word is a rotation of w when
+    it has w's length and occurs in w + w; the letters are compared as
+    strings of code points, so the search runs in C.
+    """
+    kept: list[list[int]] = []
+    doubled: dict[int, list[str]] = {}
+    for word in relators:
+        letters = _letters(word)
+        if not letters:
+            continue
+        text = "".join(map(chr, letters))
+        inverse = "".join([chr(x ^ 1) for x in reversed(letters)])
+        same_length = doubled.setdefault(len(letters), [])
+        if any(text in ww or inverse in ww for ww in same_length):
+            continue
+        same_length.append(text + text)
+        kept.append(letters)
+    kept.sort(key=len)
+    return kept
 
 
 def todd_coxeter(
@@ -243,27 +267,62 @@ def todd_coxeter(
     exceed ``max_cosets`` rows; the caller decides whether to retry
     larger.
     """
-    relator_letters = [_letters(w) for w in pres.relators]
+    relators = _normalized_relators(pres.relators)
     ct = CosetTable(len(pres.generators), max_cosets)
+    table = ct.table
+    p = ct.p
+    define = ct.define
+    coincidence = ct.coincidence
+    ncols = ct.ncols
+    # Coset 0 scans the subgroup's words first, then the relators.
+    words = [_letters(w) for w in subgroup] + relators
     try:
-        for word in subgroup:
-            ct.scan_and_fill(0, _letters(word))
         alpha = 0
-        while alpha < len(ct.table):
-            if ct.p[alpha] == alpha:
-                for letters in relator_letters:
-                    ct.scan_and_fill(alpha, letters)
-                    if ct.p[alpha] != alpha:
+        while alpha < len(table):
+            if p[alpha] == alpha:
+                for letters in words:
+                    # Scan-and-fill the word at alpha: f runs forward from
+                    # alpha over letters[:i], b backward over letters[j+1:].
+                    f = b = alpha
+                    i = 0
+                    j = len(letters) - 1
+                    while True:
+                        while i <= j:
+                            nxt = table[f][letters[i]]
+                            if nxt == -1:
+                                break
+                            f = nxt
+                            i += 1
+                        if i > j:
+                            if f != b:
+                                coincidence(f, b)
+                            break
+                        while j >= i:
+                            nxt = table[b][letters[j] ^ 1]
+                            if nxt == -1:
+                                break
+                            b = nxt
+                            j -= 1
+                        if j < i:
+                            coincidence(f, b)
+                            break
+                        if j == i:
+                            table[f][letters[i]] = b
+                            table[b][letters[i] ^ 1] = f
+                            break
+                        define(f, letters[i])
+                    if p[alpha] != alpha:
                         break
-                if ct.p[alpha] == alpha:
-                    row = ct.table[alpha]
-                    for x in range(ct.ncols):
+                else:  # alpha survived every scan: fill its row
+                    row = table[alpha]
+                    for x in range(ncols):
                         if row[x] == -1:
-                            ct.define(alpha, x)
+                            define(alpha, x)
+            words = relators
             alpha += 1
     except _TableOverflow:
-        return EnumerationResult(order=None, cosets_used=len(ct.table))
-    return EnumerationResult(order=ct.live, cosets_used=len(ct.table))
+        return EnumerationResult(order=None, cosets_used=len(table))
+    return EnumerationResult(order=ct.live, cosets_used=len(table))
 
 
 class CertificationResult(

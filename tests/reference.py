@@ -1,17 +1,25 @@
-"""The tests' reference build of the oracle's core map: every row
-generated, encoded as one int, sorted, deduplicated and stored, then
-peeled by a generic structured elimination over sparse rows.
+"""The tests' reference implementations.
 
-The oracle streams its rows from the group tables and stores none
-(oracle._stream_core_map); test_oracle.py checks it against these
-functions, and the peel property tests in test_abgrp.py exercise
-abgrp.CoreMap through :func:`peel` on lattices that are not the
-oracle's.
+The oracle's core map: every row generated, encoded as one int,
+sorted, deduplicated and stored, then peeled by a generic structured
+elimination over sparse rows.  The oracle streams its rows from the
+group tables and stores none (oracle._stream_core_map); test_oracle.py
+checks it against these functions, and the peel property tests in
+test_abgrp.py exercise abgrp.CoreMap through :func:`peel` on lattices
+that are not the oracle's.
+
+Todd-Coxeter enumeration as fpgrp ran it before its relators were
+normalized: relators scanned in the order listed, through a
+scan_and_fill method, and every dead coset's row kept.
+test_fpgrp.py checks fpgrp.todd_coxeter against :func:`todd_coxeter`.
 """
 
 from array import array
+from collections import deque
 
 from tensq.abgrp import CoreMap, RowLattice, _reduce_dense, _walk_steps
+from tensq.fpgrp import DEFAULT_MAX_COSETS, EnumerationResult, _letters, _TableOverflow
+from tensq.presentations import Presentation, Word
 
 
 def _encode_row(c_plus: int, c_minus1: int, c_minus2: int, base: int) -> int:
@@ -234,3 +242,136 @@ def peel(rows, ncols: int, modulus: int | None = None) -> CoreMap:
         img = tuple((i, v) for i, v in enumerate(w) if v)
         normal[key] = final.setdefault(img, img)
     return CoreMap([normal[img] for img in images], core)
+
+
+class CosetTable:
+    """Coset table; row 0 is the subgroup's own coset.
+
+    Columns come in pairs: column 2g is the action of generator g,
+    column 2g+1 of its inverse.  -1 marks an undefined entry.  Dead
+    cosets are tracked through the union-find array ``p``.
+    """
+
+    def __init__(self, ngens: int, max_cosets: int):
+        self.ncols = 2 * ngens
+        self.max_cosets = max_cosets
+        self.table: list[list[int]] = [[-1] * self.ncols]
+        self.p = [0]
+        self.queue: deque[int] = deque()
+        self.live = 1
+
+    def rep(self, k: int) -> int:
+        p = self.p
+        root = k
+        while p[root] != root:
+            root = p[root]
+        while p[k] != root:
+            p[k], k = root, p[k]
+        return root
+
+    def define(self, alpha: int, x: int) -> None:
+        if len(self.table) >= self.max_cosets:
+            raise _TableOverflow
+        new = len(self.table)
+        self.table.append([-1] * self.ncols)
+        self.p.append(new)
+        self.table[alpha][x] = new
+        self.table[new][x ^ 1] = alpha
+        self.live += 1
+
+    def merge(self, k: int, l: int) -> None:
+        k = self.rep(k)
+        l = self.rep(l)
+        if k != l:
+            lo, hi = (k, l) if k < l else (l, k)
+            self.p[hi] = lo
+            self.queue.append(hi)
+            self.live -= 1
+
+    def coincidence(self, alpha: int, beta: int) -> None:
+        table = self.table
+        self.merge(alpha, beta)
+        while self.queue:
+            gamma = self.queue.popleft()
+            row = table[gamma]
+            for x in range(self.ncols):
+                delta = row[x]
+                if delta == -1:
+                    continue
+                table[delta][x ^ 1] = -1
+                mu = self.rep(gamma)
+                nu = self.rep(delta)
+                if table[mu][x] != -1:
+                    self.merge(nu, table[mu][x])
+                elif table[nu][x ^ 1] != -1:
+                    self.merge(mu, table[nu][x ^ 1])
+                else:
+                    table[mu][x] = nu
+                    table[nu][x ^ 1] = mu
+
+    def scan_and_fill(self, alpha: int, letters: list[int]) -> None:
+        table = self.table
+        f = alpha
+        i = 0
+        b = alpha
+        j = len(letters) - 1
+        while True:
+            while i <= j:
+                nxt = table[f][letters[i]]
+                if nxt == -1:
+                    break
+                f = nxt
+                i += 1
+            if i > j:
+                if f != b:
+                    self.coincidence(f, b)
+                return
+            while j >= i:
+                nxt = table[b][letters[j] ^ 1]
+                if nxt == -1:
+                    break
+                b = nxt
+                j -= 1
+            if j < i:
+                self.coincidence(f, b)
+                return
+            if j == i:
+                table[f][letters[i]] = b
+                table[b][letters[i] ^ 1] = f
+                return
+            self.define(f, letters[i])
+
+
+def todd_coxeter(
+    pres: Presentation,
+    max_cosets: int = DEFAULT_MAX_COSETS,
+    subgroup: tuple[Word, ...] = (),
+) -> EnumerationResult:
+    """Enumerate the cosets of the subgroup generated by ``subgroup``.
+
+    The result's order is the index of that subgroup, the group order
+    when ``subgroup`` is empty.  Returns order=None when the table would
+    exceed ``max_cosets`` rows; the caller decides whether to retry
+    larger.
+    """
+    relator_letters = [_letters(w) for w in pres.relators]
+    ct = CosetTable(len(pres.generators), max_cosets)
+    try:
+        for word in subgroup:
+            ct.scan_and_fill(0, _letters(word))
+        alpha = 0
+        while alpha < len(ct.table):
+            if ct.p[alpha] == alpha:
+                for letters in relator_letters:
+                    ct.scan_and_fill(alpha, letters)
+                    if ct.p[alpha] != alpha:
+                        break
+                if ct.p[alpha] == alpha:
+                    row = ct.table[alpha]
+                    for x in range(ct.ncols):
+                        if row[x] == -1:
+                            ct.define(alpha, x)
+            alpha += 1
+    except _TableOverflow:
+        return EnumerationResult(order=None, cosets_used=len(ct.table))
+    return EnumerationResult(order=ct.live, cosets_used=len(ct.table))

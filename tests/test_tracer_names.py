@@ -50,10 +50,13 @@ def run_traced(tmp_path, *args) -> dict:
 
 def test_traced_verify_run_fills_the_hook_counters(tmp_path):
     # The hooks read attributes of oracle models, suite reports and
-    # enumeration results, which only a traced run reaches.
+    # enumeration results, which only a traced run reaches; coincidences
+    # are counted only if the enumeration merges through CosetTable.merge.
     args = ["verify", "--m", "3", "--n", "2", "--r", "2", "--s", "0", "--suite", "all"]
     counters = run_traced(tmp_path, *args)["counters"]
-    for name in ("abgrp.pivots", "abgrp.core_dim", "oracle.raw_rows", "oracle.suite_instances", "fpgrp.cosets_used"):
+    names = ("abgrp.pivots", "abgrp.core_dim", "oracle.raw_rows", "oracle.suite_instances", "fpgrp.cosets_used",
+             "fpgrp.coincidences")
+    for name in names:
         assert name in counters, name
 
 
