@@ -33,8 +33,10 @@ its image (on every tuple with |G| <= 100 the free columns left are
 exactly those four).  Every image comes from one such row, and every
 other row is read once, as a relation, in the lattice they span on the
 free columns.  The result is an abgrp.CoreMap: each symbol's image in
-the core and the core lattice.  The |G|^2 group tables are built only
-when a suite first reads them.
+the core and the core lattice.  No |G|^2 group table is built: the
+build's maps and the suites read one index arithmetic on the normal
+forms b^beta a^alpha, whose products and conjugates are computed as
+they are read.
 
 The verification suites re-check, instance by instance, the statements
 the closed forms were derived from: the twelve power identities, the
@@ -77,17 +79,14 @@ class OracleModel:
     """The relation lattice's CoreMap and the quotient read off its core
     lattice.
 
-    The group tables of _group_tables, whose element indices number the
-    pair symbols (``mul``, ``conj_by``, ``derived_ids`` and ``oprime``),
-    are |G|^2 and only the suites read them, so they are built at the
-    first read and kept.  ``ext_map``, the CoreMap of the exterior
-    square, and ``ext_handle``, its quotient, are filled in on first use
-    (see _exterior_map and :func:`exterior_oracle`).
+    The pair symbol (g, h) is column g * |G| + h, g and h the element
+    indices of _index_arithmetic; the model keeps no group table.
+    ``ext_map``, the CoreMap of the exterior square, and ``ext_handle``,
+    its quotient, are filled in on first use (see _exterior_map and
+    :func:`exterior_oracle`).
     """
 
-    __slots__ = (
-        "params", "core_map", "handle", "raw_rows", "distinct_rows", "ext_map", "ext_handle", "_tables",
-    )
+    __slots__ = ("params", "core_map", "handle", "raw_rows", "distinct_rows", "ext_map", "ext_handle")
 
     def __init__(
         self, params: GroupParams, core_map: CoreMap, handle: QuotientHandle, raw_rows: int, distinct_rows: int
@@ -99,18 +98,6 @@ class OracleModel:
         self.distinct_rows = distinct_rows
         self.ext_map: CoreMap | None = None
         self.ext_handle: QuotientHandle | None = None
-        self._tables = None
-
-    def tables(self) -> tuple:
-        """mul, conj_by, derived_ids and oprime, built at the first call."""
-        if self._tables is None:
-            self._tables = _group_tables(self.params)
-        return self._tables
-
-    mul = property(lambda self: self.tables()[0])
-    conj_by = property(lambda self: self.tables()[1])
-    derived_ids = property(lambda self: self.tables()[2])
-    oprime = property(lambda self: self.tables()[3])
 
 
 def _stream_core_map(tables, modulus: int) -> tuple[CoreMap, int]:
@@ -298,71 +285,69 @@ def _stream_core_map(tables, modulus: int) -> tuple[CoreMap, int]:
     return CoreMap([normal[img] for img in images], core), multi + len(units)
 
 
-def _generator_tables(p: GroupParams) -> list:
-    """(c, x -> xc, x -> xc^-1, x -> x^c, x -> x^(c^-1)) for c = a and
-    c = b, each map a list over the element indices, by the index
-    arithmetic of _group_tables: O(|G|), where its tables are |G|^2.
+def _index_arithmetic(p: GroupParams):
+    """mul(g, h) = gh and conj(x, c) = x^c on the element indices: the
+    element b^beta a^alpha is index beta * m + alpha, so a is 1, b is m
+    and a^alpha is alpha.  The oracle numbers elements only this way.
 
-    b^beta a^alpha times a is b^beta a^(alpha+1), and times b is
-    b^(beta+1) a^(alpha r), with b^n = a^s.  Conjugation keeps beta and
-    sends alpha to alpha + 1 - r^beta under a, to alpha r under b.
-    """
-    m, n, r, s = p.m, p.n, p.r, p.s
-    elems = [divmod(x, m) for x in range(m * n)]
-    right_a = [beta * m + (alpha + 1) % m for beta, alpha in elems]
-    act_a = [beta * m + (alpha + 1 - pow(r, beta, m)) % m for beta, alpha in elems]
-    right_b = [(beta + 1) % n * m + (alpha * r + (beta == n - 1) * s) % m for beta, alpha in elems]
-    act_b = [beta * m + alpha * r % m for beta, alpha in elems]
-    tables = []
-    for c, right, act in ((1, right_a, act_a), (m, right_b, act_b)):
-        unright, unact = [0] * len(elems), [0] * len(elems)
-        for x in range(len(elems)):
-            unright[right[x]] = unact[act[x]] = x
-        tables.append((c, right, unright, act, unact))
-    return tables
-
-
-def _group_tables(p: GroupParams):
-    """mul, conj_by, the sorted indices of G' and o', by index
-    arithmetic on b^beta a^alpha, at index beta * m + alpha: a is 1, b
-    is m and a^alpha is alpha.  The oracle numbers elements only this
-    way.
-
-    Right multiplication by b^beta2 sends a^alpha to a^(alpha r^beta2),
-    so row g of mul is, block by block, a rotated run of indices; h^c
-    keeps the b-exponent of h.  G' = <a^(r-1)> is the indices alpha < m
-    divisible by (m, r-1), and o'(g) is the least k with g^k in it.
+    a^alpha b^beta = b^beta a^(alpha r^beta) and b^n = a^s give the
+    product, and x^c keeps the b-exponent of x.  Both read one list of
+    r^beta mod m, so the arithmetic keeps O(n) state.
     """
     m, n, r, s = p.m, p.n, p.r, p.s
     rpow = [pow(r, beta, m) for beta in range(n)]
-    mul = []
-    conj_by = []
-    for beta1 in range(n):
-        for alpha1 in range(m):
-            row = []
-            for beta2 in range(n):
-                beta, shift = beta1 + beta2, alpha1 * rpow[beta2]
-                if beta >= n:
-                    beta, shift = beta - n, shift + s
-                shift %= m
-                off = beta * m
-                row += range(off + shift, off + m)
-                row += range(off, off + shift)
-            mul.append(row)
-            rc = rpow[beta1]
-            conj_by.append([
-                beta * m + (alpha * rc + alpha1 * (1 - rpow[beta])) % m
-                for beta in range(n)
-                for alpha in range(m)
-            ])
-    da = gcd(m, r - 1)
+
+    def mul(g: int, h: int) -> int:
+        beta1, alpha1 = divmod(g, m)
+        beta2, alpha2 = divmod(h, m)
+        beta, alpha = beta1 + beta2, alpha2 + alpha1 * rpow[beta2]
+        if beta >= n:
+            beta, alpha = beta - n, alpha + s
+        return beta * m + alpha % m
+
+    def conj(x: int, c: int) -> int:
+        beta, alpha = divmod(x, m)
+        beta1, alpha1 = divmod(c, m)
+        return beta * m + (alpha * rpow[beta1] + alpha1 * (1 - rpow[beta])) % m
+
+    return mul, conj
+
+
+def _derived_ids(p: GroupParams) -> range:
+    """G' = <a^(r-1)> as element indices: the a^alpha with o'(a) = (m, r-1)
+    dividing alpha."""
+    return range(0, p.m, p.inv.oprime_a)
+
+
+def _coset_orders(p: GroupParams) -> list:
+    """o'(g) for every element index g, the least k with g^k in G', by
+    the index product of _index_arithmetic."""
+    mul = _index_arithmetic(p)[0]
+    derived = _derived_ids(p)
     oprime = []
-    for g in range(m * n):
+    for g in range(p.order):
         k, cur = 1, g
-        while cur >= m or cur % da:
-            k, cur = k + 1, mul[cur][g]
+        while cur not in derived:
+            k, cur = k + 1, mul(cur, g)
         oprime.append(k)
-    return mul, conj_by, list(range(0, m, da)), oprime
+    return oprime
+
+
+def _generator_tables(p: GroupParams) -> list:
+    """(c, x -> xc, x -> xc^-1, x -> x^c, x -> x^(c^-1)) for c = a and
+    c = b, each map a list over the element indices, from the index
+    arithmetic of _index_arithmetic: O(|G|) each."""
+    mul, conj = _index_arithmetic(p)
+    ng = p.order
+    tables = []
+    for c in (1, p.m):
+        right = [mul(x, c) for x in range(ng)]
+        act = [conj(x, c) for x in range(ng)]
+        unright, unact = [0] * ng, [0] * ng
+        for x in range(ng):
+            unright[right[x]] = unact[act[x]] = x
+        tables.append((c, right, unright, act, unact))
+    return tables
 
 
 def tensor_exponent_bound(order: int) -> int:
@@ -421,8 +406,8 @@ def build_tensor_oracle(params: GroupParams) -> OracleModel:
     pair symbol swapped.  Hence 2|G|^2 rows and their mirrors
     span the lattice of all 2|G|^3 rows.
 
-    The rows go straight from the group tables through
-    _stream_core_map, which keeps none of them and reduces only the
+    The rows go straight from the generator maps of _generator_tables
+    through _stream_core_map, which keeps none of them and reduces only the
     lattice they leave on its few free columns.  The quotient is that
     core lattice's, checked against M by _bounded_quotient.
     """
@@ -550,8 +535,7 @@ def verify_identities(model: OracleModel) -> SuiteReport:
     def ext_member(coeffs: dict) -> bool:
         return ext_order(coeffs, exp) == 1
 
-    conj_by = model.conj_by
-    mul = model.mul
+    mul, conj = _index_arithmetic(p)
     a_i, b_i = 1, m
     # The pair symbol (x, y) is column x * ng + y, so (x, x) is x * dg.
     dg = ng + 1
@@ -562,7 +546,7 @@ def verify_identities(model: OracleModel) -> SuiteReport:
     o_b = p.inv.o_b
     pow_b = [0] * o_b
     for be in range(1, o_b):
-        pow_b[be] = mul[pow_b[be - 1]][b_i]
+        pow_b[be] = mul(pow_b[be - 1], b_i)
 
     def binom2(x: int) -> int:
         x %= exp2
@@ -584,7 +568,7 @@ def verify_identities(model: OracleModel) -> SuiteReport:
     # (x, y) = k_ab (a,b) + k_aa (r-1) (a,a).
     def shape_i():
         for al in range(m):
-            yield (al,), a_i, conj_by[al][b_i], 1, al
+            yield (al,), a_i, conj(b_i, al), 1, al
 
     def shape_ii():
         for al in range(m):
@@ -684,26 +668,34 @@ def verify_identities(model: OracleModel) -> SuiteReport:
     # The commutator values are all of G', since every a^(k(r-1)) in G'
     # equals [a^k, b].  An instance whose two symbols coincide is the
     # zero vector, a member.
-    def moved(conjugators, pairs):
-        for c in conjugators:
-            act = conj_by[c]
-            for g, h in pairs:
-                x, y = act[g] * ng + act[h], g * ng + h
-                yield x == y or member({x: 1, y: -1}), (c, g, h)
+    def moved_by_derived():
+        for c in derived:
+            act = [conj(x, c) for x in range(ng)]
+            for g in range(ng):
+                xg, yg = act[g] * ng, g * ng
+                for h in range(ng):
+                    x, y = xg + act[h], yg + h
+                    yield x == y or member({x: 1, y: -1}), (c, g, h)
 
-    derived_ids = model.derived_ids
+    def moved_diagonal():
+        for c in range(ng):
+            for g in range(ng):
+                x, y = conj(g, c) * dg, g * dg
+                yield x == y or member({x: 1, y: -1}), (c, g, g)
+
+    derived = _derived_ids(p)
     checks.append(
         _check(
             "centrality: commutator conjugation fixes all symbols",
             "conj by commutator #{} moves ({},{})",
-            moved(derived_ids, [(g, h) for g in range(ng) for h in range(ng)]),
+            moved_by_derived(),
         )
     )
     checks.append(
         _check(
             "centrality: diagonal symbols fixed by conjugation",
             "conj by #{} moves diagonal ({},{})",
-            moved(range(ng), [(g, g) for g in range(ng)]),
+            moved_diagonal(),
         )
     )
 
@@ -711,7 +703,7 @@ def verify_identities(model: OracleModel) -> SuiteReport:
         _check(
             "derived diagonal trivial",
             "(g,g) nontrivial for derived #{}",
-            ((member({g * dg: 1}), (g,)) for g in derived_ids),
+            ((member({g * dg: 1}), (g,)) for g in derived),
         )
     )
 
@@ -719,10 +711,9 @@ def verify_identities(model: OracleModel) -> SuiteReport:
     # not 2, to (g,g) when g = h.
     def sym_product_rule():
         for g in range(ng):
-            row = mul[g]
             for h in range(ng):
                 gh, hg = g * ng + h, h * ng + g
-                ok = member(_vec((gh, 1), (hg, 1), (row[h] * dg, -1), (h * dg, 1), (g * dg, 1)))
+                ok = member(_vec((gh, 1), (hg, 1), (mul(g, h) * dg, -1), (h * dg, 1), (g * dg, 1)))
                 yield ok and ext_member({gh: 1, hg: 1}), (g, h)
 
     checks.append(_check("symmetric pair: product rule and diagonality", "pair ({},{})", sym_product_rule()))
@@ -737,7 +728,7 @@ def verify_identities(model: OracleModel) -> SuiteReport:
         _check(
             "symmetric pair: trivial against derived elements",
             "derived pair ({},{})",
-            ((member({g * ng + h: 1, h * ng + g: 1}), (g, h)) for h in derived_ids for g in range(ng)),
+            ((member({g * ng + h: 1, h * ng + g: 1}), (g, h)) for h in derived for g in range(ng)),
         )
     )
 
@@ -754,7 +745,7 @@ def verify_identities(model: OracleModel) -> SuiteReport:
         _check("diagonal constant on derived cosets", "diagonal differs on coset of #{}", diag_on_cosets())
     )
 
-    oprime = model.oprime
+    oprime = _coset_orders(p)
 
     def sym_order_bound():
         for g in range(ng):
@@ -811,13 +802,13 @@ def verify_bounds(model: OracleModel) -> SuiteReport:
         )
 
     def odd_diagonal():
-        for h, op in enumerate(model.oprime):
+        for h, op in enumerate(_coset_orders(p)):
             if op % 2:
                 order = order_of({h * (ng + 1): 1})
                 yield order != 0 and op % order == 0, (h, order, op)
 
     def derived_diagonal():
-        for h in model.derived_ids:
+        for h in _derived_ids(p):
             order = order_of({h * (ng + 1): 1})
             yield order == 1, (h, order)
 

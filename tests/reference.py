@@ -1,12 +1,16 @@
 """The tests' reference implementations.
 
+The group tables, from metagrp's Element arithmetic rather than the
+oracle's index arithmetic, so the reference rows do not share the code
+they check.
+
 The oracle's core map: every row generated, encoded as one int,
 sorted, deduplicated and stored, then peeled by a generic structured
-elimination over sparse rows.  The oracle streams its rows from the
-group tables and stores none (oracle._stream_core_map); test_oracle.py
-checks it against these functions, and the peel property tests in
-test_abgrp.py exercise abgrp.CoreMap through :func:`peel` on lattices
-that are not the oracle's.
+elimination over sparse rows.  The oracle streams its rows from its
+generator maps and stores none (oracle._stream_core_map);
+test_oracle.py checks it against these functions, and the peel
+property tests in test_abgrp.py exercise abgrp.CoreMap through
+:func:`peel` on lattices that are not the oracle's.
 
 Todd-Coxeter enumeration as fpgrp ran it before its relators were
 normalized: relators scanned in the order listed, through a
@@ -17,9 +21,29 @@ test_fpgrp.py checks fpgrp.todd_coxeter against :func:`todd_coxeter`.
 from array import array
 from collections import deque
 
+from tensq import metagrp
 from tensq.abgrp import CoreMap, RowLattice, _reduce_dense, _walk_steps
 from tensq.fpgrp import DEFAULT_MAX_COSETS, EnumerationResult, _letters, _TableOverflow
+from tensq.metagrp import GroupParams
 from tensq.presentations import Presentation, Word
+
+
+def group_tables(p: GroupParams, second=None) -> tuple[dict, dict]:
+    """right and conj_by, each a dict from c to a list over the element
+    indices: right[c][x] is the index of xc and conj_by[c][x] that of
+    x^c, for every c in ``second``, all of G by default.
+
+    An element's index is its place in metagrp.elements, b^beta a^alpha
+    at beta * m + alpha as in the oracle; the products and conjugates
+    are metagrp.mul and metagrp.conj of Element objects.
+    """
+    elems = metagrp.elements(p)
+    index = {e: i for i, e in enumerate(elems)}
+    right, conj_by = {}, {}
+    for c in range(p.order) if second is None else second:
+        right[c] = [index[metagrp.mul(x, elems[c], p)] for x in elems]
+        conj_by[c] = [index[metagrp.conj(x, elems[c], p)] for x in elems]
+    return right, conj_by
 
 
 def _encode_row(c_plus: int, c_minus1: int, c_minus2: int, base: int) -> int:
@@ -79,22 +103,23 @@ class _Rows:
         return _decode_row(self.codes[i], self.base)
 
 
-def _relation_rows(mul: list[list[int]], conj_by: list[list[int]], second) -> _Rows:
+def _relation_rows(p: GroupParams, second) -> _Rows:
     """Distinct normalized rows of both relation families, for every
     second variable c in ``second`` and every g, h in G, in descending
-    order.
+    order, from the tables of :func:`group_tables`.
 
     The rows are gathered and sorted as one int each, so equal rows are
     neighbours, and the duplicates are dropped in place.
     """
-    ng = len(mul)
+    ng = p.order
     rng = range(ng)
     base = 6 * ng * ng
     codes = []
+    right, conj_by = group_tables(p, second)
     for c in second:
         act = conj_by[c]
         for g in rng:
-            gc = mul[g][c]
+            gc = right[c][g]
             gt = act[g]
             for h in rng:
                 ht = act[h]

@@ -2,12 +2,13 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from tensq import abgrp, cli, metagrp, oracle
+from tensq import abgrp, metagrp, oracle
 from tensq.errors import FormulaInconsistencyError, ResourceLimitError, TensqError
 from tensq.oracle import (
     build_tensor_oracle,
@@ -17,7 +18,7 @@ from tensq.oracle import (
     verify_identities,
 )
 from tensq.presentations import exterior_and_schur
-from reference import _decode_row, _encode_row, _relation_rows, peel
+from reference import _decode_row, _encode_row, _relation_rows, group_tables, peel
 from support import enumerate_valid_tuples
 
 DATA = Path(__file__).parent / "data"
@@ -26,10 +27,10 @@ DATA = Path(__file__).parent / "data"
 ORACLE_PANEL = [(7, 3, 2, 0), (9, 3, 4, 0), (9, 3, 4, 3), (15, 2, 4, 10), (15, 2, 11, 3), (21, 2, 13, 7), (21, 2, 8, 6)]
 
 
-def family_rows(model):
+def family_rows(p):
     """The distinct normalized rows of both relation families over every
     second variable c in G: 2|G|^3 rows before deduplication."""
-    return _relation_rows(model.mul, model.conj_by, range(model.params.order))
+    return _relation_rows(p, range(p.order))
 
 
 @lru_cache(maxsize=None)
@@ -40,10 +41,10 @@ def reference_lattices(tup):
     every diagonal symbol (g, g) adjoined.  Both are Hermite normal
     forms, so they do not depend on insertion order; the oracle itself
     never builds them, and its map is checked against them."""
-    model = build_tensor_oracle(metagrp.validate(*tup))
-    ng = model.params.order
+    p = metagrp.validate(*tup)
+    ng = p.order
     tensor = abgrp.RowLattice(ng * ng, modulus=oracle.tensor_exponent_bound(ng))
-    for row in _relation_rows(model.mul, model.conj_by, (1, model.params.m)):
+    for row in _relation_rows(p, (1, p.m)):
         tensor.insert(row)
     tensor.clear_unit_columns()
     exterior = tensor.copy()
@@ -63,9 +64,9 @@ def exact_reference(tup):
     the same lattice but not the same basis rows; the sublattice golden
     pins rows of this one.
     """
-    model = build_tensor_oracle(metagrp.validate(*tup))
-    lattice = abgrp.RowLattice(model.params.order ** 2)
-    for row in sorted(family_rows(model)):
+    p = metagrp.validate(*tup)
+    lattice = abgrp.RowLattice(p.order ** 2)
+    for row in sorted(family_rows(p)):
         lattice.insert(row)
     lattice.clear_unit_columns()
     return lattice
@@ -74,7 +75,7 @@ def exact_reference(tup):
 def conjugation_permutation(model, c):
     """Column permutation induced by (g, h) -> (g^c, h^c), c an element index."""
     ng = model.params.order
-    act_c = model.conj_by[c]
+    act_c = group_tables(model.params, (c,))[1][c]
     return [act_c[g] * ng + act_c[h] for g in range(ng) for h in range(ng)]
 
 
@@ -155,69 +156,52 @@ def test_row_source_gives_the_distinct_rows_in_descending_order():
         model = build_tensor_oracle(metagrp.validate(*tup))
         ng = model.params.order
         second = (1, model.params.m)  # a, b
-        mul, conj_by = model.mul, model.conj_by
+        right, conj_by = group_tables(model.params, second)
         reference = {
             row
             for c in second
             for g in range(ng)
             for h in range(ng)
             for row in (
-                normalized_row(mul[g][c] * ng + h, conj_by[c][g] * ng + conj_by[c][h], c * ng + h),
-                normalized_row(h * ng + mul[g][c], conj_by[c][h] * ng + conj_by[c][g], h * ng + c),
+                normalized_row(right[c][g] * ng + h, conj_by[c][g] * ng + conj_by[c][h], c * ng + h),
+                normalized_row(h * ng + right[c][g], conj_by[c][h] * ng + conj_by[c][g], h * ng + c),
             )
         }
-        rows = list(_relation_rows(mul, conj_by, second))
+        rows = list(_relation_rows(model.params, second))
         assert rows == sorted(reference, reverse=True), tup
         assert model.distinct_rows == len(rows), tup
 
 
-def test_group_tables_match_the_element_arithmetic():
-    # mul, conj_by, o' and G' by index arithmetic against metagrp's
-    # products, conjugates and coset orders of Element objects, element
-    # i of metagrp.elements being b^beta a^alpha at i = beta * m + alpha.
+def test_index_arithmetic_matches_the_element_arithmetic():
+    # mul, conj, G' and o' on the element indices against metagrp's
+    # products, conjugates, derived subgroup and coset orders of Element
+    # objects, element i of metagrp.elements being b^beta a^alpha at
+    # i = beta * m + alpha.
     for p in enumerate_valid_tuples(40, include_s_zero=True):
-        model = build_tensor_oracle(p)
         elems = metagrp.elements(p)
         assert [e.beta * p.m + e.alpha for e in elems] == list(range(p.order))
         assert elems[1] == metagrp.Element(0, 1) and elems[p.m] == metagrp.Element(1, 0)
         index = {e: i for i, e in enumerate(elems)}
-        assert model.mul == [[index[metagrp.mul(g, h, p)] for h in elems] for g in elems]
-        assert model.conj_by == [[index[metagrp.conj(h, c, p)] for h in elems] for c in elems]
+        mul, conj = oracle._index_arithmetic(p)
+        ids = range(p.order)
+        assert [[mul(g, h) for h in ids] for g in ids] == [[index[metagrp.mul(g, h, p)] for h in elems] for g in elems]
+        assert [[conj(h, c) for h in ids] for c in ids] == [
+            [index[metagrp.conj(h, c, p)] for h in elems] for c in elems
+        ]
         derived = metagrp.derived_subgroup(p)
-        assert model.derived_ids == sorted(index[e] for e in derived)
-        assert model.oprime == [metagrp.coset_order(e, p, derived) for e in elems]
+        assert list(oracle._derived_ids(p)) == sorted(index[e] for e in derived)
+        assert oracle._coset_orders(p) == [metagrp.coset_order(e, p, derived) for e in elems]
 
 
-def test_generator_tables_match_the_group_tables():
+def test_generator_maps_match_the_element_arithmetic():
     # The build's O(|G|) maps x -> xc, xc^-1, x^c, x^(c^-1) for c = a, b
-    # against the columns c and c^-1 of the |G|^2 mul and the rows c and
-    # c^-1 of conj_by.
+    # against the reference tables of metagrp's products and conjugates.
     for p in enumerate_valid_tuples(100, include_s_zero=True):
-        mul, conj_by, _, _ = oracle._group_tables(p)
-        expected = []
-        for c in (1, p.m):
-            cinv = mul[c].index(0)
-            expected.append((c, [row[c] for row in mul], [row[cinv] for row in mul], conj_by[c], conj_by[cinv]))
+        elems = metagrp.elements(p)
+        gens = [(c, elems.index(metagrp.inverse(elems[c], p))) for c in (1, p.m)]
+        right, conj_by = group_tables(p, [x for gen in gens for x in gen])
+        expected = [(c, right[c], right[cinv], conj_by[c], conj_by[cinv]) for c, cinv in gens]
         assert oracle._generator_tables(p) == expected, (p.m, p.n, p.r, p.s)
-
-
-def test_record_path_builds_no_group_table(monkeypatch):
-    # compute --oracle reads the build, the quotients and the Schur order,
-    # none of which needs a |G|^2 group table; the suites build the
-    # tables once, at their first read.
-    def refuse(params):
-        raise AssertionError("a |G|^2 group table was built")
-
-    golden = json.loads((DATA / "compute_9343.json").read_text())
-    p = metagrp.validate(9, 3, 4, 3)
-    group_tables = oracle._group_tables
-    monkeypatch.setattr(oracle, "_group_tables", refuse)
-    assert cli.build_run_record(p, True)["oracle"] == golden["oracle"]
-    model = build_tensor_oracle(p)
-    calls = []
-    monkeypatch.setattr(oracle, "_group_tables", lambda params: calls.append(params) or group_tables(params))
-    assert verify_identities(model).passed and verify_bounds(model).passed
-    assert calls == [p]
 
 
 def test_group_order_limit():
@@ -278,10 +262,10 @@ def test_reduced_basis_does_not_depend_on_insertion_order():
     # The reference inserts the rows in descending order; ascending and
     # shuffled orders must reach the same Hermite normal form.
     for tup in ((7, 3, 2, 0), (9, 3, 4, 3)):
-        model = build_tensor_oracle(metagrp.validate(*tup))
-        ng = model.params.order
-        second = (1, model.params.m)  # a, b
-        rows = sorted(_relation_rows(model.mul, model.conj_by, second))
+        p = metagrp.validate(*tup)
+        ng = p.order
+        second = (1, p.m)  # a, b
+        rows = sorted(_relation_rows(p, second))
         shuffled = list(rows)
         random.Random(20261018).shuffle(shuffled)
         for order in (rows, shuffled):
@@ -314,7 +298,7 @@ def test_core_map_keeps_every_order(model_9343):
     assert any(row[j] > 1 for j, row in lattice.pivots.items())
     assert cmap.lattice is model_9343.handle.lattice
     rng = random.Random(20261019)
-    vectors = [((j, 1),) for j in range(lattice.ncols)] + list(family_rows(model_9343))
+    vectors = [((j, 1),) for j in range(lattice.ncols)] + list(family_rows(model_9343.params))
     vectors += [
         tuple((rng.randrange(lattice.ncols), rng.randint(-5, 5)) for _ in range(3)) for _ in range(500)
     ]
@@ -343,7 +327,7 @@ def test_distinct_rows_count_the_reference_rows():
     # nor peeled, would move the build's count.
     for model in small_models():
         p = model.params
-        rows = _relation_rows(model.mul, model.conj_by, (1, p.m))
+        rows = _relation_rows(p, (1, p.m))
         assert model.distinct_rows == len(rows) == 4 * p.order**2 - 2 * p.order - 1, (p.m, p.n, p.r, p.s)
 
 
@@ -355,12 +339,11 @@ def test_streamed_map_is_exact_on_the_rows_of_one_generator():
     # lattice of the reference rows, and count those rows.
     for p in enumerate_valid_tuples(21, include_s_zero=True):
         ng = p.order
-        mul, conj_by, _, _ = oracle._group_tables(p)
         bound = oracle.tensor_exponent_bound(ng)
         for gen in oracle._generator_tables(p):
             second = gen[:1]
             cmap, distinct_rows = oracle._stream_core_map((gen,), bound)
-            rows = _relation_rows(mul, conj_by, second)
+            rows = _relation_rows(p, second)
             lattice = abgrp.RowLattice(ng * ng, bound)
             for row in rows:
                 lattice.insert(row)
@@ -389,10 +372,11 @@ def test_generating_set_spans_every_family_row():
             for i, v in img:
                 dense[k][i] = v
         ng = p.order
+        right_by, conj_by = group_tables(p)
         triples = set()
         for c in range(ng):
-            act = model.conj_by[c]
-            right = [row[c] for row in model.mul]
+            act = conj_by[c]
+            right = right_by[c]
             for h in range(ng):
                 ht = act[h]
                 # [gc, h] - [g^c, h^c] - [c, h] over every g, and its mirror.
@@ -411,11 +395,9 @@ def test_exponent_bound_seeds_lie_in_the_exact_lattice():
     # built exactly, without a modulus.  That lattice lies inside the
     # lattice of all rows, so seeding with M * Z^N leaves it unchanged.
     for p in enumerate_valid_tuples(30, include_s_zero=True):
-        model = build_tensor_oracle(p)
         ng = p.order
-        second = (1, model.params.m)  # a, b
         exact = abgrp.RowLattice(ng * ng)
-        for row in _relation_rows(model.mul, model.conj_by, second):
+        for row in _relation_rows(p, (1, p.m)):
             exact.insert(row)
         bound = oracle.tensor_exponent_bound(ng)
         assert all(exact.contains({j: bound}) for j in range(exact.ncols)), (p.m, p.n, p.r, p.s)
@@ -520,6 +502,20 @@ def test_identity_suite_passes(model_3220, model_9343):
         assert sum(c.instances for c in report.checks) == total
         power = [c for c in report.checks if c.name.startswith("power identity")]
         assert len(power) == 12
+
+
+def test_suites_keep_no_group_sized_state():
+    # The suites compute each product and conjugate as they read it, so
+    # their traced peak stays below 16 |G|^2 bytes, less than a |G|^2
+    # list of pointers with its int objects.
+    model = build_tensor_oracle(metagrp.validate(9, 6, 4, 3))
+    tracemalloc.start()
+    try:
+        assert verify_identities(model).passed and verify_bounds(model).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * model.params.order ** 2, peak
 
 
 def test_bounds_suite_passes(model_3220, model_9343):
