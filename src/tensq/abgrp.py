@@ -270,10 +270,13 @@ class CoreMap:
 
     The core is a few free columns, renumbered 0, 1, ... in the order
     they were freed.  ``images[j]`` is the image of e_j, a tuple of
-    (core index, coefficient) pairs in normal form: a free column's is
-    itself, any other column's is read off one row of L with a unit
-    coefficient there.  ``lattice`` is C, a RowLattice on the core
-    columns with L's modulus.
+    (core index, coefficient) pairs: a free column's is itself, any
+    other column's is read off one row of L with a unit coefficient
+    there and reduced by C as it stood then, so with a modulus M every
+    entry lies in [0, M).  It is a representative, not a normal form:
+    two columns with equal images share one tuple, but images that
+    differ may still differ by a vector of C.  ``lattice`` is C, a
+    RowLattice on the core columns with L's modulus.
 
     Why it is exact.  The build keeps two rules: every image but a free
     column's comes from one row u e_j + t of L, u = +-1, every column of

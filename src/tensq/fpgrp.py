@@ -28,7 +28,7 @@ from collections import deque, namedtuple
 
 from .errors import TensqError
 from .metagrp import GroupParams
-from .presentations import Presentation, Word, exterior_and_schur, nu_presentation
+from .presentations import HEADER, Presentation, Word, exterior_and_schur, nu_presentation
 
 DEFAULT_MAX_COSETS = 10**6
 
@@ -44,7 +44,6 @@ class PresentationSyntaxError(TensqError):
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT = re.compile(r"-?[0-9]+")
-HEADER = "tensq-pres v1"
 
 
 def _parse_relator(text: str, lineno: int, gen_index: dict[str, int]) -> Word:

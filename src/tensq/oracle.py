@@ -129,9 +129,8 @@ def _stream_core_map(tables, modulus: int) -> tuple[CoreMap, int]:
     its first two columns gained its image later, and not at all when
     it is the source of one of its three columns.  Reading it sums its
     columns' images densely, reduces the sum by C, and inserts it into C
-    unless that leaves 0.  Images are reduced by C as they are made, so
-    kept below M; at the end each is brought to its normal form by C
-    with its unit columns cleared, and equal images are one tuple.
+    unless that leaves 0.  Images are reduced by C as it stands when they
+    are made, so kept below M, and equal images are one tuple.
 
     Every row but a unit row is peeled or read exactly once, so the
     images and C account for every row.  The first column of R(g, c, h)
@@ -270,19 +269,7 @@ def _stream_core_map(tables, modulus: int) -> tuple[CoreMap, int]:
                 w[i] += sign * v
             _reduce_dense(w, steps)
             give(u, tuple((i, v) for i, v in enumerate(w) if v), key)
-    # C may have grown since an image was reduced: reduce each distinct
-    # image again, by C with its unit columns cleared.
-    core.clear_unit_columns()
-    steps = _walk_steps(core)
-    final: dict = {}
-    for img in normal:
-        w = [0] * len(steps)
-        for i, v in img:
-            w[i] = v
-        _reduce_dense(w, steps)
-        reduced = tuple((i, v) for i, v in enumerate(w) if v)
-        normal[img] = final.setdefault(reduced, reduced)
-    return CoreMap([normal[img] for img in images], core), multi + len(units)
+    return CoreMap(images, core), multi + len(units)
 
 
 def _index_arithmetic(p: GroupParams):
@@ -552,15 +539,14 @@ def verify_identities(model: OracleModel) -> SuiteReport:
         x %= exp2
         return (x * (x - 1) // 2) % exp
 
-    # Prefix data over beta: r^beta mod m / exp / 2*exp, E(r,beta) mod exp,
-    # and S1(beta) = sum_{i=1}^{beta-1} binom(r^i, 2) mod exp.
-    rb_m = [pow(r, be, m) for be in range(o_b)]
-    rb_e = [pow(r, be, exp) for be in range(o_b)]
+    # Prefix data over beta: r^beta mod 2*exp, E(r,beta) mod exp, and
+    # S1(beta) = sum_{i=1}^{beta-1} binom(r^i, 2) mod exp.  member reduces
+    # every coefficient modulo exp, so r^beta mod 2*exp serves as r^beta.
     rb_e2 = [pow(r, be, exp2) for be in range(o_b)]
     geom = [0] * o_b
     s1 = [0] * o_b
     for be in range(1, o_b):
-        geom[be] = (geom[be - 1] + rb_e[be - 1]) % exp
+        geom[be] = (geom[be - 1] + rb_e2[be - 1]) % exp
         s1[be] = (s1[be - 1] + binom2(rb_e2[be - 1])) % exp if be > 1 else 0
 
     # Shapes of the power identities (i)-(vi).  Each instance is
@@ -576,7 +562,7 @@ def verify_identities(model: OracleModel) -> SuiteReport:
 
     def shape_iii():
         for be in range(o_b):
-            yield (be,), rb_m[be], b_i, rb_e[be], binom2(rb_e2[be])
+            yield (be,), conj(a_i, pow_b[be]), b_i, rb_e2[be], binom2(rb_e2[be])
 
     def shape_iv():
         for be in range(o_b):
@@ -585,7 +571,7 @@ def verify_identities(model: OracleModel) -> SuiteReport:
     def shape_v():
         for al in range(m):
             for be in range(o_b):
-                yield (al, be), al * rb_m[be] % m, b_i, al * rb_e[be], binom2(al * rb_e2[be])
+                yield (al, be), conj(al, pow_b[be]), b_i, al * rb_e2[be], binom2(al * rb_e2[be])
 
     def shape_vi():
         for al in range(m):

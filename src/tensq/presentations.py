@@ -35,6 +35,7 @@ from .metagrp import GroupParams
 
 Word = tuple[tuple[int, int], ...]
 
+HEADER = "tensq-pres v1"
 NU_GENERATORS = ("x1", "y1", "x2", "y2", "u", "v", "w", "z")
 TENSOR_GENERATORS = ("u", "v", "w", "z")
 
@@ -242,7 +243,7 @@ def presentation_to_text(pres: Presentation) -> str:
     Header line, then the generator list, then one relator per line with
     every factor written name^exponent and factors joined by " * ".
     """
-    lines = ["tensq-pres v1", "gens: " + " ".join(pres.generators)]
+    lines = [HEADER, "gens: " + " ".join(pres.generators)]
     for rel in pres.relators:
         lines.append(" * ".join(f"{pres.generators[g]}^{e}" for g, e in rel))
     return "\n".join(lines) + "\n"

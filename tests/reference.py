@@ -158,9 +158,8 @@ def peel(rows, ncols: int, modulus: int | None = None) -> CoreMap:
     slots, linked per column in flat arrays.  A row that peels nothing is
     a relation: its image, reduced by C so far, is inserted into C unless
     that leaves 0.
-    Every image is kept reduced by C, so below M; at the end each is
-    brought to its normal form by C with its unit columns cleared,
-    unique with a modulus, and equal images are one tuple.
+    Every image is reduced by C as it stands when it is made, so below
+    M given a modulus, and equal images are one tuple.
 
     The core is not minimal in general.  On the pivot rows of an
     echelon basis the least column without an image is often a unit
@@ -254,19 +253,7 @@ def peel(rows, ncols: int, modulus: int | None = None) -> CoreMap:
         while s >= 0:
             woken.append(s)
             s = link[s]
-    # C may have grown since an image was reduced: reduce each distinct
-    # image again, by C with its unit columns cleared.
-    core.clear_unit_columns()
-    steps = _walk_steps(core)
-    final: dict = {}
-    for key in normal:
-        w = [0] * len(steps)
-        for i, v in key:
-            w[i] = v
-        _reduce_dense(w, steps)
-        img = tuple((i, v) for i, v in enumerate(w) if v)
-        normal[key] = final.setdefault(img, img)
-    return CoreMap([normal[img] for img in images], core)
+    return CoreMap(images, core)
 
 
 class CosetTable:

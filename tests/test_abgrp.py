@@ -510,16 +510,15 @@ def test_core_map_order_is_the_walk_order(modulus, cleared):
     assert (0 in seen) == (modulus is None)
 
 
-def test_core_map_images_are_in_normal_form():
-    # With a modulus each image has entries in [0, pivot of its column),
-    # and equal images are one tuple.
+def test_core_map_images_are_bounded_and_shared():
+    # With a modulus each image has entries in [0, modulus), and equal
+    # images are one tuple.
     rng = random.Random(20261023)
     for _ in range(40):
         lat = random_lattice(rng, 72)
         cmap = lattice_map(lat)
-        pivots = cmap.lattice.pivots
         for img in cmap.images:
-            assert all(0 <= v < pivots[i][i] for i, v in img), img
+            assert all(0 <= v < 72 for _, v in img), img
         assert len({id(img) for img in cmap.images}) == len(set(cmap.images))
 
 
@@ -530,7 +529,8 @@ def test_peel_keeps_every_order_of_random_row_sets(modulus):
     # and zero entries.  Through the peeled map every unit vector and
     # random vector has the order RowLattice's walk gives in the lattice
     # of the same rows, with and without reducing its coefficients
-    # modulo 6; images are in normal form and equal images one tuple.
+    # modulo 6; image entries lie in [0, modulus) and equal images are
+    # one tuple.
     rng = random.Random(20261026)
     seen = set()
     for _ in range(80):
@@ -554,8 +554,7 @@ def test_peel_keeps_every_order_of_random_row_sets(modulus):
             assert cmap.order(vec, 6) == lat.order({j: v % 6 for j, v in vec.items()}), (rows, vec)
             seen.add(min(order, 2))
         if modulus is not None:
-            pivots = cmap.lattice.pivots
-            assert all(0 <= v < pivots[i][i] for img in cmap.images for i, v in img)
+            assert all(0 <= v < modulus for img in cmap.images for _, v in img)
         assert len({id(img) for img in cmap.images}) == len(set(cmap.images))
         assert quotient_from_lattice(cmap.lattice).structure == quotient_from_lattice(lat).structure
         seen.add(("free", min(cmap.lattice.ncols, 2)))

@@ -358,19 +358,24 @@ def test_generating_set_spans_every_family_row():
     # model's own map, which test_oracle_map_agrees_with_the_reference_lattices
     # checks against the plain walk: the dense sum of its three images,
     # reduced by the core lattice, is 0 exactly for a row of the lattice.
-    # Rows with the same three images are one sum, reduced once.
+    # Images are numbered by their reductions by the cleared core lattice,
+    # so rows whose three images reduce alike are one sum, reduced once.
     for model in small_models():
         p = model.params
         cmap = model.core_map
         # The build leaves the paper's four symbols as the core.
         assert cmap.lattice.ncols == 4, (p.m, p.n, p.r, p.s)
+        # Reading the quotient cleared the core lattice's unit columns.
         steps = abgrp._walk_steps(cmap.lattice)
-        number = {}
-        image_of = [number.setdefault(img, len(number)) for img in cmap.images]
-        dense = [[0] * len(steps) for _ in number]
-        for img, k in number.items():
+        reduced, number = {}, {}
+        for img in dict.fromkeys(cmap.images):
+            w = [0] * len(steps)
             for i, v in img:
-                dense[k][i] = v
+                w[i] = v
+            abgrp._reduce_dense(w, steps)
+            number[img] = reduced.setdefault(tuple(w), len(reduced))
+        image_of = [number[img] for img in cmap.images]
+        dense = list(reduced)
         ng = p.order
         right_by, conj_by = group_tables(p)
         triples = set()
