@@ -1,10 +1,10 @@
 """Exact linear algebra over the integers.
 
 Everything here works on plain Python ints; no floating point is used
-anywhere.  There is one representation: a row or vector is a sparse
-{column: coefficient} dict, or its (column, coefficient) pairs, from
-the eight tensor relations to the core lattice of the tensor-square
-oracle, and into the Smith normal form.
+anywhere.  A lattice row or vector is a sparse {column: coefficient}
+dict, or its (column, coefficient) pairs, up to the core lattice of
+the tensor-square oracle.  The Smith normal form alone takes dense
+rows: equal-length lists of a few entries.
 
 The central object is :class:`RowLattice`, an integer row lattice kept
 as an echelon basis (one basis row per pivot column, pivot = leftmost
@@ -29,10 +29,12 @@ and reduces only the lattice the other rows span there.  The result, a
 :class:`CoreMap`, answers every query: a vector's order is its image's
 order in that core lattice, a walk over a few columns.
 
-:func:`smith_normal_form` is the module's one other elimination: a
-single pass of unimodular row and column gcd steps over a dense copy of
-a few rows.  The closed forms hand it the eight tensor relations
-directly and build no lattice.
+:func:`smith_normal_form` is the module's one other elimination:
+unimodular row and column gcd steps over a copy of a few dense rows,
+each column gathered into one pivot row by one pass over the rows.
+The closed forms hand it the eight tensor relations as dense rows and
+build no lattice; ``quotient_from_lattice`` hands it the core pivot
+rows, densified over the core columns.
 """
 
 from __future__ import annotations
@@ -400,32 +402,34 @@ class QuotientHandle(namedtuple("QuotientHandle", "lattice structure core_column
 
 
 def smith_normal_form(rows) -> list[int]:
-    """Nonzero diagonal d1 | d2 | ... of the Smith normal form of sparse rows.
+    """Nonzero diagonal d1 | d2 | ... of the Smith normal form of dense rows.
 
-    Rows are {column: coefficient} dicts; the column labels need not be
-    contiguous.  They are copied into a dense matrix over their sorted
-    labels, which is eliminated one column at a time by unimodular gcd
-    steps.  Row steps gather the column into one pivot row.  Where the
-    pivot does not divide an entry right of it, a column gcd step makes
-    the pivot strictly smaller and may refill the column, so the two
-    alternate until the pivot divides its row; it is then a diagonal
-    entry and its row is dropped.  A pair of diagonal entries presents
-    the same group as their gcd and lcm, which puts the diagonal in
-    divisibility order.  Its length is the rank of the matrix.
+    Rows are equal-length lists of ints, copied on entry.  The matrix is
+    eliminated one column at a time by unimodular gcd steps.  Row steps
+    gather the column into one pivot row in a single pass over the rows:
+    the first row with a nonzero entry there is the pivot, and each
+    later one is cleared against it.  Where the pivot does not divide an
+    entry right of it, a column gcd step makes the pivot strictly
+    smaller and may refill the column, so the two alternate until the
+    pivot divides its row; it is then a diagonal entry and its row is
+    dropped.  A pair of diagonal entries presents the same group as
+    their gcd and lcm, which puts the diagonal in divisibility order.
+    Its length is the rank of the matrix.
     """
-    rows = list(rows)
-    labels = sorted({j for row in rows for j in row})
-    ncols = len(labels)
-    matrix = [[row.get(j, 0) for j in labels] for row in rows]
+    matrix = [list(row) for row in rows]
+    ncols = len(matrix[0]) if matrix else 0
     diag = []
     for c in range(ncols):
         while True:
-            live = [row for row in matrix if row[c]]
-            if not live:
-                break
-            piv = live[0]
-            for row in live[1:]:
-                a, b = piv[c], row[c]
+            piv = None
+            for row in matrix:
+                b = row[c]
+                if not b:
+                    continue
+                if piv is None:
+                    piv = row
+                    continue
+                a = piv[c]
                 if b % a:
                     g, x, y = _xgcd(a, b)
                     a, b = a // g, b // g
@@ -435,12 +439,16 @@ def smith_normal_form(rows) -> list[int]:
                     q = b // a
                     for k in range(c, ncols):
                         row[k] -= q * piv[k]
+            if piv is None:
+                break
             # Column c is now zero outside piv.  When piv[c] divides the
             # rest of its row, column steps clear that row and touch no
             # other, so piv[c] is a diagonal entry and its row is done.
             a = piv[c]
-            k = next((k for k in range(c + 1, ncols) if piv[k] % a), None)
-            if k is None:
+            for k in range(c + 1, ncols):
+                if piv[k] % a:
+                    break
+            else:
                 diag.append(abs(a))
                 matrix.remove(piv)
                 break
@@ -461,7 +469,7 @@ def quotient_from_lattice(lattice: RowLattice) -> QuotientHandle:
     pivots = lattice.pivots
     unit_cols = {j for j, row in pivots.items() if row[j] == 1}
     core_columns = [c for c in range(lattice.ncols) if c not in unit_cols]
-    diag = smith_normal_form(pivots[j] for j in sorted(pivots) if j not in unit_cols)
+    diag = smith_normal_form([[pivots[j].get(c, 0) for c in core_columns] for j in core_columns if j in pivots])
     factors = tuple(d for d in diag if d > 1) + (0,) * (len(core_columns) - len(diag))
     return QuotientHandle(lattice, AbelianStructure(factors), core_columns)
 

@@ -15,10 +15,11 @@ The relators are normalized once: empty ones and repeats up to
 inversion and cyclic rotation are dropped (nu(G) lists [v, w] and
 [w, v]), and the rest are scanned shortest first, ties in the order
 listed, since short relators deduce entries sooner and so fewer
-cosets are defined.  The run is deterministic: cosets are numbered in
-creation order, and the fill pass walks columns left to right.  A dead
-coset's row is freed once its entries have moved, so memory follows
-the live cosets.
+cosets are defined.  A relator whose cycle already closes at a coset
+is found so by a bare walk along the table and not scanned.  The run
+is deterministic: cosets are numbered in creation order, and the fill
+pass walks columns left to right.  A dead coset's row is freed once its
+entries have moved, so memory follows the live cosets.
 """
 
 from __future__ import annotations
@@ -140,12 +141,16 @@ class CosetTable:
     coset's row is freed, set to None, once ``coincidence`` has moved
     its entries, so the table holds rows for the live cosets and the
     dead ones still queued.  ``live`` counts the live cosets.
+
+    The table's last element is a sentinel row of -1s, never written,
+    after the len(p) coset rows.  A walk that reaches an undefined
+    entry reads -1 and, through table[-1], stays at -1.
     """
 
     def __init__(self, ngens: int, max_cosets: int):
         self.ncols = 2 * ngens
         self.max_cosets = max_cosets
-        self.table: list[list[int] | None] = [[-1] * self.ncols]
+        self.table: list[list[int] | None] = [[-1] * self.ncols, [-1] * self.ncols]
         self.p = [0]
         self.queue: deque[int] = deque()
         self.live = 1
@@ -160,10 +165,10 @@ class CosetTable:
         return root
 
     def define(self, alpha: int, x: int) -> None:
-        if len(self.table) >= self.max_cosets:
+        new = len(self.p)
+        if new >= self.max_cosets:
             raise _TableOverflow
-        new = len(self.table)
-        self.table.append([-1] * self.ncols)
+        self.table.insert(new, [-1] * self.ncols)
         self.p.append(new)
         self.table[alpha][x] = new
         self.table[new][x ^ 1] = alpha
@@ -277,9 +282,15 @@ def todd_coxeter(
     words = [_letters(w) for w in subgroup] + relators
     try:
         alpha = 0
-        while alpha < len(table):
+        while alpha < len(p):
             if p[alpha] == alpha:
                 for letters in words:
+                    # A word that already closes at alpha needs no scan.
+                    f = alpha
+                    for x in letters:
+                        f = table[f][x]
+                    if f == alpha:
+                        continue
                     # Scan-and-fill the word at alpha: f runs forward from
                     # alpha over letters[:i], b backward over letters[j+1:].
                     f = b = alpha
@@ -320,8 +331,8 @@ def todd_coxeter(
             words = relators
             alpha += 1
     except _TableOverflow:
-        return EnumerationResult(order=None, cosets_used=len(table))
-    return EnumerationResult(order=ct.live, cosets_used=len(table))
+        return EnumerationResult(order=None, cosets_used=len(p))
+    return EnumerationResult(order=ct.live, cosets_used=len(p))
 
 
 class CertificationResult(

@@ -75,7 +75,7 @@ class SectionReport(
 
 
 def _word(*factors: tuple[int, int]) -> Word:
-    return tuple((g, e) for g, e in factors if e)
+    return tuple([(g, e) for g, e in factors if e])
 
 
 def _comm(i: int, j: int) -> Word:
@@ -144,12 +144,20 @@ def tensor_structure(params: GroupParams) -> AbelianStructure:
     """Canonical invariant factors of G (x) G.
 
     The Smith form of the eight relation rows; no word repeats a
-    generator, so each word is its row.  A generator the relations leave
-    free would be a zero invariant factor.
+    generator, so each word is its dense row.  The columns are v, w, z,
+    u: u, in up to five of the eight words, is eliminated last, after the
+    sparser columns have shrunk the rows.  A generator the relations
+    leave free would be a zero invariant factor.
     """
     ngens = len(TENSOR_GENERATORS)
-    words = tensor_relators(tensor_descriptor(params), *range(ngens))
-    diag = smith_normal_form(dict(word) for word in words)
+    v, w, z, u = range(ngens)
+    rows = []
+    for word in tensor_relators(tensor_descriptor(params), u, v, w, z):
+        row = [0] * ngens
+        for g, e in word:
+            row[g] = e
+        rows.append(row)
+    diag = smith_normal_form(rows)
     return AbelianStructure(tuple(d for d in diag if d > 1) + (0,) * (ngens - len(diag)))
 
 
@@ -157,6 +165,10 @@ def exterior_order(params: GroupParams) -> int:
     """Order of the exterior square: gcd(m, 1 + r + ... + r**(n-1), s)."""
     partial = gcd(params.m, params.s)
     return gcd(partial, numth.geom_sum_mod(params.r, params.n, partial))
+
+
+def _where(params: GroupParams) -> str:
+    return f"(m, n, r, s) = ({params.m}, {params.n}, {params.r}, {params.s})"
 
 
 def exterior_and_schur(params: GroupParams) -> SectionReport:
@@ -170,14 +182,13 @@ def exterior_and_schur(params: GroupParams) -> SectionReport:
     t = params.inv.t_derived
     tensor = tensor_structure(params)
     ext = exterior_order(params)
-    where = f"(m, n, r, s) = ({params.m}, {params.n}, {params.r}, {params.s})"
     if ext % t:
         raise FormulaInconsistencyError(
-            f"exterior order {ext} not divisible by t = {t} for {where}"
+            f"exterior order {ext} not divisible by t = {t} for {_where(params)}"
         )
     if tensor.order % ext:
         raise FormulaInconsistencyError(
-            f"tensor order {tensor.order} not divisible by exterior order {ext} for {where}"
+            f"tensor order {tensor.order} not divisible by exterior order {ext} for {_where(params)}"
         )
     return SectionReport(
         tensor=tensor,

@@ -12,6 +12,11 @@ test_oracle.py checks it against these functions, and the peel
 property tests in test_abgrp.py exercise abgrp.CoreMap through
 :func:`peel` on lattices that are not the oracle's.
 
+The Smith normal form as abgrp ran it on sparse {column: coefficient}
+rows, over their sorted column labels; test_abgrp.py and
+test_presentations.py check abgrp.smith_normal_form, on dense rows,
+against :func:`smith_normal_form`.
+
 Todd-Coxeter enumeration as fpgrp ran it before its relators were
 normalized: relators scanned in the order listed, through a
 scan_and_fill method, and every dead coset's row kept.
@@ -20,9 +25,10 @@ test_fpgrp.py checks fpgrp.todd_coxeter against :func:`todd_coxeter`.
 
 from array import array
 from collections import deque
+from math import gcd
 
 from tensq import metagrp
-from tensq.abgrp import CoreMap, RowLattice, _reduce_dense, _walk_steps
+from tensq.abgrp import CoreMap, RowLattice, _reduce_dense, _walk_steps, _xgcd
 from tensq.fpgrp import DEFAULT_MAX_COSETS, EnumerationResult, _letters, _TableOverflow
 from tensq.metagrp import GroupParams
 from tensq.presentations import Presentation, Word
@@ -254,6 +260,62 @@ def peel(rows, ncols: int, modulus: int | None = None) -> CoreMap:
             woken.append(s)
             s = link[s]
     return CoreMap(images, core)
+
+
+def smith_normal_form(rows) -> list[int]:
+    """Nonzero diagonal d1 | d2 | ... of the Smith normal form of sparse rows.
+
+    Rows are {column: coefficient} dicts; the column labels need not be
+    contiguous.  They are copied into a dense matrix over their sorted
+    labels, which is eliminated one column at a time by unimodular gcd
+    steps.  Row steps gather the column into one pivot row.  Where the
+    pivot does not divide an entry right of it, a column gcd step makes
+    the pivot strictly smaller and may refill the column, so the two
+    alternate until the pivot divides its row; it is then a diagonal
+    entry and its row is dropped.  A pair of diagonal entries presents
+    the same group as their gcd and lcm, which puts the diagonal in
+    divisibility order.  Its length is the rank of the matrix.
+    """
+    rows = list(rows)
+    labels = sorted({j for row in rows for j in row})
+    ncols = len(labels)
+    matrix = [[row.get(j, 0) for j in labels] for row in rows]
+    diag = []
+    for c in range(ncols):
+        while True:
+            live = [row for row in matrix if row[c]]
+            if not live:
+                break
+            piv = live[0]
+            for row in live[1:]:
+                a, b = piv[c], row[c]
+                if b % a:
+                    g, x, y = _xgcd(a, b)
+                    a, b = a // g, b // g
+                    for k in range(c, ncols):
+                        piv[k], row[k] = x * piv[k] + y * row[k], a * row[k] - b * piv[k]
+                else:
+                    q = b // a
+                    for k in range(c, ncols):
+                        row[k] -= q * piv[k]
+            # Column c is now zero outside piv.  When piv[c] divides the
+            # rest of its row, column steps clear that row and touch no
+            # other, so piv[c] is a diagonal entry and its row is done.
+            a = piv[c]
+            k = next((k for k in range(c + 1, ncols) if piv[k] % a), None)
+            if k is None:
+                diag.append(abs(a))
+                matrix.remove(piv)
+                break
+            g, x, y = _xgcd(a, piv[k])
+            a, b = a // g, piv[k] // g
+            for row in matrix:
+                row[c], row[k] = x * row[c] + y * row[k], a * row[k] - b * row[c]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return diag
 
 
 class CosetTable:

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, prod
 
 import pytest
@@ -17,6 +17,7 @@ from tensq.abgrp import (
 from tensq.errors import TensqError
 from tensq.presentations import tensor_descriptor, tensor_relators
 from reference import peel
+from reference import smith_normal_form as sparse_smith_normal_form
 from support import FROZEN
 
 
@@ -55,7 +56,7 @@ def check_snf(matrix):
     """The diagonal against the determinantal divisors of the matrix:
     d1 * ... * dk is the gcd of all k x k minors.  The Smith form
     returns the nonzero entries only; zeros pad it to min(rows, cols)."""
-    diag = smith_normal_form(sparse(matrix))
+    diag = smith_normal_form(matrix)
     R, C = len(matrix), len(matrix[0]) if matrix else 0
     assert all(diag) and len(diag) <= min(R, C)
     diag += [0] * (min(R, C) - len(diag))
@@ -72,16 +73,34 @@ def check_snf(matrix):
 
 
 def test_snf_examples():
+    assert smith_normal_form([]) == []
     assert check_snf([[2, 0], [0, 3]]) == [1, 6]
     assert check_snf([[0, 0], [0, 0]]) == [0, 0]
     assert check_snf([[4, 6], [6, 4]]) == [2, 10]
 
 
-def test_snf_keeps_gapped_column_labels():
-    # Core rows skip the columns cleared by unit pivots.
-    assert smith_normal_form([{3: 4, 17: 6}, {3: 6, 17: 4}]) == [2, 10]
-    assert smith_normal_form([{5: 2}, {9: 3}, {5: 2, 9: 3}]) == [1, 6]
-    assert smith_normal_form([]) == []
+def test_quotient_keeps_core_columns_between_cleared_unit_columns():
+    # Core rows on columns with gaps between them; every other column is
+    # a unit pivot whose row also touches the next two columns, core
+    # ones included.  Clearing the unit columns leaves the core rows on
+    # the gapped core columns, and the structure is that of the core
+    # rows alone, renumbered 0, 1, ...; with and without a modulus.
+    for (core_rows, ncols, factors), modulus in product(
+        [([{3: 4, 17: 6}, {3: 6, 17: 4}], 18, (2, 10)), ([{5: 2}, {9: 3}, {5: 2, 9: 3}], 10, (6,))],
+        [None, 60],
+    ):
+        core = sorted({j for row in core_rows for j in row})
+        lat = RowLattice(ncols, modulus)
+        for j in range(ncols):
+            if j not in core:
+                lat.insert({j: 1, **{k: k % 5 + 1 for k in range(j + 1, min(j + 3, ncols))}})
+        for row in core_rows:
+            lat.insert(row)
+        handle = quotient_from_lattice(lat)
+        assert handle.core_columns == core
+        assert handle.structure == AbelianStructure(factors)
+        compact = [{core.index(j): v for j, v in row.items()} for row in core_rows]
+        assert quotient_structure(compact, len(core)).structure == handle.structure
 
 
 def test_snf_rectangular_and_random():
@@ -128,6 +147,22 @@ def test_snf_on_tall_tensor_pattern_matrices():
         assert check_snf([[row[j] for j in cols] for row in matrix]) == diag
 
 
+def test_snf_matches_the_sparse_reference_on_tensor_patterns():
+    # The dense Smith form against the dict-row one it replaced, on the
+    # seeded tensor_pattern matrices with entries up to 10^300, as given
+    # and with the columns in the order v, w, z, u that the closed forms
+    # use.
+    rng = random.Random(20261020)
+    for bound in [9] * 200 + [10**6] * 100 + [10**300] * 40:
+        e_u, e_v, e_w, e_z, n = (rng.randint(1, bound) for _ in range(5))
+        s = rng.choice([0, rng.randint(1, bound)])
+        big_e = rng.randint(1, bound)
+        matrix = tensor_pattern(e_u, e_v, e_w, e_z, s, n, big_e)
+        expected = sparse_smith_normal_form(sparse(matrix))
+        assert smith_normal_form(matrix) == expected, matrix
+        assert smith_normal_form([row[1:] + row[:1] for row in matrix]) == expected, matrix
+
+
 def test_snf_on_the_frozen_relation_matrices():
     for tup, (tensor, *_) in FROZEN.items():
         words = tensor_relators(tensor_descriptor(metagrp.validate(*tup)), 0, 1, 2, 3)
@@ -137,7 +172,7 @@ def test_snf_on_the_frozen_relation_matrices():
 
 
 def test_snf_is_deterministic():
-    rows = sparse([[4, 6, 2], [6, 4, 0], [2, 2, 2]])
+    rows = [[4, 6, 2], [6, 4, 0], [2, 2, 2]]
     first = smith_normal_form(rows)
     second = smith_normal_form(rows)
     assert first == second
@@ -512,7 +547,9 @@ def test_core_map_order_is_the_walk_order(modulus, cleared):
 
 def test_core_map_images_are_bounded_and_shared():
     # With a modulus each image has entries in [0, modulus), and equal
-    # images are one tuple.
+    # images are one tuple.  The pivot rows of an echelon basis give no
+    # two columns equal nonempty images, so the last case has rows
+    # e_j - e_k, k = 7 or 8, taking columns 0 to 6 to two images.
     rng = random.Random(20261023)
     for _ in range(40):
         lat = random_lattice(rng, 72)
@@ -520,6 +557,10 @@ def test_core_map_images_are_bounded_and_shared():
         for img in cmap.images:
             assert all(0 <= v < 72 for _, v in img), img
         assert len({id(img) for img in cmap.images}) == len(set(cmap.images))
+    rows = [((j, 1), (7 + j % 2, -1)) for j in range(7)]
+    cmap = peel(rows, 9, 72)
+    assert len(set(cmap.images[:7])) == 2 and all(cmap.images[:7])
+    assert len({id(img) for img in cmap.images}) == len(set(cmap.images))
 
 
 @pytest.mark.parametrize("modulus", [None, 60], ids=["exact", "mod60"])

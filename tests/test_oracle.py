@@ -122,6 +122,16 @@ def test_oracle_9343(model_9343):
     assert oracle_schur_order(m) == 1
 
 
+def test_oracle_core_map_shares_equal_images(model_9343):
+    # Columns share their nonempty images, each value one tuple, its
+    # entries in [0, M).
+    images = model_9343.core_map.images
+    bound = model_9343.core_map.lattice.modulus
+    assert len(set(img for img in images if img)) < sum(1 for img in images if img)
+    assert len({id(img) for img in images}) == len(set(images))
+    assert all(0 <= v < bound for img in images for _, v in img)
+
+
 def test_oracle_agrees_with_closed_delta(model_3220, model_9343):
     for model in (model_3220, model_9343):
         report = exterior_and_schur(model.params)

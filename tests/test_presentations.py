@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from tensq import metagrp
-from tensq.abgrp import quotient_structure
-from tensq.errors import TensqError
+from tensq import metagrp, presentations
+from tensq.abgrp import AbelianStructure, quotient_structure
+from tensq.errors import FormulaInconsistencyError, TensqError
 from tensq.fpgrp import todd_coxeter
 from tensq.presentations import (
     NU_GENERATORS,
@@ -21,6 +21,7 @@ from tensq.presentations import (
     tensor_structure,
     upsilon_order_bounds,
 )
+from reference import smith_normal_form as sparse_smith_normal_form
 from support import FROZEN, enumerate_valid_tuples
 
 DATA = Path(__file__).parent / "data"
@@ -50,6 +51,30 @@ def test_tensor_structure_matches_the_lattice_quotient():
                 row[g] = row.get(g, 0) + e
             rows.append(row)
         assert tensor_structure(p) == quotient_structure(rows, 4).structure, p
+
+
+def test_tensor_structure_matches_the_sparse_smith_form():
+    # The dense Smith form, columns v, w, z, u, against the dict-row one
+    # it replaced on the words' own rows, columns u, v, w, z.
+    for p in enumerate_valid_tuples(300, include_s_zero=True):
+        words = tensor_relators(tensor_descriptor(p), 0, 1, 2, 3)
+        diag = sparse_smith_normal_form(dict(word) for word in words)
+        factors = tuple(d for d in diag if d > 1) + (0,) * (4 - len(diag))
+        assert tensor_structure(p).invariant_factors == factors, p
+
+
+def test_section_report_guards_name_the_tuple(monkeypatch):
+    # (3, 2, 2, 0): t = 3, exterior order 3, tensor order 6.
+    p = metagrp.validate(3, 2, 2, 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(presentations, "exterior_order", lambda params: 1)
+        with pytest.raises(FormulaInconsistencyError) as err:
+            exterior_and_schur(p)
+    assert str(err.value) == "exterior order 1 not divisible by t = 3 for (m, n, r, s) = (3, 2, 2, 0)"
+    monkeypatch.setattr(presentations, "tensor_structure", lambda params: AbelianStructure((2,)))
+    with pytest.raises(FormulaInconsistencyError) as err:
+        exterior_and_schur(p)
+    assert str(err.value) == "tensor order 2 not divisible by exterior order 3 for (m, n, r, s) = (3, 2, 2, 0)"
 
 
 def test_section_report_consistency_sweep():
