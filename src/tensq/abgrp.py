@@ -12,13 +12,14 @@ nonzero entry, kept positive), built by ``RowLattice.insert``.  A
 lattice given a modulus M that the quotient's exponent divides starts
 from the rows M * e_j of M * Z^n and keeps every other entry in [0, M)
 (Domich, Kannan and Trotter's bound for the Hermite normal form);
-without one, entries are never reduced.  For a fixed column order the
-fully reduced echelon basis is the Hermite normal form, which the
-lattice alone determines, so the basis ``clear_unit_columns`` leaves
-does not depend on the order rows were inserted in.  Finitely
-generated abelian groups are presented as Z^n modulo such a lattice;
-their canonical invariant factors come from the Smith normal form of
-the core left after eliminating every unit pivot.
+without one, insertion reduces no entry.  On either kind
+``clear_unit_columns`` brings each entry at a later pivot column below
+that pivot.  For a fixed column order that echelon basis is the Hermite
+normal form, which the lattice alone determines, so it does not depend
+on the order rows were inserted in.  Finitely generated abelian groups
+are presented as Z^n modulo such a lattice; their canonical invariant
+factors come from the Smith normal form of the core left after
+eliminating every unit pivot.
 
 A query against the lattice, membership or element order, is a walk
 down the echelon basis: ``RowLattice.order``.  A lattice given by many
@@ -89,9 +90,9 @@ class RowLattice:
 
     With a modulus every entry but a seed row's M is kept in [0, M):
     M * e_j lies in the lattice, so reducing an entry modulo M leaves the
-    lattice as it is.  ``clear_unit_columns`` reduces every row, which
-    gives the Hermite normal form.  Without a modulus entries are never
-    reduced.
+    lattice as it is.  Without a modulus insertion reduces no entry.
+    Either way ``clear_unit_columns`` reduces every row, which gives the
+    Hermite normal form.
     """
 
     __slots__ = ("ncols", "pivots", "modulus")
@@ -210,37 +211,28 @@ class RowLattice:
         return self.order(vec) == 1
 
     def clear_unit_columns(self) -> None:
-        """Eliminate every column whose pivot is 1 from all other rows.
+        """Reduce the basis to the Hermite normal form, leaving the lattice
+        as it is, with or without a modulus.
 
-        Leaves the lattice unchanged as a set; afterwards a unit-pivot
-        row is the only row touching its pivot column.  With a modulus
-        each row's tail is reduced by the later rows, last row first, so
-        each reduces by rows already reduced: ``pivots`` then holds the
-        Hermite normal form.
+        Pivot rows are taken last first; each entry of a row at a later
+        pivot column is brought into [0, pivot) by that column's row,
+        already reduced.  So a unit-pivot row is the only row touching
+        its pivot column.  Entries at columns with no pivot, which only a
+        lattice without a modulus has, stay as they are.
         """
-        if self.modulus is not None:
-            pivots = self.pivots
-            for j in range(self.ncols - 1, -1, -1):
-                row = pivots[j]
-                heap = [k for k in row if k > j]
-                heapq.heapify(heap)
-                while heap:
-                    k = heapq.heappop(heap)
-                    q = row.get(k, 0) // pivots[k][k]
-                    if q:
-                        for col in pivots[k]:
-                            if col not in row:
-                                heapq.heappush(heap, col)
-                        _axpy(row, -q, pivots[k])
-            return
-        unit_cols = sorted(j for j, row in self.pivots.items() if row[j] == 1)
-        for j in unit_cols:
-            piv = self.pivots[j]
-            for i, row in self.pivots.items():
-                if i != j:
-                    c = row.get(j)
-                    if c:
-                        _axpy(row, -c, piv)
+        pivots = self.pivots
+        for j in sorted(pivots, reverse=True):
+            row = pivots[j]
+            heap = [k for k in row if k > j and k in pivots]
+            heapq.heapify(heap)
+            while heap:
+                k = heapq.heappop(heap)
+                q = row.get(k, 0) // pivots[k][k]
+                if q:
+                    for col in pivots[k]:
+                        if col not in row and col in pivots:
+                            heapq.heappush(heap, col)
+                    _axpy(row, -q, pivots[k])
 
 
 def _walk_steps(lattice: RowLattice) -> list:

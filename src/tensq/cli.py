@@ -195,8 +195,10 @@ CACHE_FILE_LIMIT = 1 << 20
 def _read_file(path: str) -> bytes:
     """The whole file at path, read through a raw descriptor: one read of
     the size fstat gives, repeated only after a short read.  A file over
-    CACHE_FILE_LIMIT bytes raises ValueError unread."""
-    fd = os.open(path, os.O_RDONLY)
+    CACHE_FILE_LIMIT bytes raises ValueError unread.  The descriptor is
+    opened non-blocking, so a FIFO with no writer reads as empty rather
+    than blocking the open."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     try:
         size = os.fstat(fd).st_size
         if size > CACHE_FILE_LIMIT:

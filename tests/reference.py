@@ -4,13 +4,14 @@ The group tables, from metagrp's Element arithmetic rather than the
 oracle's index arithmetic, so the reference rows do not share the code
 they check.
 
-The oracle's core map: every row generated, encoded as one int,
-sorted, deduplicated and stored, then peeled by a generic structured
-elimination over sparse rows.  The oracle streams its rows from its
-generator maps and stores none (oracle._stream_core_map);
-test_oracle.py checks it against these functions, and the peel
-property tests in test_abgrp.py exercise abgrp.CoreMap through
-:func:`peel` on lattices that are not the oracle's.
+The oracle's core map: every row generated as a normalized tuple of
+(column, coefficient) pairs, deduplicated in a set, sorted and stored,
+then peeled by a generic structured elimination over sparse rows.  The
+oracle streams its rows from its generator maps and stores none
+(oracle._stream_core_map); test_oracle.py checks it against these
+functions, and the peel property tests in test_abgrp.py exercise
+abgrp.CoreMap through :func:`peel` on lattices that are not the
+oracle's.
 
 The Smith normal form as abgrp ran it on sparse {column: coefficient}
 rows, over their sorted column labels; test_abgrp.py and
@@ -52,75 +53,26 @@ def group_tables(p: GroupParams, second=None) -> tuple[dict, dict]:
     return right, conj_by
 
 
-def _encode_row(c_plus: int, c_minus1: int, c_minus2: int, base: int) -> int:
-    """e[c_plus] - e[c_minus1] - e[c_minus2], normalized, as one int.
-
-    The normalized row is the row's (column, coefficient) pairs in
-    column order, the first coefficient positive; its coefficients sum
-    to -1, so it is never zero.  A pair is the digit 6 * column +
-    coefficient + 3, never 0 and ordered as the pair is, and the row is
-    its digits in ``base``, at least 6 * ncols, padded with 0 to three
-    digits.  So codes order as their rows do, and equal rows have equal
-    codes.
-    """
-    lo, hi = (c_minus1, c_minus2) if c_minus1 <= c_minus2 else (c_minus2, c_minus1)
-    if c_plus == lo:  # ((hi, 1),)
-        return (6 * hi + 4) * base * base
-    if c_plus == hi:  # ((lo, 1),)
-        return (6 * lo + 4) * base * base
-    if lo == hi:
-        if c_plus < lo:  # ((c_plus, 1), (lo, -2))
-            return ((6 * c_plus + 4) * base + 6 * lo + 1) * base
-        # ((lo, 2), (c_plus, -1))
-        return ((6 * lo + 5) * base + 6 * c_plus + 2) * base
-    if c_plus < lo:  # ((c_plus, 1), (lo, -1), (hi, -1))
-        return ((6 * c_plus + 4) * base + 6 * lo + 2) * base + 6 * hi + 2
-    if c_plus < hi:  # ((lo, 1), (c_plus, -1), (hi, 1))
-        return ((6 * lo + 4) * base + 6 * c_plus + 2) * base + 6 * hi + 4
-    # ((lo, 1), (hi, 1), (c_plus, -1))
-    return ((6 * lo + 4) * base + 6 * hi + 4) * base + 6 * c_plus + 2
+def normalized_row(c_plus: int, c_minus1: int, c_minus2: int) -> tuple:
+    """e[c_plus] - e[c_minus1] - e[c_minus2] as sorted (column,
+    coefficient) pairs, the first coefficient positive.  Its coefficients
+    sum to -1, so it is never empty."""
+    acc = {}
+    for col, v in zip((c_plus, c_minus1, c_minus2), (1, -1, -1)):
+        acc[col] = acc.get(col, 0) + v
+    items = sorted((c, v) for c, v in acc.items() if v)
+    sign = 1 if items[0][1] > 0 else -1
+    return tuple((c, sign * v) for c, v in items)
 
 
-def _decode_row(code: int, base: int) -> tuple:
-    """The normalized row of a code, as (column, coefficient) pairs."""
-    high, low = divmod(code, base * base)
-    mid, low = divmod(low, base)
-    if low:
-        return ((high // 6, high % 6 - 3), (mid // 6, mid % 6 - 3), (low // 6, low % 6 - 3))
-    if mid:
-        return ((high // 6, high % 6 - 3), (mid // 6, mid % 6 - 3))
-    return ((high // 6, high % 6 - 3),)
-
-
-class _Rows:
-    """A sequence of normalized rows kept as one int code each (see
-    _encode_row) and decoded as read."""
-
-    __slots__ = ("codes", "base")
-
-    def __init__(self, codes: list[int], base: int):
-        self.codes = codes
-        self.base = base
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __getitem__(self, i: int) -> tuple:
-        return _decode_row(self.codes[i], self.base)
-
-
-def _relation_rows(p: GroupParams, second) -> _Rows:
-    """Distinct normalized rows of both relation families, for every
-    second variable c in ``second`` and every g, h in G, in descending
-    order, from the tables of :func:`group_tables`.
-
-    The rows are gathered and sorted as one int each, so equal rows are
-    neighbours, and the duplicates are dropped in place.
-    """
+def _relation_rows(p: GroupParams, second) -> list[tuple]:
+    """Distinct normalized rows (see :func:`normalized_row`) of both
+    relation families, for every second variable c in ``second`` and
+    every g, h in G, in descending order, from the tables of
+    :func:`group_tables`."""
     ng = p.order
     rng = range(ng)
-    base = 6 * ng * ng
-    codes = []
+    rows = set()
     right, conj_by = group_tables(p, second)
     for c in second:
         act = conj_by[c]
@@ -132,16 +84,9 @@ def _relation_rows(p: GroupParams, second) -> _Rows:
                 # (g c) (x) h = (g^c (x) h^c) (c (x) h), then its mirror, every
                 # pair symbol swapped: the second family at h1 = c,
                 # h (x) (g c) = (h (x) c) (h^c (x) g^c).
-                codes.append(_encode_row(gc * ng + h, gt * ng + ht, c * ng + h, base))
-                codes.append(_encode_row(h * ng + gc, ht * ng + gt, h * ng + c, base))
-    codes.sort(reverse=True)
-    kept = 0
-    for code in codes:
-        if not kept or code != codes[kept - 1]:
-            codes[kept] = code
-            kept += 1
-    del codes[kept:]
-    return _Rows(codes, base)
+                rows.add(normalized_row(gc * ng + h, gt * ng + ht, c * ng + h))
+                rows.add(normalized_row(h * ng + gc, ht * ng + gt, h * ng + c))
+    return sorted(rows, reverse=True)
 
 
 def peel(rows, ncols: int, modulus: int | None = None) -> CoreMap:

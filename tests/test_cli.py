@@ -781,6 +781,37 @@ def test_directory_at_a_cache_file_path_exits_2(command, tmp_path, monkeypatch, 
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="makes a named pipe")
+def test_fifo_at_a_cache_file_path_is_a_miss(tmp_path, monkeypatch, capsys):
+    # A FIFO with no writer at the cache file's path reads as an empty
+    # file, a miss, and is replaced by the sealed record, which the rerun
+    # hits.  The first run is a child process, so a blocking open fails
+    # the test on its timeout instead of stalling the suite.
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / f"{PINNED_KEYS[False]}.json"
+    os.mkfifo(path)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"), TENSQ_CACHE_DIR=str(cache))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tensq.cli", "compute", *SMALL],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert path.is_file()
+    assert path.read_text() == _seal_body(path.stem, _one_line(proc.stdout))
+
+    def fail(*args):
+        raise AssertionError("a record was built on a warm cache")
+
+    monkeypatch.setenv("TENSQ_CACHE_DIR", str(cache))
+    monkeypatch.setattr(cli, "build_run_record", fail)
+    assert main(["compute", *SMALL]) == 0
+    assert capsys.readouterr().out == proc.stdout
+
+
 def test_short_reads_still_hit(tmp_path, monkeypatch, capsys):
     # A cache file that arrives a few bytes per read is read whole and is
     # a hit: no record is built and the stored bytes are printed.

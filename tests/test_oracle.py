@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import random
 import tracemalloc
@@ -18,7 +17,7 @@ from tensq.oracle import (
     verify_identities,
 )
 from tensq.presentations import exterior_and_schur
-from reference import _decode_row, _encode_row, _relation_rows, group_tables, peel
+from reference import _relation_rows, group_tables, peel
 from support import enumerate_valid_tuples
 
 DATA = Path(__file__).parent / "data"
@@ -56,17 +55,18 @@ def reference_lattices(tup):
 
 @lru_cache(maxsize=None)
 def exact_reference(tup):
-    """Every family row inserted in ascending order into a lattice without
+    """The generating rows (c in {a, b}) inserted into a lattice without
     a modulus, unit columns cleared: the oracle lattice built exactly,
-    with no exponent bound and no generating set.
+    with no exponent bound.
 
-    The exact path does not reduce its pivot rows, so another order gives
-    the same lattice but not the same basis rows; the sublattice golden
-    pins rows of this one.
+    Clearing leaves the Hermite normal form, which the lattice alone
+    determines: another insertion order, or every family row, which
+    spans the same lattice, gives the same basis rows.  The sublattice
+    golden pins rows of this one.
     """
     p = metagrp.validate(*tup)
     lattice = abgrp.RowLattice(p.order ** 2)
-    for row in sorted(family_rows(p)):
+    for row in _relation_rows(p, (1, p.m)):
         lattice.insert(row)
     lattice.clear_unit_columns()
     return lattice
@@ -137,49 +137,6 @@ def test_oracle_agrees_with_closed_delta(model_3220, model_9343):
         report = exterior_and_schur(model.params)
         assert model.handle.structure.order == exterior_oracle(model).order * report.delta_order
         assert oracle_schur_order(model) == report.schur.order
-
-
-def normalized_row(c_plus, c_minus1, c_minus2):
-    """e[c_plus] - e[c_minus1] - e[c_minus2] as sorted (column, coefficient)
-    pairs, the first coefficient positive."""
-    acc = {}
-    for col, v in zip((c_plus, c_minus1, c_minus2), (1, -1, -1)):
-        acc[col] = acc.get(col, 0) + v
-    items = sorted((c, v) for c, v in acc.items() if v)
-    sign = 1 if items[0][1] > 0 else -1
-    return tuple((c, sign * v) for c, v in items)
-
-
-def test_normalized_row_is_the_sorted_row_with_positive_lead():
-    # Every order and coincidence pattern of the three columns, each
-    # column at either end of the range a code must hold.
-    ncols = 16
-    for cols in itertools.product((0, 1, ncols - 2, ncols - 1), repeat=3):
-        code = _encode_row(*cols, 6 * ncols)
-        assert _decode_row(code, 6 * ncols) == normalized_row(*cols), cols
-
-
-def test_row_source_gives_the_distinct_rows_in_descending_order():
-    # Against a test-local reference: the set of normalized rows of both
-    # families for c in {a, b}, sorted as tuples.
-    for tup in ORACLE_PANEL:
-        model = build_tensor_oracle(metagrp.validate(*tup))
-        ng = model.params.order
-        second = (1, model.params.m)  # a, b
-        right, conj_by = group_tables(model.params, second)
-        reference = {
-            row
-            for c in second
-            for g in range(ng)
-            for h in range(ng)
-            for row in (
-                normalized_row(right[c][g] * ng + h, conj_by[c][g] * ng + conj_by[c][h], c * ng + h),
-                normalized_row(h * ng + right[c][g], conj_by[c][h] * ng + conj_by[c][g], h * ng + c),
-            )
-        }
-        rows = list(_relation_rows(model.params, second))
-        assert rows == sorted(reference, reverse=True), tup
-        assert model.distinct_rows == len(rows), tup
 
 
 def test_index_arithmetic_matches_the_element_arithmetic():
@@ -268,9 +225,15 @@ def test_oracle_and_exterior_bases_hold_a_row_per_column(model_9343):
         assert all(min(row) == j and row[j] > 0 for j, row in lattice.pivots.items())
 
 
-def test_reduced_basis_does_not_depend_on_insertion_order():
-    # The reference inserts the rows in descending order; ascending and
-    # shuffled orders must reach the same Hermite normal form.
+@pytest.mark.parametrize("exact", [False, True], ids=["modular", "exact"])
+def test_reduced_basis_does_not_depend_on_insertion_order(exact):
+    # The references insert the generating rows in descending order; the
+    # ascending order must reach the same Hermite normal form, with the
+    # oracle's modulus and without one.  With it, so must a shuffled
+    # order.  Without it nothing bounds the coefficients while rows go
+    # in, and the shuffled order passes a million bits within a thousand
+    # rows, so that case inserts every family row instead, a larger set
+    # spanning the same lattice.
     for tup in ((7, 3, 2, 0), (9, 3, 4, 3)):
         p = metagrp.validate(*tup)
         ng = p.order
@@ -278,12 +241,14 @@ def test_reduced_basis_does_not_depend_on_insertion_order():
         rows = sorted(_relation_rows(p, second))
         shuffled = list(rows)
         random.Random(20261018).shuffle(shuffled)
-        for order in (rows, shuffled):
-            lattice = abgrp.RowLattice(ng * ng, modulus=oracle.tensor_exponent_bound(ng))
+        orders = (rows, family_rows(p)) if exact else (rows, shuffled)
+        reference = exact_reference(tup) if exact else reference_lattices(tup)[0]
+        for order in orders:
+            lattice = abgrp.RowLattice(ng * ng, None if exact else oracle.tensor_exponent_bound(ng))
             for row in order:
                 lattice.insert(row)
             lattice.clear_unit_columns()
-            assert lattice.pivots == reference_lattices(tup)[0].pivots, tup
+            assert lattice.pivots == reference.pivots, tup
 
 
 def test_oracle_matches_closed_forms_past_order_45():
@@ -544,21 +509,23 @@ def test_bounds_suite_passes(model_3220, model_9343):
             report.checks = []
 
 
-# Sublattice models: the exact reference keeps only the pivot rows of the
-# first half of its pivot columns, so every check family except the tautology
-# fails somewhere.  (15,2,4,10) takes the "2 || s" branch of the n-s
-# relation.  The golden pins each check's (name, instances, failed,
-# examples) from both suites.
+# Sublattice models: the exact reference, a Hermite normal form, keeps only
+# the pivot rows of the last half of its pivot columns, so every check
+# family except the tautology fails somewhere.  With the first half, the
+# two derived-diagonal checks would pass on every panel tuple.
+# (15,2,4,10) takes the "2 || s" branch of the n-s relation.  The golden
+# pins each check's (name, instances, failed, examples) from both suites.
 FAILURE_PANEL = [(9, 3, 4, 3), (7, 3, 2, 0), (15, 2, 4, 10)]
 
 
 def _sublattice_model(tup):
     """The oracle model of tup with its map peeled from the kept rows
-    alone (no modulus), and those rows as a RowLattice basis."""
+    alone (no modulus), and those rows as a RowLattice basis: the exact
+    reference's pivot rows at the last half of its pivot columns."""
     model = build_tensor_oracle(metagrp.validate(*tup))
     lat = exact_reference(tup)
     sub = abgrp.RowLattice(lat.ncols)
-    keep = sorted(lat.pivots)[: len(lat.pivots) // 2]
+    keep = sorted(lat.pivots)[len(lat.pivots) // 2 :]
     sub.pivots = {j: dict(lat.pivots[j]) for j in keep}
     model.core_map = peel([row.items() for row in sub.pivots.values()], sub.ncols)
     return model, sub
@@ -583,11 +550,11 @@ def test_suite_failure_reports_match_golden():
 
 
 def test_core_map_keeps_orders_on_the_sublattices():
-    # The suites read the failure panel's sublattices (no modulus,
-    # uncleared rows, free columns) through the map peeled from their
-    # rows; unit vectors and seeded random vectors have the walk's
-    # orders, finite and infinite, with and without the suites'
-    # reduction of coefficients modulo the exponent.
+    # The suites read the failure panel's sublattices (no modulus, free
+    # columns) through the map peeled from their rows; unit vectors and
+    # seeded random vectors have the walk's orders, finite and infinite,
+    # with and without the suites' reduction of coefficients modulo the
+    # exponent.
     rng = random.Random(20261024)
     for tup in FAILURE_PANEL:
         model, lattice = _sublattice_model(tup)
