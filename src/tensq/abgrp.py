@@ -10,14 +10,16 @@ The central object is :class:`RowLattice`, an integer row lattice kept
 as an echelon basis (one basis row per pivot column, pivot = leftmost
 nonzero entry, kept positive), built by ``RowLattice.insert``.  A
 lattice given a modulus M that the quotient's exponent divides starts
-from the rows M * e_j of M * Z^n and keeps every other entry in [0, M)
-(Domich, Kannan and Trotter's bound for the Hermite normal form);
-without one, insertion reduces no entry.  On either kind
-``clear_unit_columns`` brings each entry at a later pivot column below
-that pivot.  For a fixed column order that echelon basis is the Hermite
-normal form, which the lattice alone determines, so it does not depend
-on the order rows were inserted in.  Finitely generated abelian groups
-are presented as Z^n modulo such a lattice; their canonical invariant
+from the rows M * e_j of M * Z^n (Domich, Kannan and Trotter's bound
+for the Hermite normal form).  One rule reduces rows on either kind:
+each entry of a row at a later pivot column is brought below that
+pivot, by insertion for the row it stores and by
+``clear_unit_columns`` for every row.  Reducing at a seed row is
+reducing modulo M, so a lattice with a modulus keeps every other entry
+in [0, M).  For a fixed column order the fully reduced echelon basis is
+the Hermite normal form, which the lattice alone determines, so it
+does not depend on the order rows were inserted in.  Finitely generated
+abelian groups are presented as Z^n modulo such a lattice; their canonical invariant
 factors come from the Smith normal form of the core left after
 eliminating every unit pivot.
 
@@ -60,13 +62,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _reduced(row: dict, c: int, modulus) -> dict:
-    """c * row, each entry reduced modulo the modulus when there is one."""
-    if modulus is None:
-        return {k: c * v for k, v in row.items()}
-    return {k: c * v % modulus for k, v in row.items() if c * v % modulus}
-
-
 def _axpy(target: dict, c: int, source: dict) -> None:
     """target += c * source, dropping zero entries."""
     if not c:
@@ -88,11 +83,12 @@ class RowLattice:
     divides M.  The lattice so built is L + M * Z^ncols, equal to L
     exactly when M is a multiple of the exponent of Z^ncols / L.
 
-    With a modulus every entry but a seed row's M is kept in [0, M):
-    M * e_j lies in the lattice, so reducing an entry modulo M leaves the
-    lattice as it is.  Without a modulus insertion reduces no entry.
-    Either way ``clear_unit_columns`` reduces every row, which gives the
-    Hermite normal form.
+    One rule reduces the rows of either kind: a row stored as a pivot
+    row has each entry at a later pivot column brought into [0, pivot)
+    by that column's row.  With a modulus a seed row M * e_j is such a
+    row, so every entry but a seed row's M lies in [0, M) without the
+    modulus being read.  ``clear_unit_columns`` applies the same rule to
+    every row, which gives the Hermite normal form.
     """
 
     __slots__ = ("ncols", "pivots", "modulus")
@@ -116,14 +112,13 @@ class RowLattice:
 
     def insert(self, row) -> None:
         """Add a row (dict or iterable of (col, coeff)) to the lattice;
-        zero coefficients are dropped."""
+        zero coefficients are dropped.  The row is walked down the basis
+        by gcd steps; each row stored as a pivot row is at once reduced
+        at the later pivot columns."""
         vec = dict(row)
         for v in vec.values():
             if not isinstance(v, int):
                 raise TensqError("lattice rows must have integer entries")
-        modulus = self.modulus
-        if modulus is not None:
-            vec = {k: v % modulus for k, v in vec.items()}
         vec = {k: v for k, v in vec.items() if v}
         pending = [vec]
         pivots = self.pivots
@@ -138,10 +133,10 @@ class RowLattice:
                     continue
                 piv = pivots.get(j)
                 if piv is None:
-                    # Only without a modulus can a column have no row: it takes vec.
                     if c < 0:
-                        vec = _reduced(vec, -1, modulus)
+                        vec = {k: -v for k, v in vec.items()}
                     pivots[j] = vec
+                    self._reduce_row(j)
                     break
                 p = piv[j]
                 if c % p:
@@ -149,11 +144,10 @@ class RowLattice:
                     new = {}
                     _axpy(new, x, piv)
                     _axpy(new, y, vec)
-                    new = _reduced(new, 1, modulus)
                     pivots[j] = new
+                    self._reduce_row(j)
                     rem = dict(piv)
                     _axpy(rem, -(p // g), new)
-                    rem = _reduced(rem, 1, modulus)
                     if rem:
                         pending.append(rem)
                     if not x:
@@ -165,14 +159,29 @@ class RowLattice:
                 for col, v in piv.items():
                     cur = vec.get(col)
                     nv = (cur or 0) - q * v
-                    if modulus is not None:
-                        nv %= modulus
                     if nv:
                         if cur is None and col > j:
                             heapq.heappush(heap, col)
                         vec[col] = nv
                     elif cur is not None:
                         del vec[col]
+
+    def _reduce_row(self, j: int) -> None:
+        """Bring each entry of the pivot row at column j at a later pivot
+        column k into [0, pivot) by column k's row, k ascending; that row
+        starts at column k, so no earlier entry changes."""
+        pivots = self.pivots
+        row = pivots[j]
+        heap = [k for k in row if k > j and k in pivots]
+        heapq.heapify(heap)
+        while heap:
+            k = heapq.heappop(heap)
+            q = row.get(k, 0) // pivots[k][k]
+            if q:
+                for col in pivots[k]:
+                    if col not in row and col in pivots:
+                        heapq.heappush(heap, col)
+                _axpy(row, -q, pivots[k])
 
     def order(self, vec: dict) -> int:
         """Least k >= 1 with k * vec in the lattice; 0 when there is none.
@@ -214,25 +223,14 @@ class RowLattice:
         """Reduce the basis to the Hermite normal form, leaving the lattice
         as it is, with or without a modulus.
 
-        Pivot rows are taken last first; each entry of a row at a later
-        pivot column is brought into [0, pivot) by that column's row,
-        already reduced.  So a unit-pivot row is the only row touching
-        its pivot column.  Entries at columns with no pivot, which only a
-        lattice without a modulus has, stay as they are.
+        ``_reduce_row`` is applied to every pivot row, last first, so
+        each row is reduced against rows already reduced.  A unit-pivot
+        row is then the only row touching its pivot column.  Entries at
+        columns with no pivot, which only a lattice without a modulus
+        has, stay as they are.
         """
-        pivots = self.pivots
-        for j in sorted(pivots, reverse=True):
-            row = pivots[j]
-            heap = [k for k in row if k > j and k in pivots]
-            heapq.heapify(heap)
-            while heap:
-                k = heapq.heappop(heap)
-                q = row.get(k, 0) // pivots[k][k]
-                if q:
-                    for col in pivots[k]:
-                        if col not in row and col in pivots:
-                            heapq.heappush(heap, col)
-                    _axpy(row, -q, pivots[k])
+        for j in sorted(self.pivots, reverse=True):
+            self._reduce_row(j)
 
 
 def _walk_steps(lattice: RowLattice) -> list:

@@ -330,6 +330,24 @@ def test_compute_output_fails_before_the_record(unusable, tmp_path, monkeypatch,
     assert built == []
 
 
+def test_failed_compute_keeps_an_existing_json_file(tmp_path, monkeypatch, capsys):
+    # The --json file is emptied only once the record is ready: a run that
+    # fails after the path check (exit 3) leaves an existing file's bytes,
+    # and a good run then replaces all of them with the record.
+    monkeypatch.delenv("TENSQ_CACHE_DIR", raising=False)
+    path = tmp_path / "record.json"
+    old = '{"old": 1}\n' * 1000
+    path.write_text(old)
+    argv = ["compute", "--m", "11", "--n", "100", "--r", "10", "--s", "0", "--oracle", "--json", str(path)]
+    assert main(argv) == 3
+    assert capsys.readouterr().out == ""
+    assert path.read_text() == old
+    assert main(["compute", *SMALL, "--json", str(path)]) == 0
+    assert path.read_text() == capsys.readouterr().out
+    # A file that cannot be truncated still takes the record.
+    assert main(["compute", *SMALL, "--json", os.devnull]) == 0
+
+
 def test_batch_rows_are_written_as_each_tuple_finishes(tmp_path, monkeypatch, capsys):
     # A run that dies at the third tuple has already written and flushed
     # the first two rows as complete lines.

@@ -298,12 +298,6 @@ def test_brute_invariants_bound():
         brute_invariants(metagrp.validate(3, 3334, 2, 0))
 
 
-def test_brute_invariants_sweep_small():
-    for p in enumerate_valid_tuples(100, include_s_zero=True):
-        mismatches = brute_invariants(p)
-        assert not mismatches, (p, mismatches)
-
-
 def test_enumerate_valid_tuples_scope():
     tuples = enumerate_valid_tuples(45)
     assert all(p.s > 0 for p in tuples)

@@ -57,7 +57,9 @@ def reference_lattices(tup):
 def exact_reference(tup):
     """The generating rows (c in {a, b}) inserted into a lattice without
     a modulus, unit columns cleared: the oracle lattice built exactly,
-    with no exponent bound.
+    with no exponent bound.  Insertion reduces each row it stores at
+    the later pivot columns, as it does with a modulus, which keeps the
+    coefficients small enough for a shuffled insertion order to finish.
 
     Clearing leaves the Hermite normal form, which the lattice alone
     determines: another insertion order, or every family row, which
@@ -228,12 +230,9 @@ def test_oracle_and_exterior_bases_hold_a_row_per_column(model_9343):
 @pytest.mark.parametrize("exact", [False, True], ids=["modular", "exact"])
 def test_reduced_basis_does_not_depend_on_insertion_order(exact):
     # The references insert the generating rows in descending order; the
-    # ascending order must reach the same Hermite normal form, with the
-    # oracle's modulus and without one.  With it, so must a shuffled
-    # order.  Without it nothing bounds the coefficients while rows go
-    # in, and the shuffled order passes a million bits within a thousand
-    # rows, so that case inserts every family row instead, a larger set
-    # spanning the same lattice.
+    # ascending order, a shuffled one, and every family row (a larger
+    # set spanning the same lattice) must reach the same Hermite normal
+    # form, with the oracle's modulus and without one.
     for tup in ((7, 3, 2, 0), (9, 3, 4, 3)):
         p = metagrp.validate(*tup)
         ng = p.order
@@ -241,9 +240,8 @@ def test_reduced_basis_does_not_depend_on_insertion_order(exact):
         rows = sorted(_relation_rows(p, second))
         shuffled = list(rows)
         random.Random(20261018).shuffle(shuffled)
-        orders = (rows, family_rows(p)) if exact else (rows, shuffled)
         reference = exact_reference(tup) if exact else reference_lattices(tup)[0]
-        for order in orders:
+        for order in (rows, shuffled, family_rows(p)):
             lattice = abgrp.RowLattice(ng * ng, None if exact else oracle.tensor_exponent_bound(ng))
             for row in order:
                 lattice.insert(row)
