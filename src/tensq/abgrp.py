@@ -8,20 +8,22 @@ rows: equal-length lists of a few entries.
 
 The central object is :class:`RowLattice`, an integer row lattice kept
 as an echelon basis (one basis row per pivot column, pivot = leftmost
-nonzero entry, kept positive), built by ``RowLattice.insert``.  A
-lattice given a modulus M that the quotient's exponent divides starts
-from the rows M * e_j of M * Z^n (Domich, Kannan and Trotter's bound
-for the Hermite normal form).  One rule reduces rows on either kind:
-each entry of a row at a later pivot column is brought below that
-pivot, by insertion for the row it stores and by
-``clear_unit_columns`` for every row.  Reducing at a seed row is
-reducing modulo M, so a lattice with a modulus keeps every other entry
-in [0, M).  For a fixed column order the fully reduced echelon basis is
-the Hermite normal form, which the lattice alone determines, so it
-does not depend on the order rows were inserted in.  Finitely generated
-abelian groups are presented as Z^n modulo such a lattice; their canonical invariant
-factors come from the Smith normal form of the core left after
-eliminating every unit pivot.
+nonzero entry, kept positive).  ``RowLattice.insert`` walks a row down
+the basis by unimodular gcd steps, each replacing a pivot row and
+leaving one row to walk on, and stores what is left at the first
+column with no pivot.  A lattice given a modulus M that the quotient's
+exponent divides starts from the rows M * e_j of M * Z^n (Domich,
+Kannan and Trotter's bound for the Hermite normal form).  One rule
+reduces rows on either kind: each entry of a row at a later pivot
+column is brought below that pivot, by insertion for the row it
+stores and by ``clear_unit_columns`` for every row.  Reducing at a
+seed row is reducing modulo M, so a lattice with a modulus keeps every
+other entry in [0, M).  For a fixed column order the fully reduced
+echelon basis is the Hermite normal form, which the lattice alone
+determines, so it does not depend on the order rows were inserted in.
+Finitely generated abelian groups are presented as Z^n modulo such a
+lattice; their canonical invariant factors come from the Smith normal
+form of the core left after eliminating every unit pivot.
 
 A query against the lattice, membership or element order, is a walk
 down the echelon basis: ``RowLattice.order``.  A lattice given by many
@@ -62,15 +64,19 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _axpy(target: dict, c: int, source: dict) -> None:
-    """target += c * source, dropping zero entries."""
+def _axpy(target: dict, c: int, source: dict, heap: list | None = None) -> None:
+    """target += c * source, dropping zero entries; given a heap, push
+    onto it each column target gains."""
     if not c:
         return
     for j, v in source.items():
-        nv = target.get(j, 0) + c * v
+        cur = target.get(j)
+        nv = (cur or 0) + c * v
         if nv:
+            if cur is None and heap is not None:
+                heapq.heappush(heap, j)
             target[j] = nv
-        elif j in target:
+        elif cur is not None:
             del target[j]
 
 
@@ -112,76 +118,59 @@ class RowLattice:
 
     def insert(self, row) -> None:
         """Add a row (dict or iterable of (col, coeff)) to the lattice;
-        zero coefficients are dropped.  The row is walked down the basis
-        by gcd steps; each row stored as a pivot row is at once reduced
-        at the later pivot columns."""
+        zero coefficients are dropped.  As in ``order``, at a pivot p
+        with entry c, g = gcd(p, c), the row is scaled by p / g and
+        cleared by c / g times the pivot row; when g < p, x * piv +
+        y * row (x * p + y * c = g) takes that pivot row's place.  The
+        row is stored at the first column with no pivot.  A row stored
+        as a pivot row is at once reduced at the later pivot columns."""
         vec = dict(row)
-        for v in vec.values():
-            if not isinstance(v, int):
-                raise TensqError("lattice rows must have integer entries")
+        if not all(isinstance(v, int) for v in vec.values()):
+            raise TensqError("lattice rows must have integer entries")
         vec = {k: v for k, v in vec.items() if v}
-        pending = [vec]
         pivots = self.pivots
-        while pending:
-            vec = pending.pop()
-            heap = list(vec)
-            heapq.heapify(heap)
-            while heap:
-                j = heapq.heappop(heap)
-                c = vec.get(j)
-                if not c:
-                    continue
-                piv = pivots.get(j)
-                if piv is None:
-                    if c < 0:
-                        vec = {k: -v for k, v in vec.items()}
-                    pivots[j] = vec
-                    self._reduce_row(j)
-                    break
-                p = piv[j]
-                if c % p:
-                    g, x, y = _xgcd(p, c)
-                    new = {}
-                    _axpy(new, x, piv)
-                    _axpy(new, y, vec)
-                    pivots[j] = new
-                    self._reduce_row(j)
-                    rem = dict(piv)
-                    _axpy(rem, -(p // g), new)
-                    if rem:
-                        pending.append(rem)
-                    if not x:
-                        # new = y * vec with y * c = g: nothing of vec is left.
-                        break
-                    piv = new
-                    p = g
-                q = c // p
-                for col, v in piv.items():
-                    cur = vec.get(col)
-                    nv = (cur or 0) - q * v
-                    if nv:
-                        if cur is None and col > j:
-                            heapq.heappush(heap, col)
-                        vec[col] = nv
-                    elif cur is not None:
-                        del vec[col]
+        heap = list(vec)
+        heapq.heapify(heap)
+        while heap:
+            j = heapq.heappop(heap)
+            c = vec.get(j)
+            if not c:
+                continue
+            piv = pivots.get(j)
+            if piv is None:
+                if c < 0:
+                    vec = {k: -v for k, v in vec.items()}
+                pivots[j] = vec
+                self._reduce_row(j)
+                return
+            g = p = piv[j]
+            if c % p:
+                # (x, y; -c/g, p/g) is unimodular: it keeps the span of
+                # (piv, vec), and its second row, 0 at j, walks on.
+                g, x, y = _xgcd(p, c)
+                new = {}
+                _axpy(new, x, piv)
+                _axpy(new, y, vec)
+                pivots[j] = new
+                self._reduce_row(j)
+                for col in vec:
+                    vec[col] *= p // g
+            _axpy(vec, -(c // g), piv, heap)
 
     def _reduce_row(self, j: int) -> None:
         """Bring each entry of the pivot row at column j at a later pivot
         column k into [0, pivot) by column k's row, k ascending; that row
-        starts at column k, so no earlier entry changes."""
+        starts at column k, so no earlier entry changes; a column with no
+        pivot is passed over."""
         pivots = self.pivots
         row = pivots[j]
-        heap = [k for k in row if k > j and k in pivots]
+        heap = [k for k in row if k > j]
         heapq.heapify(heap)
         while heap:
             k = heapq.heappop(heap)
-            q = row.get(k, 0) // pivots[k][k]
-            if q:
-                for col in pivots[k]:
-                    if col not in row and col in pivots:
-                        heapq.heappush(heap, col)
-                _axpy(row, -q, pivots[k])
+            piv = pivots.get(k)
+            if piv is not None:
+                _axpy(row, -(row.get(k, 0) // piv[k]), piv, heap)
 
     def order(self, vec: dict) -> int:
         """Least k >= 1 with k * vec in the lattice; 0 when there is none.
@@ -210,10 +199,7 @@ class RowLattice:
                 k *= scale
                 for col in vec:
                     vec[col] *= scale
-            for col in piv:
-                if col not in vec:
-                    heapq.heappush(heap, col)
-            _axpy(vec, -(vec[j] // piv[j]), piv)
+            _axpy(vec, -(vec[j] // piv[j]), piv, heap)
         return k
 
     def contains(self, vec: dict) -> bool:

@@ -297,14 +297,21 @@ def cmd_compute(args) -> int:
     params = _params(args)
     # --json is opened before the record is built, so an unusable path fails at
     # once, but for appending: a file there is emptied only when the record is
-    # ready (a pipe or /dev/null cannot be truncated, and need not be).
+    # ready (a pipe or /dev/null cannot be truncated, and need not be), and a
+    # file this open created is removed again if the run then fails.
+    created = bool(args.json) and not os.path.lexists(args.json)
     with open(args.json, "a", encoding="utf-8") if args.json else contextlib.nullcontext() as fh:
-        text = _record_json(_load_record(params, args.oracle, _cache_dir())[0])
-        sys.stdout.write(text)
-        if fh:
-            if fh.seekable() and fh.tell():
-                fh.truncate(0)
-            fh.write(text)
+        try:
+            text = _record_json(_load_record(params, args.oracle, _cache_dir())[0])
+            sys.stdout.write(text)
+            if fh:
+                if fh.seekable() and fh.tell():
+                    fh.truncate(0)
+                fh.write(text)
+        except BaseException:
+            if created:
+                os.remove(args.json)
+            raise
     return EXIT_OK
 
 

@@ -348,6 +348,17 @@ def test_failed_compute_keeps_an_existing_json_file(tmp_path, monkeypatch, capsy
     assert main(["compute", *SMALL, "--json", os.devnull]) == 0
 
 
+def test_failed_compute_leaves_no_new_json_file(tmp_path, monkeypatch, capsys):
+    # A run that fails after the path check (exit 3) removes the --json
+    # file its open created: nothing that is not a record is left there.
+    monkeypatch.delenv("TENSQ_CACHE_DIR", raising=False)
+    path = tmp_path / "fresh.json"
+    argv = ["compute", "--m", "11", "--n", "100", "--r", "10", "--s", "0", "--oracle", "--json", str(path)]
+    assert main(argv) == 3
+    assert capsys.readouterr().out == ""
+    assert not path.exists()
+
+
 def test_batch_rows_are_written_as_each_tuple_finishes(tmp_path, monkeypatch, capsys):
     # A run that dies at the third tuple has already written and flushed
     # the first two rows as complete lines.

@@ -57,9 +57,10 @@ def reference_lattices(tup):
 def exact_reference(tup):
     """The generating rows (c in {a, b}) inserted into a lattice without
     a modulus, unit columns cleared: the oracle lattice built exactly,
-    with no exponent bound.  Insertion reduces each row it stores at
-    the later pivot columns, as it does with a modulus, which keeps the
-    coefficients small enough for a shuffled insertion order to finish.
+    with no exponent bound.  Insertion walks each row down as one row
+    through unimodular gcd steps and reduces each row it stores at the
+    later pivot columns, as it does with a modulus; the insertion-order
+    test holds every entry to 64 bits in a shuffled order too.
 
     Clearing leaves the Hermite normal form, which the lattice alone
     determines: another insertion order, or every family row, which
@@ -232,7 +233,8 @@ def test_reduced_basis_does_not_depend_on_insertion_order(exact):
     # The references insert the generating rows in descending order; the
     # ascending order, a shuffled one, and every family row (a larger
     # set spanning the same lattice) must reach the same Hermite normal
-    # form, with the oracle's modulus and without one.
+    # form, with the oracle's modulus and without one.  Every 64 rows no
+    # stored entry may pass 64 bits, on either kind of lattice.
     for tup in ((7, 3, 2, 0), (9, 3, 4, 3)):
         p = metagrp.validate(*tup)
         ng = p.order
@@ -243,8 +245,11 @@ def test_reduced_basis_does_not_depend_on_insertion_order(exact):
         reference = exact_reference(tup) if exact else reference_lattices(tup)[0]
         for order in (rows, shuffled, family_rows(p)):
             lattice = abgrp.RowLattice(ng * ng, None if exact else oracle.tensor_exponent_bound(ng))
-            for row in order:
+            for i, row in enumerate(order, 1):
                 lattice.insert(row)
+                if i % 64 == 0:
+                    bits = max(abs(v).bit_length() for piv in lattice.pivots.values() for v in piv.values())
+                    assert bits <= 64, (tup, i, bits)
             lattice.clear_unit_columns()
             assert lattice.pivots == reference.pivots, tup
 
