@@ -1,10 +1,10 @@
 """Exact linear algebra over the integers.
 
 Everything here works on plain Python ints; no floating point is used
-anywhere.  A lattice row or vector is a sparse {column: coefficient}
-dict, or its (column, coefficient) pairs, up to the core lattice of
-the tensor-square oracle.  The Smith normal form alone takes dense
-rows: equal-length lists of a few entries.
+anywhere.  A lattice row is a sparse {column: coefficient} dict, or
+its (column, coefficient) pairs.  A vector is walked dense, as a list
+over the columns, and the Smith normal form takes dense rows:
+equal-length lists of a few entries.
 
 The central object is :class:`RowLattice`, an integer row lattice kept
 as an echelon basis (one basis row per pivot column, pivot = leftmost
@@ -25,14 +25,19 @@ Finitely generated abelian groups are presented as Z^n modulo such a
 lattice; their canonical invariant factors come from the Smith normal
 form of the core left after eliminating every unit pivot.
 
-A query against the lattice, membership or element order, is a walk
-down the echelon basis: ``RowLattice.order``.  A lattice given by many
-sparse rows with mostly unit entries, as the oracle's are, need not be
-built on all its columns: the oracle peels the unit entries first,
-giving nearly every column its image in a core of a few free columns,
-and reduces only the lattice the other rows span there.  The result, a
-:class:`CoreMap`, answers every query: a vector's order is its image's
-order in that core lattice, a walk over a few columns.
+Every query against the lattice, and every reduction of a vector by
+it, is one walk: a dense vector goes down the lattice's snapshot of
+its echelon basis, a (pivot, tail) pair per column, column by column.
+``RowLattice.reduce`` brings each entry at a pivot column into
+[0, pivot); ``RowLattice.order`` first scales the vector wherever the
+pivot does not divide its entry, and the product of the scales is the
+order.  A lattice given by many sparse rows with mostly unit entries,
+as the oracle's are, need not be built on all its columns: the oracle
+peels the unit entries first, giving nearly every column its image in
+a core of a few free columns, and reduces only the lattice the other
+rows span there.  The result, a :class:`CoreMap`, answers every query:
+a vector's order is the order of its image, summed densely over the
+core, in that core lattice, the same walk over a few columns.
 
 :func:`smith_normal_form` is the module's one other elimination:
 unimodular row and column gcd steps over a copy of a few dense rows,
@@ -95,17 +100,26 @@ class RowLattice:
     row, so every entry but a seed row's M lies in [0, M) without the
     modulus being read.  ``clear_unit_columns`` applies the same rule to
     every row, which gives the Hermite normal form.
+
+    Only ``insert``, ``add_column`` and ``clear_unit_columns`` write
+    ``pivots``, and each drops ``_steps``, the snapshot the walk reads:
+    per column, its pivot (0 when it has none) and the rest of its pivot
+    row as (column, coefficient) pairs.  The first walk after a change
+    builds it from the rows as they are then; a ``copy`` starts without
+    one.
     """
 
-    __slots__ = ("ncols", "pivots", "modulus")
+    __slots__ = ("ncols", "pivots", "modulus", "_steps")
 
     def __init__(self, ncols: int, modulus: int | None = None):
         self.ncols = ncols
         self.modulus = modulus
         self.pivots: dict[int, dict] = {} if modulus is None else {j: {j: modulus} for j in range(ncols)}
+        self._steps: list | None = None
 
     def add_column(self) -> None:
         """Append a column; with a modulus M it holds the row M * e_j."""
+        self._steps = None
         if self.modulus is not None:
             self.pivots[self.ncols] = {self.ncols: self.modulus}
         self.ncols += 1
@@ -124,6 +138,7 @@ class RowLattice:
         y * row (x * p + y * c = g) takes that pivot row's place.  The
         row is stored at the first column with no pivot.  A row stored
         as a pivot row is at once reduced at the later pivot columns."""
+        self._steps = None
         vec = dict(row)
         if not all(isinstance(v, int) for v in vec.values()):
             raise TensqError("lattice rows must have integer entries")
@@ -172,35 +187,55 @@ class RowLattice:
             if piv is not None:
                 _axpy(row, -(row.get(k, 0) // piv[k]), piv, heap)
 
-    def order(self, vec: dict) -> int:
-        """Least k >= 1 with k * vec in the lattice; 0 when there is none.
-
-        Walks vec's support in ascending column order.  A column with no
-        pivot can never be cleared, so no multiple of vec is in the
-        lattice; with a modulus no column lacks one.  At a pivot p with
-        entry c the multiple must be divisible by p / gcd(p, c): scale vec
-        and k by that factor, then subtract the pivot row to clear the
-        column.
+    def _walk(self, w: list, order: bool) -> int:
+        """The one walk, in place, down the dense vector w's columns in
+        ascending order: an entry c at a pivot p is cleared to c mod p by
+        (c // p) times the pivot row, which touches only later columns.
+        For w's ``order`` it first scales w by p / gcd(p, c), the least
+        factor making c a multiple of p, and returns the product of the
+        scales, or 0 at a nonzero entry with no pivot; else it returns 1.
         """
-        vec = dict(vec)
+        steps = self._steps
+        if steps is None:
+            pivots = self.pivots
+            steps = self._steps = [
+                (pivots[j][j], tuple((i, v) for i, v in pivots[j].items() if i > j)) if j in pivots else (0, ())
+                for j in range(self.ncols)
+            ]
         k = 1
-        heap = list(vec)
-        heapq.heapify(heap)
-        while heap:
-            j = heapq.heappop(heap)
-            c = vec.get(j)
+        for j, (p, tail) in enumerate(steps):
+            c = w[j]
             if not c:
                 continue
-            piv = self.pivots.get(j)
-            if piv is None:
-                return 0
-            scale = piv[j] // gcd(piv[j], c)
-            if scale > 1:
+            if not p:
+                if order:
+                    return 0
+                continue
+            if order and c % p:
+                scale = p // gcd(p, c)
                 k *= scale
-                for col in vec:
-                    vec[col] *= scale
-            _axpy(vec, -(vec[j] // piv[j]), piv, heap)
+                c *= scale
+                for i in range(j + 1, len(w)):
+                    w[i] *= scale
+            q = c // p
+            if q:
+                w[j] = c - q * p
+                for i, v in tail:
+                    w[i] -= q * v
         return k
+
+    def reduce(self, w: list) -> None:
+        """Bring each entry of the dense vector w at a pivot column into
+        [0, pivot), in place.  w is then 0 exactly when it lies in the
+        lattice, and it is the same for every echelon basis of it."""
+        self._walk(w, False)
+
+    def order(self, vec: dict) -> int:
+        """Least k >= 1 with k * vec in the lattice; 0 when there is none."""
+        w = [0] * self.ncols
+        for j, v in vec.items():
+            w[j] = v
+        return self._walk(w, True)
 
     def contains(self, vec: dict) -> bool:
         return self.order(vec) == 1
@@ -215,30 +250,9 @@ class RowLattice:
         columns with no pivot, which only a lattice without a modulus
         has, stay as they are.
         """
+        self._steps = None
         for j in sorted(self.pivots, reverse=True):
             self._reduce_row(j)
-
-
-def _walk_steps(lattice: RowLattice) -> list:
-    """Per column of an echelon lattice, its pivot (0 when it has none)
-    and the rest of its pivot row: what RowLattice.order reads there."""
-    pivots = lattice.pivots
-    return [
-        (pivots[j][j], tuple((i, v) for i, v in pivots[j].items() if i > j)) if j in pivots else (0, ())
-        for j in range(lattice.ncols)
-    ]
-
-
-def _reduce_dense(w: list, steps: list) -> None:
-    """Bring each entry of a dense vector with a pivot p into [0, p) with
-    its pivot row, in ascending order: 0 exactly for a lattice vector."""
-    for j, (p, tail) in enumerate(steps):
-        c = w[j]
-        if p and not 0 <= c < p:
-            q = c // p
-            w[j] = c - q * p
-            for i, v in tail:
-                w[i] -= q * v
 
 
 class CoreMap:
@@ -254,7 +268,8 @@ class CoreMap:
     entry lies in [0, M).  It is a representative, not a normal form:
     two columns with equal images share one tuple, but images that
     differ may still differ by a vector of C.  ``lattice`` is C, a
-    RowLattice on the core columns with L's modulus.
+    RowLattice on the core columns with L's modulus; every query is its
+    walk, over C's rows as they are when it is asked.
 
     Why it is exact.  The build keeps two rules: every image but a free
     column's comes from one row u e_j + t of L, u = +-1, every column of
@@ -273,26 +288,18 @@ class CoreMap:
     serves L plus any further rows (see ``extended``).
     """
 
-    __slots__ = ("images", "lattice", "_steps")
+    __slots__ = ("images", "lattice")
 
     def __init__(self, images: list[tuple], lattice: RowLattice):
         self.images = images
         self.lattice = lattice
-        # The walk reads C's echelon rows as they are now; reducing them
-        # later leaves C the same lattice.
-        self._steps = _walk_steps(lattice)
 
     def order(self, vec: dict, modulus: int | None = None) -> int:
         """Least k >= 1 with k * vec in the lattice, 0 when there is none;
         with a ``modulus``, of vec with each coefficient first reduced
-        into [0, modulus).
-
-        RowLattice.order's walk, over phi(vec) summed densely over the
-        core: at each core column in ascending order, scale the vector
-        until the pivot divides its entry, then clear the entry with the
-        pivot row, which touches only later columns.
-        """
-        w = [0] * len(self._steps)
+        into [0, modulus): the order of phi(vec), summed densely over the
+        core, in C."""
+        w = [0] * self.lattice.ncols
         images = self.images
         for col, c in vec.items():
             if modulus is not None:
@@ -300,24 +307,7 @@ class CoreMap:
             if c:
                 for i, v in images[col]:
                     w[i] += c * v
-        k = 1
-        for j, (p, tail) in enumerate(self._steps):
-            c = w[j]
-            if not c:
-                continue
-            if not p:
-                return 0
-            if c % p:
-                scale = p // gcd(p, c)
-                k *= scale
-                c *= scale
-                for i in range(j + 1, len(w)):
-                    w[i] *= scale
-            if tail:
-                q = c // p
-                for i, v in tail:
-                    w[i] -= q * v
-        return k
+        return self.lattice._walk(w, True)
 
     def extended(self, columns) -> "CoreMap":
         """The map of L plus the unit rows e_j, j in ``columns``: the same

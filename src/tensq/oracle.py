@@ -64,8 +64,6 @@ from .abgrp import (
     CoreMap,
     QuotientHandle,
     RowLattice,
-    _reduce_dense,
-    _walk_steps,
     quotient_from_lattice,
 )
 from .errors import FormulaInconsistencyError, ResourceLimitError
@@ -128,9 +126,10 @@ def _stream_core_map(tables, modulus: int) -> tuple[CoreMap, int]:
     column imaged is a relation: it is read at the event of whichever of
     its first two columns gained its image later, and not at all when
     it is the source of one of its three columns.  Reading it sums its
-    columns' images densely, reduces the sum by C, and inserts it into C
-    unless that leaves 0.  Images are reduced by C as it stands when they
-    are made, so kept below M, and equal images are one tuple.
+    columns' images densely, reduces the sum by ``C.reduce``, C's one
+    walk over its rows as they stand then, and inserts it into C unless
+    that leaves 0.  An image is such a sum too, reduced when it is made,
+    so kept below M, and equal images are one tuple.
 
     Every row but a unit row is peeled or read exactly once, so the
     images and C account for every row.  The first column of R(g, c, h)
@@ -194,7 +193,6 @@ def _stream_core_map(tables, modulus: int) -> tuple[CoreMap, int]:
             yield h * ng + right[g], col, h * ng + c, mirror + g * ng + h
 
     core = RowLattice(0, modulus)
-    steps: list = []
     normal: dict = {}
     events = array("i")
     clock = 0
@@ -222,8 +220,7 @@ def _stream_core_map(tables, modulus: int) -> tuple[CoreMap, int]:
             if cursor == ncols:
                 break
             core.add_column()
-            steps = _walk_steps(core)
-            give(cursor, ((len(steps) - 1, 1),), -1)
+            give(cursor, ((core.ncols - 1, 1),), -1)
         col = events.pop()
         last = stamp[col]
         for p, q, t, key in rows_at(col):
@@ -237,17 +234,16 @@ def _stream_core_map(tables, modulus: int) -> tuple[CoreMap, int]:
                 if sp > last or sq > last or key in (source[p], source[q], source[t]):
                     continue
                 multi += 1
-                w = [0] * len(steps)
+                w = [0] * core.ncols
                 for i, v in images[p]:
                     w[i] += v
                 for i, v in images[q]:
                     w[i] -= v
                 for i, v in images[t]:
                     w[i] -= v
-                _reduce_dense(w, steps)
+                core.reduce(w)
                 if any(w):
                     core.insert({i: v for i, v in enumerate(w) if v})
-                    steps = _walk_steps(core)
                 continue
             # The one column without an image, u, if its coefficient is a
             # unit, has image phi(a) + sign phi(b) from the other two.
@@ -262,12 +258,12 @@ def _stream_core_map(tables, modulus: int) -> tuple[CoreMap, int]:
             else:
                 u, a, b, sign = t, p, q, -1
             multi += 1
-            w = [0] * len(steps)
+            w = [0] * core.ncols
             for i, v in images[a]:
                 w[i] += v
             for i, v in images[b]:
                 w[i] += sign * v
-            _reduce_dense(w, steps)
+            core.reduce(w)
             give(u, tuple((i, v) for i, v in enumerate(w) if v), key)
     return CoreMap(images, core), multi + len(units)
 

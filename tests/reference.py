@@ -11,7 +11,15 @@ oracle streams its rows from its generator maps and stores none
 (oracle._stream_core_map); test_oracle.py checks it against these
 functions, and the peel property tests in test_abgrp.py exercise
 abgrp.CoreMap through :func:`peel` on lattices that are not the
-oracle's.
+oracle's.  Both builds reduce their dense sums with the core lattice's
+one walk, RowLattice.reduce.
+
+The element order as RowLattice.order walked it on sparse rows: a heap
+over the vector's support, reading the pivot rows themselves, with its
+own subtract loop.  abgrp walks every vector dense, over a snapshot of
+the rows that the lattice keeps; the tests that check CoreMap.order
+against a lattice, and the walk after each change to a lattice's rows,
+read :func:`walk_order`.
 
 The Smith normal form as abgrp ran it on sparse {column: coefficient}
 rows, over their sorted column labels; test_abgrp.py and
@@ -24,12 +32,13 @@ scan_and_fill method, and every dead coset's row kept.
 test_fpgrp.py checks fpgrp.todd_coxeter against :func:`todd_coxeter`.
 """
 
+import heapq
 from array import array
 from collections import deque
 from math import gcd
 
 from tensq import metagrp
-from tensq.abgrp import CoreMap, RowLattice, _reduce_dense, _walk_steps, _xgcd
+from tensq.abgrp import CoreMap, RowLattice, _xgcd
 from tensq.fpgrp import DEFAULT_MAX_COSETS, EnumerationResult, _letters, _TableOverflow
 from tensq.metagrp import GroupParams
 from tensq.presentations import Presentation, Word
@@ -129,7 +138,6 @@ def peel(rows, ncols: int, modulus: int | None = None) -> CoreMap:
     watched = array("i", [-1]) * (2 * nrows)
     done = bytearray(nrows)
     core = RowLattice(0, modulus)
-    steps: list = []
     woken: list = []
 
     def watch(s: int, j: int) -> None:
@@ -156,8 +164,7 @@ def peel(rows, ncols: int, modulus: int | None = None) -> CoreMap:
                 break
             r, col = -1, cursor
             core.add_column()
-            steps = _walk_steps(core)
-            w = [0] * len(steps)
+            w = [0] * core.ncols
             w[-1] = 1
         if r >= 0:
             row = rows[r]
@@ -184,17 +191,16 @@ def peel(rows, ncols: int, modulus: int | None = None) -> CoreMap:
                 continue
             done[r] = 1
             sign = -coef if first >= 0 else 1
-            w = [0] * len(steps)
+            w = [0] * core.ncols
             for j, c in row:
                 if c and j != first:
                     c *= sign
                     for i, v in images[j]:
                         w[i] += c * v
-            _reduce_dense(w, steps)
+            core.reduce(w)
             if first < 0:
                 if any(w):
                     core.insert({i: v for i, v in enumerate(w) if v})
-                    steps = _walk_steps(core)
                 continue
             col = first
         key = tuple((i, v) for i, v in enumerate(w) if v)
@@ -205,6 +211,44 @@ def peel(rows, ncols: int, modulus: int | None = None) -> CoreMap:
             woken.append(s)
             s = link[s]
     return CoreMap(images, core)
+
+
+def walk_order(lattice: RowLattice, vec: dict) -> int:
+    """Least k >= 1 with k * vec in ``lattice``; 0 when there is none.
+
+    Walks vec's support in ascending column order.  A column with no
+    pivot can never be cleared, so no multiple of vec is in the lattice.
+    At a pivot p with entry c the multiple must be divisible by
+    p / gcd(p, c): scale vec and k by that factor, then subtract the
+    pivot row to clear the column, pushing each column vec gains.
+    """
+    vec = dict(vec)
+    k = 1
+    heap = list(vec)
+    heapq.heapify(heap)
+    while heap:
+        j = heapq.heappop(heap)
+        c = vec.get(j)
+        if not c:
+            continue
+        piv = lattice.pivots.get(j)
+        if piv is None:
+            return 0
+        scale = piv[j] // gcd(piv[j], c)
+        if scale > 1:
+            k *= scale
+            for col in vec:
+                vec[col] *= scale
+        q = vec[j] // piv[j]
+        for col, v in piv.items():
+            nv = vec.get(col, 0) - q * v
+            if col not in vec:
+                heapq.heappush(heap, col)
+            if nv:
+                vec[col] = nv
+            else:
+                vec.pop(col, None)
+    return k
 
 
 def smith_normal_form(rows) -> list[int]:

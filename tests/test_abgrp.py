@@ -16,7 +16,7 @@ from tensq.abgrp import (
 )
 from tensq.errors import TensqError
 from tensq.presentations import tensor_descriptor, tensor_relators
-from reference import peel
+from reference import peel, walk_order
 from reference import smith_normal_form as sparse_smith_normal_form
 from support import FROZEN
 
@@ -430,6 +430,56 @@ def test_row_lattice_copy_is_independent():
     assert not lat.contains({0: 1})
 
 
+@pytest.mark.parametrize("modulus", [None, 36], ids=["exact", "mod36"])
+def test_walk_after_each_change_reads_the_current_rows(modulus):
+    # Seeded random lattices walked after every change: inserts, new
+    # columns, clearing, and inserts into a copy.  Each order is the
+    # reference walk's on the rows as they are now, each reduction the
+    # reference residue, and the snapshot the walk read is those rows'.
+    # Clearing leaves the lattice as it is, so only the snapshot would
+    # show a walk of the rows from before it.  Inserting into a copy
+    # leaves the original's rows and orders as they were.
+    rng = random.Random(20261028)
+    coeffs = (-1, 1, 2, -3, 4, 6, 9)
+    changes = ("insert", "insert", "insert", "add_column", "clear", "copy")
+    for _ in range(20):
+        lat = RowLattice(rng.randint(1, 4), modulus)
+        for _ in range(30):
+            change = rng.choice(changes)
+            if change == "add_column":
+                lat.add_column()
+            elif change == "clear":
+                lat.clear_unit_columns()
+            else:
+                cols = rng.sample(range(lat.ncols), rng.randint(1, min(3, lat.ncols)))
+                row = {c: rng.choice(coeffs) for c in cols}
+                if change == "insert":
+                    lat.insert(row)
+                else:
+                    before = {j: dict(r) for j, r in lat.pivots.items()}
+                    orders = [lat.order({j: 1}) for j in range(lat.ncols)]
+                    dup = lat.copy()
+                    dup.insert(row)
+                    assert [dup.order({j: 1}) for j in range(dup.ncols)] == [
+                        walk_order(dup, {j: 1}) for j in range(dup.ncols)
+                    ]
+                    assert lat.pivots == before
+                    assert [lat.order({j: 1}) for j in range(lat.ncols)] == orders
+            ncols = lat.ncols
+            vectors = [{j: 1} for j in range(ncols)]
+            vectors += [{j: rng.randint(-20, 20) for j in range(ncols)} for _ in range(3)]
+            for vec in vectors:
+                assert lat.order(vec) == walk_order(lat, vec), (change, lat.pivots, vec)
+                w = [vec.get(j, 0) for j in range(ncols)]
+                lat.reduce(w)
+                residue = reduce(lat, vec)
+                assert w == [residue.get(j, 0) for j in range(ncols)], (change, lat.pivots, vec)
+            pivots = lat.pivots
+            rows = [(pivots[j][j], sorted((i, v) for i, v in pivots[j].items() if i > j)) if j in pivots else (0, [])
+                    for j in range(ncols)]
+            assert [(p, sorted(tail)) for p, tail in lat._steps] == rows, change
+
+
 @pytest.mark.parametrize("modulus", [None, 360], ids=["exact", "modulus"])
 def test_rows_stay_reduced_and_whole_through_every_insert(modulus):
     # Seeded random rows of even entries with a unit now and then, so
@@ -510,8 +560,8 @@ def lattice_map(lat):
 @pytest.mark.parametrize("cleared", [False, True], ids=["uncleared", "cleared"])
 def test_core_map_order_is_the_walk_order(modulus, cleared):
     # Through the core map peeled from a lattice's pivot rows, every unit
-    # vector and seeded random vector has the order RowLattice.order
-    # walks to, 0 for infinite order included; so has each with its
+    # vector and seeded random vector has the order the reference walk
+    # gives, 0 for infinite order included; so has each with its
     # coefficients reduced modulo 6, and each in the lattice extended by
     # two unit rows.
     rng = random.Random(20261022)
@@ -532,10 +582,10 @@ def test_core_map_order_is_the_walk_order(modulus, cleared):
         vectors = [{j: 1} for j in range(ncols)]
         vectors += [{j: rng.randint(-40, 40) for j in rng.sample(range(ncols), rng.randint(1, ncols))} for _ in range(20)]
         for vec in vectors:
-            order = lat.order(vec)
+            order = walk_order(lat, vec)
             assert cmap.order(vec) == order, (lat.pivots, vec)
-            assert cmap.order(vec, 6) == lat.order({j: v % 6 for j, v in vec.items()}), (lat.pivots, vec)
-            assert ext.order(vec) == bigger.order(vec), (lat.pivots, extra, vec)
+            assert cmap.order(vec, 6) == walk_order(lat, {j: v % 6 for j, v in vec.items()}), (lat.pivots, vec)
+            assert ext.order(vec) == walk_order(bigger, vec), (lat.pivots, extra, vec)
             seen.add(min(order, 2))
         seen.add(("unit", bool(unit)))
         seen.add(("core", cmap.lattice.ncols > 0))
@@ -568,7 +618,7 @@ def test_peel_keeps_every_order_of_random_row_sets(modulus):
     # Seeded sparse row sets, not echelon: units, coefficients +-2 and
     # larger, rows of non-units only (which never peel), rows repeated
     # and zero entries.  Through the peeled map every unit vector and
-    # random vector has the order RowLattice's walk gives in the lattice
+    # random vector has the order the reference walk gives in the lattice
     # of the same rows, with and without reducing its coefficients
     # modulo 6; image entries lie in [0, modulus) and equal images are
     # one tuple.
@@ -590,9 +640,9 @@ def test_peel_keeps_every_order_of_random_row_sets(modulus):
         vectors = [{j: 1} for j in range(ncols)]
         vectors += [{j: rng.randint(-30, 30) for j in rng.sample(range(ncols), rng.randint(1, ncols))} for _ in range(20)]
         for vec in vectors:
-            order = lat.order(vec)
+            order = walk_order(lat, vec)
             assert cmap.order(vec) == order, (rows, vec)
-            assert cmap.order(vec, 6) == lat.order({j: v % 6 for j, v in vec.items()}), (rows, vec)
+            assert cmap.order(vec, 6) == walk_order(lat, {j: v % 6 for j, v in vec.items()}), (rows, vec)
             seen.add(min(order, 2))
         if modulus is not None:
             assert all(0 <= v < modulus for img in cmap.images for _, v in img)

@@ -17,7 +17,7 @@ from tensq.oracle import (
     verify_identities,
 )
 from tensq.presentations import exterior_and_schur
-from reference import _relation_rows, group_tables, peel
+from reference import _relation_rows, group_tables, peel, walk_order
 from support import enumerate_valid_tuples
 
 DATA = Path(__file__).parent / "data"
@@ -267,7 +267,7 @@ def test_oracle_matches_closed_forms_past_order_45():
 
 
 def test_core_map_keeps_every_order(model_9343):
-    # The model's map against the plain walk in the reference lattice:
+    # The model's map against the reference walk in the reference lattice:
     # unit vectors, every family row and seeded random vectors, in the
     # lattice and out of it, have the same order through the map.
     lattice = reference_lattices((9, 3, 4, 3))[0]
@@ -285,7 +285,7 @@ def test_core_map_keeps_every_order(model_9343):
         vec = {}
         for col, coeff in row:
             vec[col] = vec.get(col, 0) + coeff
-        order = lattice.order(vec)
+        order = walk_order(lattice, vec)
         assert cmap.order(vec) == order, row
         orders.add(order)
     assert 1 in orders and len(orders) > 1
@@ -313,7 +313,7 @@ def test_streamed_map_is_exact_on_the_rows_of_one_generator():
     # With the rows of c = a alone, or of c = b alone, the lattice is not
     # G (x) G's, and more of its relations are rows that give no column
     # its image, the mirror family's among them.  The streamed map must
-    # still give every unit vector the order the plain walk gives in the
+    # still give every unit vector the order the reference walk gives in the
     # lattice of the reference rows, and count those rows.
     for p in enumerate_valid_tuples(21, include_s_zero=True):
         ng = p.order
@@ -327,30 +327,30 @@ def test_streamed_map_is_exact_on_the_rows_of_one_generator():
                 lattice.insert(row)
             assert distinct_rows == len(rows), (p.m, p.n, p.r, p.s, second)
             units = [{j: 1} for j in range(ng * ng)]
-            assert [cmap.order(v) for v in units] == [lattice.order(v) for v in units], (p.m, p.n, p.r, p.s, second)
+            assert [cmap.order(v) for v in units] == [walk_order(lattice, v) for v in units], (p.m, p.n, p.r, p.s, second)
 
 
 def test_generating_set_spans_every_family_row():
     # Rows for c in {a, b} span the rows of every c in G.  Each of the
     # 2|G|^3 rows e_p - e_q - e_t of both families is read through the
     # model's own map, which test_oracle_map_agrees_with_the_reference_lattices
-    # checks against the plain walk: the dense sum of its three images,
-    # reduced by the core lattice, is 0 exactly for a row of the lattice.
-    # Images are numbered by their reductions by the cleared core lattice,
-    # so rows whose three images reduce alike are one sum, reduced once.
+    # checks against the reference walk: the dense sum of its three
+    # images, reduced by the core lattice, is 0 exactly for a row of the
+    # lattice.  Images are numbered by their reductions by the cleared
+    # core lattice, so rows whose three images reduce alike are one sum,
+    # reduced once.
     for model in small_models():
         p = model.params
         cmap = model.core_map
         # The build leaves the paper's four symbols as the core.
         assert cmap.lattice.ncols == 4, (p.m, p.n, p.r, p.s)
         # Reading the quotient cleared the core lattice's unit columns.
-        steps = abgrp._walk_steps(cmap.lattice)
         reduced, number = {}, {}
         for img in dict.fromkeys(cmap.images):
-            w = [0] * len(steps)
+            w = [0] * cmap.lattice.ncols
             for i, v in img:
                 w[i] = v
-            abgrp._reduce_dense(w, steps)
+            cmap.lattice.reduce(w)
             number[img] = reduced.setdefault(tuple(w), len(reduced))
         image_of = [number[img] for img in cmap.images]
         dense = list(reduced)
@@ -369,7 +369,7 @@ def test_generating_set_spans_every_family_row():
                 triples.update((x, y, image_of[h * ng + c]) for x, y in mirror)
         for triple in triples:
             w = [u - v - t for u, v, t in zip(*(dense[k] for k in triple))]
-            abgrp._reduce_dense(w, steps)
+            cmap.lattice.reduce(w)
             assert not any(w), (p.m, p.n, p.r, p.s)
 
 
@@ -528,8 +528,8 @@ def _sublattice_model(tup):
     model = build_tensor_oracle(metagrp.validate(*tup))
     lat = exact_reference(tup)
     sub = abgrp.RowLattice(lat.ncols)
-    keep = sorted(lat.pivots)[len(lat.pivots) // 2 :]
-    sub.pivots = {j: dict(lat.pivots[j]) for j in keep}
+    for j in sorted(lat.pivots)[len(lat.pivots) // 2 :]:
+        sub.insert(lat.pivots[j])
     model.core_map = peel([row.items() for row in sub.pivots.values()], sub.ncols)
     return model, sub
 
@@ -567,9 +567,9 @@ def test_core_map_keeps_orders_on_the_sublattices():
         vectors += [{rng.randrange(lattice.ncols): rng.randint(-5, 5) for _ in range(4)} for _ in range(300)]
         infinite = set()
         for vec in vectors:
-            order = lattice.order(vec)
+            order = walk_order(lattice, vec)
             assert tensor.order(vec) == order, (tup, vec)
-            assert tensor.order(vec, exp) == lattice.order({c: v % exp for c, v in vec.items()}), (tup, vec)
+            assert tensor.order(vec, exp) == walk_order(lattice, {c: v % exp for c, v in vec.items()}), (tup, vec)
             infinite.add(order == 0)
         assert infinite == {True, False}, tup
 
@@ -588,7 +588,7 @@ def test_exterior_membership_through_the_map_matches_the_exterior_lattice():
         vectors += [{rng.randrange(full.ncols): rng.randint(-5, 5) for _ in range(3)} for _ in range(500)]
         members = set()
         for vec in vectors:
-            assert ext.order(vec) == full.order(vec), (tup, vec)
+            assert ext.order(vec) == walk_order(full, vec), (tup, vec)
             members.add(ext.order(vec) == 1)
         assert members == {True, False}, tup
 
@@ -597,7 +597,7 @@ def test_oracle_map_agrees_with_the_reference_lattices():
     # On the oracle panel the peel leaves four free columns, the number
     # of the paper's symbols u, v, w and z.  Through the model's tensor
     # and exterior maps, every unit vector and 500 seeded random vectors
-    # have the order the plain walk gives in the reference lattices on
+    # have the order the reference walk gives in the reference lattices on
     # all |G|^2 columns, and the quotients are those of the references.
     rng = random.Random(20261027)
     for tup in ORACLE_PANEL:
@@ -609,7 +609,7 @@ def test_oracle_map_agrees_with_the_reference_lattices():
         vectors += [{rng.randrange(ncols): rng.randint(-9, 9) for _ in range(4)} for _ in range(500)]
         maps = ((model.core_map, tensor), (oracle._exterior_map(model), exterior))
         for cmap, lattice in maps:
-            orders = [lattice.order(vec) for vec in vectors]
+            orders = [walk_order(lattice, vec) for vec in vectors]
             assert [cmap.order(vec) for vec in vectors] == orders, tup
             assert 1 in orders and max(orders) > 1, tup
         assert model.handle.structure == abgrp.quotient_from_lattice(tensor.copy()).structure, tup
