@@ -1,10 +1,11 @@
 """Exact linear algebra over the integers.
 
 Everything here works on plain Python ints; no floating point is used
-anywhere.  A lattice row is a sparse {column: coefficient} dict, or
-its (column, coefficient) pairs.  A vector is walked dense, as a list
-over the columns, and the Smith normal form takes dense rows:
-equal-length lists of a few entries.
+anywhere.  A lattice's basis rows are sparse {column: coefficient}
+dicts; a row to insert is a dict or its (column, coefficient) pairs.
+Every pass over a row or a vector is dense, over a list of its
+entries, and the Smith normal form takes dense rows: equal-length
+lists of a few entries.
 
 The central object is :class:`RowLattice`, an integer row lattice kept
 as an echelon basis (one basis row per pivot column, pivot = leftmost
@@ -25,9 +26,9 @@ Finitely generated abelian groups are presented as Z^n modulo such a
 lattice; their canonical invariant factors come from the Smith normal
 form of the core left after eliminating every unit pivot.
 
-Every query against the lattice, and every reduction of a vector by
-it, is one walk: a dense vector goes down the lattice's snapshot of
-its echelon basis, a (pivot, tail) pair per column, column by column.
+Every query against the lattice, and every reduction of a vector or
+of a row being stored, is one walk: a dense vector goes down the
+echelon basis, column by column, reading each pivot row as it is.
 ``RowLattice.reduce`` brings each entry at a pivot column into
 [0, pivot); ``RowLattice.order`` first scales the vector wherever the
 pivot does not divide its entry, and the product of the scales is the
@@ -49,8 +50,9 @@ rows, densified over the core columns.
 
 from __future__ import annotations
 
-import heapq
 from collections import namedtuple
+from functools import lru_cache
+from itertools import compress, islice
 from math import gcd, prod
 
 from .errors import TensqError
@@ -69,20 +71,18 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _axpy(target: dict, c: int, source: dict, heap: list | None = None) -> None:
-    """target += c * source, dropping zero entries; given a heap, push
-    onto it each column target gains."""
-    if not c:
-        return
-    for j, v in source.items():
-        cur = target.get(j)
-        nv = (cur or 0) + c * v
-        if nv:
-            if cur is None and heap is not None:
-                heapq.heappush(heap, j)
-            target[j] = nv
-        elif cur is not None:
-            del target[j]
+@lru_cache
+def _columns(n: int) -> tuple:
+    """0, 1, ..., n - 1, cached per width, so that passing over a column
+    makes no int."""
+    return tuple(range(n))
+
+
+def _nonzero(w: list, start: int):
+    """The columns j >= start with w[j] nonzero, ascending.  Each entry is
+    read when the walk reaches it, so a walk sees what it wrote at later
+    columns; the zeros are passed over inside itertools."""
+    return compress(_columns(len(w))[start:], islice(w, start, None))
 
 
 class RowLattice:
@@ -101,25 +101,22 @@ class RowLattice:
     modulus being read.  ``clear_unit_columns`` applies the same rule to
     every row, which gives the Hermite normal form.
 
-    Only ``insert``, ``add_column`` and ``clear_unit_columns`` write
-    ``pivots``, and each drops ``_steps``, the snapshot the walk reads:
-    per column, its pivot (0 when it has none) and the rest of its pivot
-    row as (column, coefficient) pairs.  The first walk after a change
-    builds it from the rows as they are then; a ``copy`` starts without
-    one.
+    Every pass over a row is dense and ascending, a list over the
+    columns whose zeros ``_nonzero`` passes over: ``insert`` over the
+    row it walks, and ``_walk``, for ``reduce``, ``order`` and the row
+    being stored, over the vector it is given.  Each reads ``pivots``
+    as it is then, so there is nothing to rebuild after a change.
     """
 
-    __slots__ = ("ncols", "pivots", "modulus", "_steps")
+    __slots__ = ("ncols", "pivots", "modulus")
 
     def __init__(self, ncols: int, modulus: int | None = None):
         self.ncols = ncols
         self.modulus = modulus
         self.pivots: dict[int, dict] = {} if modulus is None else {j: {j: modulus} for j in range(ncols)}
-        self._steps: list | None = None
 
     def add_column(self) -> None:
         """Append a column; with a modulus M it holds the row M * e_j."""
-        self._steps = None
         if self.modulus is not None:
             self.pivots[self.ncols] = {self.ncols: self.modulus}
         self.ncols += 1
@@ -130,97 +127,87 @@ class RowLattice:
         dup.pivots = {j: dict(row) for j, row in self.pivots.items()}
         return dup
 
+    def _dense(self, row) -> list:
+        """A row (dict or iterable of (col, coeff)) as a list over the
+        columns; a column outside [0, ncols) or an entry that is not an
+        int raises TensqError."""
+        w = [0] * self.ncols
+        for j, v in row.items() if isinstance(row, dict) else row:
+            if not (isinstance(v, int) and isinstance(j, int) and 0 <= j < self.ncols):
+                raise TensqError(f"lattice row entry {v!r} at column {j!r} is not an int in [0, {self.ncols})")
+            w[j] = v
+        return w
+
     def insert(self, row) -> None:
-        """Add a row (dict or iterable of (col, coeff)) to the lattice;
-        zero coefficients are dropped.  As in ``order``, at a pivot p
-        with entry c, g = gcd(p, c), the row is scaled by p / g and
+        """Add a row (dict or iterable of (col, coeff)) to the lattice,
+        walking it dense, column by column.  As in ``order``, at a pivot
+        p with entry c, g = gcd(p, c), the row is scaled by p / g and
         cleared by c / g times the pivot row; when g < p, x * piv +
         y * row (x * p + y * c = g) takes that pivot row's place.  The
         row is stored at the first column with no pivot.  A row stored
         as a pivot row is at once reduced at the later pivot columns."""
-        self._steps = None
-        vec = dict(row)
-        if not all(isinstance(v, int) for v in vec.values()):
-            raise TensqError("lattice rows must have integer entries")
-        vec = {k: v for k, v in vec.items() if v}
+        w = self._dense(row)
         pivots = self.pivots
-        heap = list(vec)
-        heapq.heapify(heap)
-        while heap:
-            j = heapq.heappop(heap)
-            c = vec.get(j)
-            if not c:
-                continue
+        for j in _nonzero(w, 0):
+            c = w[j]
             piv = pivots.get(j)
             if piv is None:
                 if c < 0:
-                    vec = {k: -v for k, v in vec.items()}
-                pivots[j] = vec
-                self._reduce_row(j)
+                    for i in _nonzero(w, j):
+                        w[i] = -w[i]
+                self._store(j, w)
                 return
             g = p = piv[j]
             if c % p:
                 # (x, y; -c/g, p/g) is unimodular: it keeps the span of
-                # (piv, vec), and its second row, 0 at j, walks on.
+                # (piv, w), and its second row, 0 at j, walks on.
                 g, x, y = _xgcd(p, c)
-                new = {}
-                _axpy(new, x, piv)
-                _axpy(new, y, vec)
-                pivots[j] = new
-                self._reduce_row(j)
-                for col in vec:
-                    vec[col] *= p // g
-            _axpy(vec, -(c // g), piv, heap)
+                new = [0] * len(w)
+                for i in _nonzero(w, j):
+                    new[i] = y * w[i]
+                    w[i] *= p // g
+                for i, v in piv.items():
+                    new[i] += x * v
+                self._store(j, new)
+            q = c // g
+            for i, v in piv.items():
+                w[i] -= q * v
 
-    def _reduce_row(self, j: int) -> None:
-        """Bring each entry of the pivot row at column j at a later pivot
-        column k into [0, pivot) by column k's row, k ascending; that row
-        starts at column k, so no earlier entry changes; a column with no
-        pivot is passed over."""
-        pivots = self.pivots
-        row = pivots[j]
-        heap = [k for k in row if k > j]
-        heapq.heapify(heap)
-        while heap:
-            k = heapq.heappop(heap)
-            piv = pivots.get(k)
-            if piv is not None:
-                _axpy(row, -(row.get(k, 0) // piv[k]), piv, heap)
+    def _store(self, j: int, w: list) -> None:
+        """Store the dense row w, 0 left of column j, as column j's pivot
+        row, its entries at the later pivot columns first reduced by the
+        walk; a column with no pivot is passed over."""
+        self._walk(w, False, j + 1)
+        self.pivots[j] = {i: w[i] for i in _nonzero(w, j)}
 
-    def _walk(self, w: list, order: bool) -> int:
-        """The one walk, in place, down the dense vector w's columns in
-        ascending order: an entry c at a pivot p is cleared to c mod p by
-        (c // p) times the pivot row, which touches only later columns.
-        For w's ``order`` it first scales w by p / gcd(p, c), the least
-        factor making c a multiple of p, and returns the product of the
-        scales, or 0 at a nonzero entry with no pivot; else it returns 1.
+    def _walk(self, w: list, order: bool, start: int = 0) -> int:
+        """The one walk, in place, down the dense vector w's columns from
+        ``start`` in ascending order: an entry c at a pivot p is cleared
+        to c mod p by (c // p) times the pivot row, which starts at p's
+        column and so touches only later ones.  For w's ``order`` it
+        first scales w by p / gcd(p, c), the least factor making c a
+        multiple of p, and returns the product of the scales, or 0 at a
+        nonzero entry with no pivot; else it returns 1.
         """
-        steps = self._steps
-        if steps is None:
-            pivots = self.pivots
-            steps = self._steps = [
-                (pivots[j][j], tuple((i, v) for i, v in pivots[j].items() if i > j)) if j in pivots else (0, ())
-                for j in range(self.ncols)
-            ]
+        pivots = self.pivots
         k = 1
-        for j, (p, tail) in enumerate(steps):
+        for j in _nonzero(w, start):
             c = w[j]
-            if not c:
-                continue
-            if not p:
+            piv = pivots.get(j)
+            if piv is None:
                 if order:
                     return 0
                 continue
+            p = piv[j]
             if order and c % p:
                 scale = p // gcd(p, c)
                 k *= scale
-                c *= scale
-                for i in range(j + 1, len(w)):
+                for i in _nonzero(w, j):
                     w[i] *= scale
+                c = w[j]
             q = c // p
             if q:
-                w[j] = c - q * p
-                for i, v in tail:
+                for i, v in piv.items():
                     w[i] -= q * v
         return k
 
@@ -232,10 +219,7 @@ class RowLattice:
 
     def order(self, vec: dict) -> int:
         """Least k >= 1 with k * vec in the lattice; 0 when there is none."""
-        w = [0] * self.ncols
-        for j, v in vec.items():
-            w[j] = v
-        return self._walk(w, True)
+        return self._walk(self._dense(vec), True)
 
     def contains(self, vec: dict) -> bool:
         return self.order(vec) == 1
@@ -244,15 +228,14 @@ class RowLattice:
         """Reduce the basis to the Hermite normal form, leaving the lattice
         as it is, with or without a modulus.
 
-        ``_reduce_row`` is applied to every pivot row, last first, so
-        each row is reduced against rows already reduced.  A unit-pivot
-        row is then the only row touching its pivot column.  Entries at
-        columns with no pivot, which only a lattice without a modulus
-        has, stay as they are.
+        Every pivot row is stored again, last first, so each row is
+        reduced against rows already reduced.  A unit-pivot row is then
+        the only row touching its pivot column.  Entries at columns with
+        no pivot, which only a lattice without a modulus has, stay as
+        they are.
         """
-        self._steps = None
         for j in sorted(self.pivots, reverse=True):
-            self._reduce_row(j)
+            self._store(j, self._dense(self.pivots[j]))
 
 
 class CoreMap:
@@ -269,7 +252,7 @@ class CoreMap:
     two columns with equal images share one tuple, but images that
     differ may still differ by a vector of C.  ``lattice`` is C, a
     RowLattice on the core columns with L's modulus; every query is its
-    walk, over C's rows as they are when it is asked.
+    one dense walk, which reads C's rows as they are when it is asked.
 
     Why it is exact.  The build keeps two rules: every image but a free
     column's comes from one row u e_j + t of L, u = +-1, every column of

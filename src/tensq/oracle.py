@@ -243,7 +243,7 @@ def _stream_core_map(tables, modulus: int) -> tuple[CoreMap, int]:
                     w[i] -= v
                 core.reduce(w)
                 if any(w):
-                    core.insert({i: v for i, v in enumerate(w) if v})
+                    core.insert(enumerate(w))
                 continue
             # The one column without an image, u, if its coefficient is a
             # unit, has image phi(a) + sign phi(b) from the other two.

@@ -7,9 +7,11 @@ TimeoutError naming the function it was in, and the run goes on: a
 lattice walk that never ends is a failure, not a hung suite.
 
 Failure reports are built with Python's limit on int-to-str digits
-lifted, and the limit is restored at once, so a report prints an
-integer of more than 4,300 digits in full.  Tests run under the limit
-as it was.
+lifted, and the limit is restored at once, so a report prints in full
+an integer of more than 4,300 digits that it formats itself, such as
+an exception's message or a function's arguments.  Tests run under the
+limit as it was, so a rewritten assert, which formats its operands as
+it fails, shows such an integer as a failed repr.
 """
 
 import signal

@@ -16,10 +16,11 @@ one walk, RowLattice.reduce.
 
 The element order as RowLattice.order walked it on sparse rows: a heap
 over the vector's support, reading the pivot rows themselves, with its
-own subtract loop.  abgrp walks every vector dense, over a snapshot of
-the rows that the lattice keeps; the tests that check CoreMap.order
-against a lattice, and the walk after each change to a lattice's rows,
-read :func:`walk_order`.
+own subtract loop.  abgrp walks every vector dense, over every column,
+reading the pivot rows as they are; the tests that check CoreMap.order
+against a lattice, the walk after each change to a lattice's rows, and
+the queries on the |G|^2-column exact lattices read :func:`walk_order`,
+which reaches only the columns a vector's support reaches.
 
 The Smith normal form as abgrp ran it on sparse {column: coefficient}
 rows, over their sorted column labels; test_abgrp.py and
