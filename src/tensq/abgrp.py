@@ -3,9 +3,11 @@
 Everything here works on plain Python ints; no floating point is used
 anywhere.  A lattice's basis rows are sparse {column: coefficient}
 dicts; a row to insert is a dict or its (column, coefficient) pairs.
-Every pass over a row or a vector is dense, over a list of its
-entries, and the Smith normal form takes dense rows: equal-length
-lists of a few entries.
+Every pass over a row or a vector is dense, a plain loop over a list
+of its entries, and the Smith normal form takes dense rows:
+equal-length lists of a few entries.  That is sized for what the
+package builds, a core of a few columns modulo M; only the tests build
+lattices on all |G|^2 columns, with a sparse reference of their own.
 
 The central object is :class:`RowLattice`, an integer row lattice kept
 as an echelon basis (one basis row per pivot column, pivot = leftmost
@@ -51,8 +53,6 @@ rows, densified over the core columns.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
-from itertools import compress, islice
 from math import gcd, prod
 
 from .errors import TensqError
@@ -71,20 +71,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-@lru_cache
-def _columns(n: int) -> tuple:
-    """0, 1, ..., n - 1, cached per width, so that passing over a column
-    makes no int."""
-    return tuple(range(n))
-
-
-def _nonzero(w: list, start: int):
-    """The columns j >= start with w[j] nonzero, ascending.  Each entry is
-    read when the walk reaches it, so a walk sees what it wrote at later
-    columns; the zeros are passed over inside itertools."""
-    return compress(_columns(len(w))[start:], islice(w, start, None))
-
-
 class RowLattice:
     """Sublattice of Z^ncols spanned by inserted integer rows.
 
@@ -101,11 +87,14 @@ class RowLattice:
     modulus being read.  ``clear_unit_columns`` applies the same rule to
     every row, which gives the Hermite normal form.
 
-    Every pass over a row is dense and ascending, a list over the
-    columns whose zeros ``_nonzero`` passes over: ``insert`` over the
-    row it walks, and ``_walk``, for ``reduce``, ``order`` and the row
-    being stored, over the vector it is given.  Each reads ``pivots``
-    as it is then, so there is nothing to rebuild after a change.
+    Every pass over a row is dense and ascending, a plain loop over the
+    columns that skips zero entries: ``insert`` over the row it walks,
+    and ``_walk``, for ``reduce``, ``order`` and the row being stored,
+    over the vector it is given.  Each reads ``pivots`` as it is then,
+    so there is nothing to rebuild after a change.  A pass costs
+    O(ncols) however sparse the row, which suits the core lattices of a
+    few columns that the oracle builds; the tests build their lattices
+    on all |G|^2 columns with a sparse reference of their own.
     """
 
     __slots__ = ("ncols", "pivots", "modulus")
@@ -148,13 +137,14 @@ class RowLattice:
         as a pivot row is at once reduced at the later pivot columns."""
         w = self._dense(row)
         pivots = self.pivots
-        for j in _nonzero(w, 0):
+        for j in range(len(w)):
             c = w[j]
+            if not c:
+                continue
             piv = pivots.get(j)
             if piv is None:
                 if c < 0:
-                    for i in _nonzero(w, j):
-                        w[i] = -w[i]
+                    w = [-v for v in w]
                 self._store(j, w)
                 return
             g = p = piv[j]
@@ -162,13 +152,11 @@ class RowLattice:
                 # (x, y; -c/g, p/g) is unimodular: it keeps the span of
                 # (piv, w), and its second row, 0 at j, walks on.
                 g, x, y = _xgcd(p, c)
-                new = [0] * len(w)
-                for i in _nonzero(w, j):
-                    new[i] = y * w[i]
-                    w[i] *= p // g
+                new = [y * v for v in w]
                 for i, v in piv.items():
                     new[i] += x * v
                 self._store(j, new)
+                w = [v * (p // g) for v in w]
             q = c // g
             for i, v in piv.items():
                 w[i] -= q * v
@@ -178,7 +166,7 @@ class RowLattice:
         row, its entries at the later pivot columns first reduced by the
         walk; a column with no pivot is passed over."""
         self._walk(w, False, j + 1)
-        self.pivots[j] = {i: w[i] for i in _nonzero(w, j)}
+        self.pivots[j] = {i: w[i] for i in range(j, len(w)) if w[i]}
 
     def _walk(self, w: list, order: bool, start: int = 0) -> int:
         """The one walk, in place, down the dense vector w's columns from
@@ -191,8 +179,10 @@ class RowLattice:
         """
         pivots = self.pivots
         k = 1
-        for j in _nonzero(w, start):
+        for j in range(start, len(w)):
             c = w[j]
+            if not c:
+                continue
             piv = pivots.get(j)
             if piv is None:
                 if order:
@@ -202,7 +192,7 @@ class RowLattice:
             if order and c % p:
                 scale = p // gcd(p, c)
                 k *= scale
-                for i in _nonzero(w, j):
+                for i in range(j, len(w)):
                     w[i] *= scale
                 c = w[j]
             q = c // p

@@ -455,10 +455,6 @@ class SuiteReport(namedtuple("SuiteReport", "checks")):
     __slots__ = ()
 
     @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
     def failed_instances(self) -> int:
         return sum(c.failed for c in self.checks)
 

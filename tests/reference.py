@@ -22,6 +22,18 @@ against a lattice, the walk after each change to a lattice's rows, and
 the queries on the |G|^2-column exact lattices read :func:`walk_order`,
 which reaches only the columns a vector's support reaches.
 
+The lattices on all |G|^2 columns, inserted and cleared as abgrp did
+before its passes became dense: :class:`SparseLattice` walks a row
+over a heap of the columns it holds, with abgrp.RowLattice's
+unimodular gcd step, its reduction of each stored row at the later
+pivot columns and its clearing, so it stores the same rows after every
+insert.  abgrp walks every row dense, over every column, which suits
+the cores of a few columns the oracle builds and costs |G|^2 per row
+on these lattices.  test_oracle.py builds its reference lattices of
+G (x) G and G ^ G, exact and with the oracle's modulus, as
+SparseLattices, and checks the bases abgrp.RowLattice reaches against
+them.
+
 The Smith normal form as abgrp ran it on sparse {column: coefficient}
 rows, over their sorted column labels; test_abgrp.py and
 test_presentations.py check abgrp.smith_normal_form, on dense rows,
@@ -214,7 +226,108 @@ def peel(rows, ncols: int, modulus: int | None = None) -> CoreMap:
     return CoreMap(images, core)
 
 
-def walk_order(lattice: RowLattice, vec: dict) -> int:
+def _axpy(target: dict, c: int, source: dict, heap: list | None = None) -> None:
+    """target += c * source, dropping zero entries; given a heap, push
+    onto it each column target gains."""
+    if not c:
+        return
+    for j, v in source.items():
+        cur = target.get(j)
+        nv = (cur or 0) + c * v
+        if nv:
+            if cur is None and heap is not None:
+                heapq.heappush(heap, j)
+            target[j] = nv
+        elif cur is not None:
+            del target[j]
+
+
+class SparseLattice:
+    """Sublattice of Z^ncols spanned by inserted integer rows, walked
+    sparse: abgrp.RowLattice's echelon basis, its one reduction rule and
+    its unimodular gcd step, over a heap of the columns a row holds.
+
+    ``ncols``, ``modulus``, ``pivots`` ({col: {col: coeff}}, the same
+    rows abgrp.RowLattice stores after every insert), ``copy`` and
+    ``clear_unit_columns`` are RowLattice's, so quotient_from_lattice and
+    :func:`walk_order` read either.
+    """
+
+    __slots__ = ("ncols", "pivots", "modulus")
+
+    def __init__(self, ncols: int, modulus: int | None = None):
+        self.ncols = ncols
+        self.modulus = modulus
+        self.pivots: dict[int, dict] = {} if modulus is None else {j: {j: modulus} for j in range(ncols)}
+
+    def copy(self) -> "SparseLattice":
+        dup = SparseLattice(0, self.modulus)
+        dup.ncols = self.ncols
+        dup.pivots = {j: dict(row) for j, row in self.pivots.items()}
+        return dup
+
+    def insert(self, row) -> None:
+        """Add a row (dict or iterable of (col, coeff)) to the lattice;
+        zero coefficients are dropped.  At a pivot p with entry c,
+        g = gcd(p, c), the row is scaled by p / g and cleared by c / g
+        times the pivot row; when g < p, x * piv + y * row
+        (x * p + y * c = g) takes that pivot row's place.  The row is
+        stored at the first column with no pivot.  A row stored as a
+        pivot row is at once reduced at the later pivot columns."""
+        vec = {k: v for k, v in dict(row).items() if v}
+        pivots = self.pivots
+        heap = list(vec)
+        heapq.heapify(heap)
+        while heap:
+            j = heapq.heappop(heap)
+            c = vec.get(j)
+            if not c:
+                continue
+            piv = pivots.get(j)
+            if piv is None:
+                if c < 0:
+                    vec = {k: -v for k, v in vec.items()}
+                pivots[j] = vec
+                self._reduce_row(j)
+                return
+            g = p = piv[j]
+            if c % p:
+                # (x, y; -c/g, p/g) is unimodular: it keeps the span of
+                # (piv, vec), and its second row, 0 at j, walks on.
+                g, x, y = _xgcd(p, c)
+                new = {}
+                _axpy(new, x, piv)
+                _axpy(new, y, vec)
+                pivots[j] = new
+                self._reduce_row(j)
+                for col in vec:
+                    vec[col] *= p // g
+            _axpy(vec, -(c // g), piv, heap)
+
+    def _reduce_row(self, j: int) -> None:
+        """Bring each entry of the pivot row at column j at a later pivot
+        column k into [0, pivot) by column k's row, k ascending; that row
+        starts at column k, so no earlier entry changes; a column with no
+        pivot is passed over."""
+        pivots = self.pivots
+        row = pivots[j]
+        heap = [k for k in row if k > j]
+        heapq.heapify(heap)
+        while heap:
+            k = heapq.heappop(heap)
+            piv = pivots.get(k)
+            if piv is not None:
+                _axpy(row, -(row.get(k, 0) // piv[k]), piv, heap)
+
+    def clear_unit_columns(self) -> None:
+        """Reduce the basis to the Hermite normal form: ``_reduce_row``
+        on every pivot row, last first, so each row is reduced against
+        rows already reduced."""
+        for j in sorted(self.pivots, reverse=True):
+            self._reduce_row(j)
+
+
+def walk_order(lattice: RowLattice | SparseLattice, vec: dict) -> int:
     """Least k >= 1 with k * vec in ``lattice``; 0 when there is none.
 
     Walks vec's support in ascending column order.  A column with no
